@@ -48,9 +48,6 @@ class WindowStoreReader final : public traffic::WindowSource {
 
   // ---- traffic::WindowSource ----
   std::size_t num_windows() const override { return manifest_.size(); }
-  NodeId node_domain() const override {
-    return static_cast<NodeId>(header_.node_domain);
-  }
   /// Reads and decodes stored window `index` (ascending window-index
   /// order).  Returns the block's valid-packet total N_V; `out` holds
   /// the canonical sorted (u,v,count) records.  Thread-safe for

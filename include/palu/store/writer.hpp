@@ -31,12 +31,11 @@ namespace palu::store {
 
 /// Provenance and sink configuration for a capture.
 struct WriterOptions {
-  /// Node-id domain of the producer (graph node count); replay shard
-  /// routing reuses it, so it should match the capturing run.  Must be
-  /// >= 1.  The writer widens it at finish() to cover every appended
-  /// endpoint id, so a producer that cannot know the domain up front
-  /// (the serve recorder ingesting an arbitrary trace) passes 1 and
-  /// lets the data set it.
+  /// Node-id domain of the producer (graph node count), recorded in the
+  /// file header for provenance.  Must be >= 1.  The writer widens it at
+  /// finish() to cover every appended endpoint id, so a producer that
+  /// cannot know the domain up front (the serve recorder ingesting an
+  /// arbitrary trace) passes 1 and lets the data set it.
   NodeId node_domain = 0;
   /// Producer RNG seed, stored for provenance only.
   std::uint64_t seed = 0;

@@ -57,19 +57,6 @@ class WindowAccumulator {
   /// not a copy.
   void ingest_counts(std::span<const EdgePacketCounts> pairs);
 
-  /// Folds another accumulator's current window into this one — the merge
-  /// half of the sweep's intra-window sharding (DESIGN.md §5g).  All mode
-  /// combinations are supported: hash⊕hash replays the other's live cells,
-  /// counts⊕counts appends the other's record views (both operands' views
-  /// must then outlive this accumulator's next begin_window()), and mixed
-  /// modes demote the counts side through the hash tables, which is
-  /// content-exact.  When both sides are in counts mode their pair sets
-  /// must be disjoint (the node-range shard routing guarantees this);
-  /// merging overlapping counts views would double-count pairs, exactly
-  /// like violating ingest_counts' uniqueness contract.  `other` is not
-  /// modified and may be reused after its own next begin_window().
-  void merge(const WindowAccumulator& other);
-
   /// Σ_ij A_t(i, j): total packets in the current window.
   Count total() const noexcept { return total_; }
 
@@ -124,7 +111,6 @@ class WindowAccumulator {
   stats::DegreeHistogram emit_dense_nodes(bool want_packets);
   stats::DegreeHistogram drain_value_scratch();
   void add_value(Count v);
-  void demote_counts_to_hash();
 
   // ---- cell table (open addressing, linear probing, epoch-stamped) ----
   std::vector<Cell> cells_;
@@ -151,11 +137,8 @@ class WindowAccumulator {
   // count.  The value scratch keeps a touched-list because histogram
   // values are unbounded.
   //
-  // A window holds one record view after ingest_counts; merging another
-  // counts-mode accumulator appends its views, so the histogram passes
-  // iterate a small list of disjoint spans (all into caller-owned
-  // storage).
-  std::vector<std::span<const EdgePacketCounts>> pair_spans_;
+  // A counts-mode window is one record view into caller-owned storage.
+  std::span<const EdgePacketCounts> pairs_;
   bool counts_mode_ = false;
   std::size_t counts_nnz_ = 0;
   std::size_t counts_dense_nodes_ = 0;     // emit scan bound (max id + 1)

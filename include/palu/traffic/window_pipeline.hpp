@@ -13,39 +13,30 @@
 // rest, and a cancellation flag / wall-clock timeout stops a stuck sweep
 // cleanly between windows.
 //
-// Windows run by default through the WindowAccumulator fast path: flat
-// arena-reused hash tables per worker (leased via ScratchPool), one cached
-// generator per worker reseeded per window, batched packet draws, and
-// single-pass histogramming.  Results are byte-identical to the legacy
-// SparseCountMatrix path (SweepOptions::fast_path = false) for the same
-// seed; stage timings land in WindowSweepResult::timings either way.
+// Every sweep runs one stage graph (DESIGN.md §5g): a pool worker
+// produces window t — a packet draw, a count-space draw, or a store read
+// — into its leased WindowAccumulator, then bins it; the calling thread
+// reduces the windows in index order.  An optional capture sink tees each
+// accumulated window into a store.  Workers lease arena-reused scratch
+// (one cached generator reseeded per window, one accumulator, batch
+// buffers) from a ScratchPool, so no window rebuilds tables.
 //
-// Count-space synthesis (SweepOptions::synthesis = kMultinomial) goes one
-// step further: each window is drawn whole as per-pair packet counts
-// (Multinomial over edge rates + one direction Binomial per active pair),
-// so per-window cost is O(num_edges) instead of O(n_valid).  Same law,
-// different RNG consumption — counts sweeps are distributionally
-// equivalent to packet sweeps, not byte-identical (see DESIGN.md §5e).
+// Count-space synthesis (SweepOptions::synthesis = kMultinomial) draws
+// each window whole as per-pair packet counts (Multinomial over edge
+// rates + one direction Binomial per active pair), so per-window cost is
+// O(num_edges) instead of O(n_valid).  Same law, different RNG
+// consumption — counts sweeps are distributionally equivalent to packet
+// sweeps, not byte-identical (see DESIGN.md §5e).
 //
-// Analytic synthesis (SweepOptions::synthesis = kExpected) drops the RNG
-// entirely: one deterministic ExpectedWindowEvaluator pass produces the
-// expected pooled histogram and Table-I aggregates in closed form —
-// O(num_edges) once per window size, independent of both N_V and the
-// window count (DESIGN.md §5i).  Sampled replicates for confidence bands
-// are opt-in via SweepOptions::expected_replicates.
-//
-// The sweep body is an explicit stage graph — synthesize → accumulate →
-// bin per window inside a worker, then a serial fit/reduce on the calling
-// thread — with two selectable sharding modes for the accumulate stage
-// (SweepOptions::shard_mode): concurrent windows (default) and
-// intra-window node-range sharding across mergeable sub-accumulators
-// (DESIGN.md §5g).  Both are byte-identical for the same seed.
+// The analytic window (evaluate_expected_window) drops the RNG entirely:
+// one deterministic ExpectedWindowEvaluator pass produces the expected
+// pooled histogram and Table-I aggregates in closed form — O(num_edges)
+// once per window size, independent of N_V (DESIGN.md §5i).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,92 +80,27 @@ struct WindowFailure {
   std::string error;
 };
 
-/// How a sweep maps accumulation onto state (DESIGN.md §5g).  Both modes
-/// run the same stage graph (synthesize → accumulate → bin → fit/reduce)
-/// and produce byte-identical results for the same seed and synthesis
-/// mode; they differ only in how the accumulate stage is sharded.
-enum class ShardMode {
-  /// One window per worker, one accumulator per worker — the default and
-  /// today's concurrency axis (windows are exchangeable).
-  kConcurrentWindows,
-  /// Additionally partition each window's accumulation by node-id range
-  /// across SweepOptions::shards_per_window sub-accumulators that are
-  /// merged (WindowAccumulator::merge) before binning.  RNG consumption
-  /// is untouched — only already-drawn packets / count records are
-  /// routed — so the result is byte-identical to kConcurrentWindows.
-  /// The packet path routes by Packet::src, the counts path by the
-  /// record's lower endpoint (EdgePacketCounts::u).  Mergeable shard
-  /// state is the prerequisite for splitting one huge window across
-  /// cores or hosts; on this container's single core the shards run
-  /// serially inside the owning worker.  Intra-window sharding always
-  /// uses the WindowAccumulator machinery, even with fast_path = false.
-  kIntraWindow,
-};
-
 /// How a sweep turns the traffic law into per-window histograms.
 enum class SynthesisMode {
   /// Draw n_valid individual packets per window (default; the reference
-  /// path — byte-identical between fast and legacy for the same seed).
+  /// path).
   kPacket,
   /// Draw each window whole as per-pair counts via one Multinomial over
   /// the edge rates; O(num_edges) per window.  Distributionally
   /// equivalent to kPacket, not byte-identical.
   kMultinomial,
-  /// No sampling at all: evaluate the expected pooled histogram and
-  /// aggregates analytically (traffic/expected_window.hpp) — one
-  /// deterministic O(num_edges) evaluation per window size, so the sweep
-  /// cost is flat in both N_V and num_windows.  `num_windows` is ignored
-  /// (the analytic result is what an infinite ensemble converges to);
-  /// SweepOptions::expected_replicates adds optional sampled counts-path
-  /// replicates so WindowSweepResult::ensemble carries σ bands.  The
-  /// fast_path and shard knobs do not apply.
-  kExpected,
 };
 
-/// Where a sweep's windows come from (DESIGN.md §5j).
-enum class SweepSource {
-  /// Synthesize windows from the graph + rate model per SynthesisMode
-  /// (the default, and the only mode the graph overloads accept unless
-  /// SweepOptions::replay is set).
-  kSynthesize,
-  /// Replay pre-computed windows from SweepOptions::replay (a
-  /// palu::store reader or any other WindowSource).  Synthesis is
-  /// skipped entirely: no generator build, no RNG, no packet
-  /// materialization — each worker decodes straight into
-  /// WindowAccumulator::ingest_counts.  The graph/rates/seed arguments
-  /// and SynthesisMode are ignored; kExpected and `capture` do not
-  /// compose with replay.
-  kReplay,
-};
-
-/// Resilience and performance knobs for sweep_windows.
+/// Resilience knobs and sinks for sweep_windows.
 struct SweepOptions {
   /// Windows allowed to fail before the sweep itself fails.  0 preserves
   /// the strict behaviour: the first failure is rethrown as
   /// SweepWindowError with the window index attached.
   std::size_t max_failed_windows = 0;
-  /// Route windows through the flat WindowAccumulator fast path (arena
-  /// reuse, cached per-worker generators, batched draws).  Produces
-  /// byte-identical results to the legacy SparseCountMatrix path for the
-  /// same seed; off is the escape hatch for A/B comparison and debugging.
-  /// Ignored when synthesis == kMultinomial (counts windows always use
-  /// the pooled scratch).
-  bool fast_path = true;
-  /// Window synthesis strategy; kPacket keeps the packet-exact reference
-  /// behaviour, kMultinomial switches to O(num_edges) count-space draws,
-  /// kExpected to the closed-form expectation path.
+  /// Window synthesis strategy of the graph overloads; kPacket keeps the
+  /// packet-exact reference behaviour, kMultinomial switches to
+  /// O(num_edges) count-space draws.
   SynthesisMode synthesis = SynthesisMode::kPacket;
-  /// kExpected only: sampled counts-path replicate windows folded into
-  /// WindowSweepResult::ensemble for confidence bands.  0 (default) keeps
-  /// the path fully deterministic: the ensemble then holds the expected
-  /// mass as a single pseudo-window (σ = 0).
-  std::size_t expected_replicates = 0;
-  /// Accumulation sharding (see ShardMode).  kConcurrentWindows ignores
-  /// shards_per_window.
-  ShardMode shard_mode = ShardMode::kConcurrentWindows;
-  /// Sub-accumulators per window under ShardMode::kIntraWindow; must be
-  /// >= 1.  1 degenerates to the unsharded accumulate stage.
-  std::size_t shards_per_window = 1;
   /// Cooperative cancellation: checked between windows; a cancelled sweep
   /// returns the windows finished so far with `cancelled` set.
   const std::atomic<bool>* cancel = nullptr;
@@ -182,22 +108,11 @@ struct SweepOptions {
   /// between windows (a worker stuck inside one window cannot be
   /// preempted, but no new window starts past the deadline).
   std::chrono::milliseconds timeout{0};
-  /// Window provenance: kSynthesize draws windows, kReplay decodes them
-  /// from `replay` (which must then be non-null).
-  SweepSource source = SweepSource::kSynthesize;
-  /// The stored-window supplier for source == kReplay.  Not owned; must
-  /// outlive the sweep call.  Its node_domain() drives intra-window
-  /// shard routing, so replaying a capture with --shards K is
-  /// byte-identical to the capturing run at any K.
-  WindowSource* replay = nullptr;
   /// Optional capture tee: every successfully accumulated window is
   /// appended (canonical per-pair counts) before the sweep reduces it.
   /// Not owned; must be thread-safe (workers append concurrently) and
   /// outlive the sweep call.  An append failure is charged to the
-  /// window like any other per-window fault.  Capture always routes
-  /// through the WindowAccumulator machinery (a fast_path = false sweep
-  /// with capture set silently uses the fast path, which is
-  /// byte-identical); it does not compose with kExpected or kReplay.
+  /// window like any other per-window fault.
   WindowCaptureSink* capture = nullptr;
   /// Metrics sink for sweep counters and stage-duration histograms
   /// (palu_sweep_* families, see palu/obs/names.hpp).  nullptr routes to
@@ -213,16 +128,15 @@ struct SweepOptions {
 /// on the stage's wall-clock contribution this accounting can give
 /// without per-stage barriers.  (An earlier revision reported the summed
 /// values under a "wall-clock" label; both views exist so neither gets
-/// misread again.)  On the legacy path packet draws and cell counting are
-/// interleaved inside window(), so their combined time lands in the
-/// sampling fields and the accumulation fields stay 0.  On the counts
-/// path sampling covers the Multinomial + direction-split draws,
-/// accumulation the ingest of the pair records.  The serial window-order
-/// reduce runs on the calling thread and is added to both binning views.
+/// misread again.)  Sampling covers producing the window (packet draws,
+/// the Multinomial + direction-split draws, or the store read and
+/// decode), accumulation the packet adds or the ingest of the pair
+/// records.  The serial window-order reduce runs on the calling thread
+/// and is added to both binning views.
 struct SweepStageTimings {
   // Summed across workers (total CPU time per stage).
-  std::uint64_t sampling_cpu_ns = 0;      // RNG + alias-sampler draws
-  std::uint64_t accumulation_cpu_ns = 0;  // packet → (src, dst) counts
+  std::uint64_t sampling_cpu_ns = 0;      // draws or store read + decode
+  std::uint64_t accumulation_cpu_ns = 0;  // packets / records → counts
   std::uint64_t binning_cpu_ns = 0;       // histogramming + reduce
 
   // Slowest single worker per stage (straggler view).
@@ -240,12 +154,6 @@ struct WindowSweepResult {
   std::size_t windows_skipped = 0;  // not attempted (cancel / timeout)
   bool cancelled = false;           // cancel flag or timeout fired
   SweepStageTimings timings;        // per-stage CPU sum + straggler max
-  /// kExpected sweeps only: the analytic window (expected mass,
-  /// per-bin expected entity counts, expected Table-I aggregates, and
-  /// the median-of-max estimate mirrored into max_value).  The sampled
-  /// paths leave it empty; `merged` stays empty on the expected path
-  /// (there are no integer histograms to merge).
-  std::optional<ExpectedWindow> expected;
 };
 
 /// Draws `num_windows` windows of `n_valid` packets each over
@@ -267,16 +175,32 @@ WindowSweepResult sweep_windows(const graph::Graph& underlying,
                                 std::uint64_t seed, ThreadPool& pool);
 
 /// Replay overload: drives the same stage graph from stored windows —
-/// no graph, no rate model, no RNG.  Windows [0, num_windows) of
-/// `source` are decoded in parallel on `pool` (num_windows must not
-/// exceed source.num_windows()), accumulated (optionally intra-window
-/// sharded per opts.shard_mode) and reduced in window order, so the
-/// result is byte-identical to the capturing sweep for every quantity
-/// and shard count.  opts.source/opts.replay are overridden; a per-
-/// window DataError from the source (corrupt block) is charged against
-/// opts.max_failed_windows exactly like a synthesis failure.
+/// no graph, no rate model, no RNG (opts.synthesis does not apply).
+/// Windows [0, num_windows) of `source` are decoded in parallel on `pool`
+/// (num_windows must not exceed source.num_windows()), accumulated and
+/// reduced in window order, so the result is byte-identical to the
+/// capturing sweep for every quantity.  opts.capture must be null (the
+/// windows are already stored); a per-window DataError from the source
+/// (corrupt block) is charged against opts.max_failed_windows exactly
+/// like a synthesis failure.
 WindowSweepResult sweep_windows(WindowSource& source,
                                 std::size_t num_windows, Quantity quantity,
                                 ThreadPool& pool, const SweepOptions& opts);
+
+/// The analytic window (DESIGN.md §5i): the expected pooled mass, per-bin
+/// expected entity counts, Table-I aggregates, and median-of-max d_max of
+/// one N_V-packet window of `quantity`, evaluated in closed form over the
+/// rate draw a sweep with the same `seed` would use (Rng(seed).fork(0)).
+/// No window RNG and no window count: the result is what an infinite
+/// sampled ensemble converges to.  Records palu_sweep_* counters and the
+/// {path="expected"} stage histograms (prepare → sampling, evaluate →
+/// accumulation, result assembly → binning) into `metrics` (nullptr =
+/// obs::default_registry()).  Throws on failure, including an armed
+/// `theory.expected_window` failpoint.
+ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
+                                        const RateModel& rates,
+                                        Count n_valid, Quantity quantity,
+                                        std::uint64_t seed,
+                                        obs::Registry* metrics = nullptr);
 
 }  // namespace palu::traffic

@@ -56,7 +56,7 @@ void WindowAccumulator::begin_window() {
   total_ = 0;
   counts_mode_ = false;
   counts_nnz_ = 0;
-  pair_spans_.clear();
+  pairs_ = {};
   if (++epoch_ == 0) {
     // The 32-bit stamp wrapped: stamps from 2^32 windows ago could alias
     // the new epoch, so take the rare O(capacity) clear.
@@ -101,79 +101,19 @@ void WindowAccumulator::ingest_counts(std::span<const EdgePacketCounts> pairs) {
   counts_nnz_ = nnz;
   counts_dense_nodes_ = dense_nodes;
   total_ = total;
-  pair_spans_.clear();
-  pair_spans_.push_back(pairs);
+  pairs_ = pairs;
   if (node_packets_dense_.size() < dense_nodes) {
     node_packets_dense_.assign(dense_nodes, 0);
     node_fan_dense_.assign(dense_nodes, 0);
   }
 }
 
-void WindowAccumulator::demote_counts_to_hash() {
-  // Leaving counts mode: replay the record views through the hash tables.
-  // Content-exact (the counts-mode histograms equal a hash replay of the
-  // same records — pinned by AccumulatorCountsModeMatchesHashReplay), and
-  // the cell table is untouched since begin_window() in counts mode, so
-  // add() starts from an empty current window.
-  std::vector<std::span<const EdgePacketCounts>> spans;
-  spans.swap(pair_spans_);
-  counts_mode_ = false;
-  counts_nnz_ = 0;
-  total_ = 0;
-  for (const auto& span : spans) {
-    for (const EdgePacketCounts& pc : span) {
-      add(pc.u, pc.v, pc.forward);
-      add(pc.v, pc.u, pc.backward);
-    }
-  }
-}
-
-void WindowAccumulator::merge(const WindowAccumulator& other) {
-  if (other.counts_mode_) {
-    if (counts_mode_) {
-      // counts ⊕ counts: marginal state is additive, so the merge is pure
-      // bookkeeping — adopt the other's record views and take the union
-      // of the dense id ranges.  Growing with zeros preserves the all-zero
-      // invariant the histogram passes rely on.
-      for (const auto& span : other.pair_spans_) {
-        if (!span.empty()) pair_spans_.push_back(span);
-      }
-      counts_nnz_ += other.counts_nnz_;
-      total_ += other.total_;
-      counts_dense_nodes_ =
-          std::max(counts_dense_nodes_, other.counts_dense_nodes_);
-      if (node_packets_dense_.size() < counts_dense_nodes_) {
-        node_packets_dense_.resize(counts_dense_nodes_, 0);
-        node_fan_dense_.resize(counts_dense_nodes_, 0);
-      }
-      return;
-    }
-    // hash ⊕ counts: expand the other's records into directed cells.
-    for (const auto& span : other.pair_spans_) {
-      for (const EdgePacketCounts& pc : span) {
-        add(pc.u, pc.v, pc.forward);
-        add(pc.v, pc.u, pc.backward);
-      }
-    }
-    return;
-  }
-  if (counts_mode_) demote_counts_to_hash();
-  // hash ⊕ hash: replay the other's live cells (insertion order — every
-  // cell carries a positive count, so each replay lands once).
-  for (const std::uint32_t slot : other.live_cells_) {
-    const Cell& c = other.cells_[slot];
-    add(c.src, c.dst, c.count);
-  }
-}
-
 void WindowAccumulator::export_counts(
     std::vector<EdgePacketCounts>& out) const {
   if (counts_mode_) {
-    for (const auto& span : pair_spans_) {
-      for (const EdgePacketCounts& pc : span) {
-        if (pc.forward + pc.backward == 0) continue;
-        out.push_back(pc);
-      }
+    for (const EdgePacketCounts& pc : pairs_) {
+      if (pc.forward + pc.backward == 0) continue;
+      out.push_back(pc);
     }
     return;
   }
@@ -193,11 +133,9 @@ void WindowAccumulator::export_counts(
 Count WindowAccumulator::at(NodeId src, NodeId dst) const {
   if (counts_mode_) {
     // Cold path (tests, spot checks): one scan over the unique pairs.
-    for (const auto& span : pair_spans_) {
-      for (const EdgePacketCounts& pc : span) {
-        if (pc.u == src && pc.v == dst) return pc.forward;
-        if (pc.u == dst && pc.v == src) return pc.backward;
-      }
+    for (const EdgePacketCounts& pc : pairs_) {
+      if (pc.u == src && pc.v == dst) return pc.forward;
+      if (pc.u == dst && pc.v == src) return pc.backward;
     }
     return 0;
   }
@@ -396,40 +334,34 @@ stats::DegreeHistogram WindowAccumulator::histogram_counts(Quantity q) {
   // mirror lookups are needed anywhere, including kUndirectedDegree.
   switch (q) {
     case Quantity::kLinkPackets:
-      for (const auto& span : pair_spans_) {
-        for (const EdgePacketCounts& pc : span) {
-          if (pc.forward > 0) add_value(pc.forward);
-          if (pc.backward > 0) add_value(pc.backward);
-        }
+      for (const EdgePacketCounts& pc : pairs_) {
+        if (pc.forward > 0) add_value(pc.forward);
+        if (pc.backward > 0) add_value(pc.backward);
       }
       return drain_value_scratch();
     case Quantity::kSourcePackets:
     case Quantity::kSourceFanOut:
-      for (const auto& span : pair_spans_) {
-        for (const EdgePacketCounts& pc : span) {
-          if (pc.forward > 0) {
-            node_packets_dense_[pc.u] += pc.forward;
-            ++node_fan_dense_[pc.u];
-          }
-          if (pc.backward > 0) {
-            node_packets_dense_[pc.v] += pc.backward;
-            ++node_fan_dense_[pc.v];
-          }
+      for (const EdgePacketCounts& pc : pairs_) {
+        if (pc.forward > 0) {
+          node_packets_dense_[pc.u] += pc.forward;
+          ++node_fan_dense_[pc.u];
+        }
+        if (pc.backward > 0) {
+          node_packets_dense_[pc.v] += pc.backward;
+          ++node_fan_dense_[pc.v];
         }
       }
       return emit_dense_nodes(q == Quantity::kSourcePackets);
     case Quantity::kDestinationPackets:
     case Quantity::kDestinationFanIn:
-      for (const auto& span : pair_spans_) {
-        for (const EdgePacketCounts& pc : span) {
-          if (pc.forward > 0) {
-            node_packets_dense_[pc.v] += pc.forward;
-            ++node_fan_dense_[pc.v];
-          }
-          if (pc.backward > 0) {
-            node_packets_dense_[pc.u] += pc.backward;
-            ++node_fan_dense_[pc.u];
-          }
+      for (const EdgePacketCounts& pc : pairs_) {
+        if (pc.forward > 0) {
+          node_packets_dense_[pc.v] += pc.forward;
+          ++node_fan_dense_[pc.v];
+        }
+        if (pc.backward > 0) {
+          node_packets_dense_[pc.u] += pc.backward;
+          ++node_fan_dense_[pc.u];
         }
       }
       return emit_dense_nodes(q == Quantity::kDestinationPackets);
@@ -438,12 +370,10 @@ stats::DegreeHistogram WindowAccumulator::histogram_counts(Quantity q) {
       // pair, so each endpoint is credited exactly once per active pair.
       // Zero rows (the support pairs that drew no packets this window)
       // carry no degree.
-      for (const auto& span : pair_spans_) {
-        for (const EdgePacketCounts& pc : span) {
-          if (pc.u == pc.v || (pc.forward | pc.backward) == 0) continue;
-          ++node_fan_dense_[pc.u];
-          ++node_fan_dense_[pc.v];
-        }
+      for (const EdgePacketCounts& pc : pairs_) {
+        if (pc.u == pc.v || (pc.forward | pc.backward) == 0) continue;
+        ++node_fan_dense_[pc.u];
+        ++node_fan_dense_[pc.v];
       }
       return emit_dense_nodes(false);
   }

@@ -19,7 +19,6 @@
 #include "palu/obs/span.hpp"
 #include "palu/parallel/parallel_for.hpp"
 #include "palu/parallel/scratch_pool.hpp"
-#include "palu/parallel/shard.hpp"
 #include "palu/traffic/window_accumulator.hpp"
 #include "palu/traffic/window_source.hpp"
 
@@ -37,34 +36,44 @@ std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
 
 /// Per-worker sweep scratch: one generator (edges + alias tables built
 /// once, reseeded per window; absent on replay sweeps, which have no
-/// graph), one arena-reused accumulator, one packet batch buffer.
-/// Leased from a ScratchPool so whatever worker picks up a chunk reuses
-/// an existing arena instead of rebuilding per window.  Intra-window
-/// sharding adds per-shard sub-accumulators and (on the counts/replay
-/// paths) per-shard record buckets; replay adds a block byte buffer and
-/// capture an export record buffer, all arena-reused the same way.
+/// graph), one arena-reused accumulator, and the batch buffers of the
+/// producers.  Leased from a ScratchPool so whatever worker picks up a
+/// chunk reuses an existing arena instead of rebuilding per window.
 struct SweepScratch {
   std::optional<SyntheticTrafficGenerator> gen;
   WindowAccumulator acc;
-  std::vector<Packet> buf;
-  std::vector<EdgePacketCounts> pairs;  // counts/replay window records
+  std::vector<Packet> buf;                   // packet-draw batch
+  std::vector<EdgePacketCounts> pairs;       // counts/replay window records
   std::vector<EdgePacketCounts> export_buf;  // capture-tee staging
   std::vector<std::byte> io_buf;             // replay block bytes
-  std::vector<WindowAccumulator> shard_accs;
-  std::vector<std::vector<EdgePacketCounts>> shard_pairs;
 };
 
 constexpr std::size_t kPacketBatch = 8192;
 
-/// Immutable per-sweep description of one window's work, shared by every
-/// stage: window size, quantity, and how the accumulate stage shards
-/// (shards == 1 means unsharded; domain is the node-id routing range).
-struct WindowPlan {
-  Count n_valid;
+/// What produces each window of a sweep.
+enum class Producer { kPacketDraw, kCountsDraw, kStoreRead };
+
+/// Immutable per-sweep description shared by every window.
+struct SweepPlan {
+  Producer producer;
+  WindowSource* source;  // kStoreRead only
+  Rng base;              // window t draws from base.fork(t + 1)
+  Count n_valid;         // draws only; a stored window carries its own
   Quantity quantity;
-  std::size_t shards;
-  NodeId domain;
 };
+
+/// The `path` label of the sweep's stage histograms.
+const char* path_label(Producer p) {
+  switch (p) {
+    case Producer::kPacketDraw:
+      return "fast";
+    case Producer::kCountsDraw:
+      return "counts";
+    case Producer::kStoreRead:
+      return "replay";
+  }
+  return "fast";
+}
 
 /// Plain per-stage nanosecond totals, accumulated worker-locally in the
 /// hot loop and folded into both SweepStageTimings views afterwards.
@@ -91,9 +100,7 @@ struct SweepMetrics {
   obs::Counter& cancelled;
   obs::Counter& deadline_expired;
   obs::Counter& failpoint_trips;
-  obs::Counter& shard_merges;
   obs::Gauge& pool_threads;
-  obs::Gauge& shards_per_window;
   obs::Histogram& sweep_duration;
   obs::Histogram& stage_sampling;
   obs::Histogram& stage_accumulation;
@@ -110,9 +117,7 @@ struct SweepMetrics {
         cancelled(r.counter(obs::names::kSweepCancelled)),
         deadline_expired(r.counter(obs::names::kSweepDeadlineExpired)),
         failpoint_trips(r.counter(obs::names::kSweepFailpointTrips)),
-        shard_merges(r.counter(obs::names::kSweepShardsMerged)),
         pool_threads(r.gauge(obs::names::kSweepPoolThreads)),
-        shards_per_window(r.gauge(obs::names::kSweepShardsPerWindow)),
         sweep_duration(r.histogram(obs::names::kSweepDurationNs)),
         stage_sampling(stage_histogram(r, path, "sampling")),
         stage_accumulation(stage_histogram(r, path, "accumulation")),
@@ -128,295 +133,81 @@ struct SweepMetrics {
 // ---------------------------------------------------------------------
 // Stage graph (DESIGN.md §5g).  Every window flows through
 //
-//   synthesize → accumulate → bin        (inside one pool worker)
-//                                └→ fit/reduce  (serial, caller's thread)
+//   produce → accumulate → bin  [→ capture]   (inside one pool worker)
+//                           └→ reduce          (serial, caller's thread)
 //
-// The runners below are the per-path instantiations of that graph.  The
-// shard mode only changes how `accumulate` maps onto state: unsharded
-// runners use the lease's single accumulator; sharded runners route the
-// same drawn packets / count records by node-id range (parallel::shard_of)
-// into K sub-accumulators and merge them before binning.  Synthesis is
-// untouched either way, so RNG consumption — and therefore the result —
-// is byte-identical across shard counts.  Merge time is charged to the
-// accumulation stage.
+// run_window is the per-window half.  A packet draw is accumulated batch
+// by batch; a counts draw or a store read stages the window's pair
+// records, which the accumulator ingests whole.
 // ---------------------------------------------------------------------
 
-void ensure_shards(SweepScratch& scratch, std::size_t k) {
-  if (scratch.shard_accs.size() < k) scratch.shard_accs.resize(k);
-  if (scratch.shard_pairs.size() < k) scratch.shard_pairs.resize(k);
-}
-
-/// Merges sub-accumulators 1..k−1 into shard 0 and returns it; the
-/// failpoint makes an injected merge failure degrade exactly like any
-/// other per-window fault (budget, strict rethrow, metrics).
-WindowAccumulator& merge_window_shards(SweepScratch& scratch, std::size_t k,
-                                       std::uint64_t& merges) {
-  WindowAccumulator& target = scratch.shard_accs[0];
-  for (std::size_t s = 1; s < k; ++s) {
-    PALU_FAILPOINT("traffic.shard_merge");
-    target.merge(scratch.shard_accs[s]);
-    ++merges;
+stats::DegreeHistogram run_window(const SweepPlan& plan, std::size_t t,
+                                  SweepScratch& s, StageNs& ns) {
+  if (plan.producer != Producer::kStoreRead) {
+    s.gen->reseed(plan.base.fork(t + 1));
   }
-  return target;
-}
-
-stats::DegreeHistogram run_window_fast(SweepScratch& scratch, Count n_valid,
-                                       Quantity quantity, StageNs& timings) {
-  scratch.acc.begin_window();
-  if (scratch.buf.size() < kPacketBatch) scratch.buf.resize(kPacketBatch);
-  Count left = n_valid;
-  while (left > 0) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<Count>(left, kPacketBatch));
-    const auto t0 = Clock::now();
-    scratch.gen->next_batch(std::span<Packet>(scratch.buf.data(), n));
-    const auto t1 = Clock::now();
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.acc.add(scratch.buf[i].src, scratch.buf[i].dst);
+  s.acc.begin_window();
+  if (plan.producer == Producer::kPacketDraw) {
+    if (s.buf.size() < kPacketBatch) s.buf.resize(kPacketBatch);
+    for (Count left = plan.n_valid; left > 0;) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<Count>(left, kPacketBatch));
+      const auto t0 = Clock::now();
+      s.gen->next_batch(std::span<Packet>(s.buf.data(), n));
+      const auto t1 = Clock::now();
+      for (std::size_t i = 0; i < n; ++i) {
+        s.acc.add(s.buf[i].src, s.buf[i].dst);
+      }
+      ns.sampling += ns_between(t0, t1);
+      ns.accumulation += ns_between(t1, Clock::now());
+      left -= n;
     }
-    const auto t2 = Clock::now();
-    timings.sampling += ns_between(t0, t1);
-    timings.accumulation += ns_between(t1, t2);
-    left -= n;
-  }
-  const auto t0 = Clock::now();
-  stats::DegreeHistogram h = scratch.acc.histogram(quantity);
-  timings.binning += ns_between(t0, Clock::now());
-  return h;
-}
-
-stats::DegreeHistogram run_window_fast_sharded(SweepScratch& scratch,
-                                               const WindowPlan& plan,
-                                               StageNs& timings,
-                                               std::uint64_t& merges) {
-  ensure_shards(scratch, plan.shards);
-  for (std::size_t s = 0; s < plan.shards; ++s) {
-    scratch.shard_accs[s].begin_window();
-  }
-  if (scratch.buf.size() < kPacketBatch) scratch.buf.resize(kPacketBatch);
-  Count left = plan.n_valid;
-  while (left > 0) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<Count>(left, kPacketBatch));
-    const auto t0 = Clock::now();
-    scratch.gen->next_batch(std::span<Packet>(scratch.buf.data(), n));
-    const auto t1 = Clock::now();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Packet& p = scratch.buf[i];
-      scratch
-          .shard_accs[parallel::shard_of(p.src, plan.shards, plan.domain)]
-          .add(p.src, p.dst);
-    }
-    const auto t2 = Clock::now();
-    timings.sampling += ns_between(t0, t1);
-    timings.accumulation += ns_between(t1, t2);
-    left -= n;
-  }
-  const auto m0 = Clock::now();
-  WindowAccumulator& merged = merge_window_shards(scratch, plan.shards,
-                                                  merges);
-  const auto m1 = Clock::now();
-  timings.accumulation += ns_between(m0, m1);
-  stats::DegreeHistogram h = merged.histogram(plan.quantity);
-  timings.binning += ns_between(m1, Clock::now());
-  return h;
-}
-
-/// Accumulate + bin one record-space window already staged in
-/// scratch.pairs — the shared back half of the counts-synthesis and
-/// replay paths.  Sharded accumulation routes whole records by their
-/// lower endpoint: pairs are unique, so the per-shard buckets are
-/// disjoint and the merge is a pure union; bucket order preserves the
-/// staged record order within each shard.
-stats::DegreeHistogram bin_counts_window(SweepScratch& scratch,
-                                         const WindowPlan& plan,
-                                         StageNs& timings,
-                                         std::uint64_t& merges) {
-  const auto t1 = Clock::now();
-  WindowAccumulator* acc = nullptr;
-  if (plan.shards > 1) {
-    ensure_shards(scratch, plan.shards);
-    for (std::size_t s = 0; s < plan.shards; ++s) {
-      scratch.shard_accs[s].begin_window();
-      scratch.shard_pairs[s].clear();
-    }
-    for (const EdgePacketCounts& pc : scratch.pairs) {
-      scratch
-          .shard_pairs[parallel::shard_of(pc.u, plan.shards, plan.domain)]
-          .push_back(pc);
-    }
-    for (std::size_t s = 0; s < plan.shards; ++s) {
-      scratch.shard_accs[s].ingest_counts(std::span<const EdgePacketCounts>(
-          scratch.shard_pairs[s].data(), scratch.shard_pairs[s].size()));
-    }
-    acc = &merge_window_shards(scratch, plan.shards, merges);
   } else {
-    scratch.acc.begin_window();
-    scratch.acc.ingest_counts(scratch.pairs);
-    acc = &scratch.acc;
+    const auto t0 = Clock::now();
+    if (plan.producer == Producer::kStoreRead) {
+      plan.source->read_window(t, s.io_buf, s.pairs);
+    } else {
+      s.gen->next_window_counts(plan.n_valid, s.pairs);
+    }
+    const auto t1 = Clock::now();
+    s.acc.ingest_counts(s.pairs);
+    ns.sampling += ns_between(t0, t1);
+    ns.accumulation += ns_between(t1, Clock::now());
   }
-  const auto t2 = Clock::now();
-  stats::DegreeHistogram h = acc->histogram(plan.quantity);
-  timings.accumulation += ns_between(t1, t2);
-  timings.binning += ns_between(t2, Clock::now());
+  const auto t0 = Clock::now();
+  stats::DegreeHistogram h = s.acc.histogram(plan.quantity);
+  ns.binning += ns_between(t0, Clock::now());
   return h;
 }
 
-stats::DegreeHistogram run_window_counts(SweepScratch& scratch,
-                                         const WindowPlan& plan,
-                                         StageNs& timings,
-                                         std::uint64_t& merges) {
-  const auto t0 = Clock::now();
-  scratch.gen->next_window_counts(plan.n_valid, scratch.pairs);
-  timings.sampling += ns_between(t0, Clock::now());
-  return bin_counts_window(scratch, plan, timings, merges);
+/// Tees window t into the capture sink before the reduce.  A counts draw
+/// archives its staged records directly (full support; the writer drops
+/// zero rows, which is content-neutral); a packet window exports
+/// canonical records from the accumulator.
+void capture_window(const SweepPlan& plan, std::size_t t, SweepScratch& s,
+                    WindowCaptureSink& sink) {
+  std::span<const EdgePacketCounts> records(s.pairs);
+  if (plan.producer == Producer::kPacketDraw) {
+    s.export_buf.clear();
+    s.acc.export_counts(s.export_buf);
+    records = s.export_buf;
+  }
+  sink.append(t, plan.n_valid, records);
 }
 
-stats::DegreeHistogram run_window_replay(WindowSource& source,
-                                         std::size_t window,
-                                         SweepScratch& scratch,
-                                         const WindowPlan& plan,
-                                         StageNs& timings,
-                                         std::uint64_t& merges) {
-  const auto t0 = Clock::now();
-  source.read_window(window, scratch.io_buf, scratch.pairs);
-  timings.sampling += ns_between(t0, Clock::now());
-  return bin_counts_window(scratch, plan, timings, merges);
-}
-
-/// The analytic path: one deterministic expected-window evaluation, no
-/// RNG beyond the shared rate draw.  Stage accounting maps onto the same
-/// graph as the sampled paths — the visibility pass (prepare) is the
-/// "sampling" analogue, the marginal folding (evaluate) is
-/// "accumulation", and the mass assembly/ensemble add is "binning" — so
-/// the `{path="expected"}` stage histograms stay comparable.
-WindowSweepResult sweep_expected(const graph::Graph& underlying,
-                                 const RateModel& rates, Count n_valid,
-                                 Quantity quantity, std::uint64_t seed,
-                                 ThreadPool& pool,
-                                 const SweepOptions& opts) {
-  obs::Registry& registry =
-      opts.metrics != nullptr ? *opts.metrics : obs::default_registry();
-  SweepMetrics metrics(registry, "expected");
-  metrics.runs.inc();
-  metrics.pool_threads.set(static_cast<std::int64_t>(pool.size()));
-  metrics.shards_per_window.set(1);
-  obs::TraceSpan sweep_span(metrics.sweep_duration);
-
-  WindowSweepResult out;
-  if (opts.cancel != nullptr &&
-      opts.cancel->load(std::memory_order_relaxed)) {
-    out.cancelled = true;
-    out.windows_skipped = 1;
-    metrics.cancelled.inc();
-    metrics.windows_skipped.inc(1);
-    return out;
-  }
-
-  const Rng base(seed);
-  const std::vector<double> shared_rates =
-      make_edge_rates(underlying, rates, base.fork(0));
-  try {
-    SyntheticTrafficGenerator gen(underlying, shared_rates, Rng(0));
-    StageNs local;
-    const auto t0 = Clock::now();
-    ExpectedWindowEvaluator eval(gen.pair_support());
-    eval.prepare(n_valid);
-    const auto t1 = Clock::now();
-    ExpectedWindow win = eval.evaluate(quantity);
-    const auto t2 = Clock::now();
-    out.max_value = win.max_value;
-    out.windows = 1;
-    if (opts.expected_replicates == 0) out.ensemble.add(win.mass);
-    out.expected = std::move(win);
-    local.sampling = ns_between(t0, t1);
-    local.accumulation = ns_between(t1, t2);
-    local.binning = ns_between(t2, Clock::now());
-    out.timings.sampling_cpu_ns = local.sampling;
-    out.timings.accumulation_cpu_ns = local.accumulation;
-    out.timings.binning_cpu_ns = local.binning;
-    out.timings.sampling_max_ns = local.sampling;
-    out.timings.accumulation_max_ns = local.accumulation;
-    out.timings.binning_max_ns = local.binning;
-    metrics.stage_sampling.observe(local.sampling);
-    metrics.stage_accumulation.observe(local.accumulation);
-    metrics.stage_binning.observe(local.binning);
-    metrics.windows_completed.inc(1);
-  } catch (const std::exception& e) {
-    if (failpoints::is_failpoint_error(e)) metrics.failpoint_trips.inc(1);
-    metrics.windows_failed.inc(1);
-    if (opts.max_failed_windows == 0) throw SweepWindowError(0, e.what());
-    out.failures.push_back(WindowFailure{0, e.what()});
-    return out;
-  }
-
-  if (opts.expected_replicates > 0) {
-    // Confidence bands: a counts-path sub-sweep whose per-window pooled
-    // distributions fill the ensemble the deterministic result cannot.
-    SweepOptions rep = opts;
-    rep.synthesis = SynthesisMode::kMultinomial;
-    rep.expected_replicates = 0;
-    WindowSweepResult sampled =
-        sweep_windows(underlying, rates, n_valid, opts.expected_replicates,
-                      quantity, seed, pool, rep);
-    out.ensemble = std::move(sampled.ensemble);
-    for (WindowFailure& f : sampled.failures) {
-      out.failures.push_back(std::move(f));
-    }
-    out.windows_skipped += sampled.windows_skipped;
-    out.cancelled = out.cancelled || sampled.cancelled;
-    out.timings.sampling_cpu_ns += sampled.timings.sampling_cpu_ns;
-    out.timings.accumulation_cpu_ns += sampled.timings.accumulation_cpu_ns;
-    out.timings.binning_cpu_ns += sampled.timings.binning_cpu_ns;
-    out.timings.sampling_max_ns = std::max(out.timings.sampling_max_ns,
-                                           sampled.timings.sampling_max_ns);
-    out.timings.accumulation_max_ns =
-        std::max(out.timings.accumulation_max_ns,
-                 sampled.timings.accumulation_max_ns);
-    out.timings.binning_max_ns = std::max(out.timings.binning_max_ns,
-                                          sampled.timings.binning_max_ns);
-  }
-  return out;
-}
-
-/// Shared sweep core.  Exactly one of two shapes is active:
-/// synthesize (`underlying`/`rates` non-null, `replay_src` null) or
-/// replay (`replay_src` non-null; graph, rates, n_valid, and seed are
-/// ignored).  The public overloads validate and dispatch.
-WindowSweepResult sweep_impl(const graph::Graph* underlying,
-                             const RateModel* rates,
-                             WindowSource* replay_src, Count n_valid,
-                             std::size_t num_windows, Quantity quantity,
-                             std::uint64_t seed, ThreadPool& pool,
+/// Shared sweep core: runs windows [0, num_windows) of `plan` on `pool`
+/// and reduces them in index order.  `underlying`/`shared_rates` build
+/// each worker's generator and are unused when the plan reads a store.
+WindowSweepResult sweep_impl(const SweepPlan& plan,
+                             const graph::Graph* underlying,
+                             const std::vector<double>& shared_rates,
+                             std::size_t num_windows, ThreadPool& pool,
                              const SweepOptions& opts) {
-  PALU_CHECK(num_windows >= 1, "sweep_windows: need at least one window");
-  PALU_CHECK(opts.shards_per_window >= 1,
-             "sweep_windows: shards_per_window must be >= 1");
-
-  const bool replay = replay_src != nullptr;
-  const bool counts_path =
-      !replay && opts.synthesis == SynthesisMode::kMultinomial;
-  const std::size_t shards = opts.shard_mode == ShardMode::kIntraWindow
-                                 ? opts.shards_per_window
-                                 : 1;
-  // Intra-window sharding, replay, and capture always route through the
-  // accumulator machinery; the legacy SparseCountMatrix path has no
-  // mergeable state and nothing to export.
-  const bool pooled_scratch = counts_path || replay || opts.fast_path ||
-                              shards > 1 || opts.capture != nullptr;
-  const WindowPlan plan{n_valid, quantity, shards,
-                        replay ? replay_src->node_domain()
-                               : underlying->num_nodes()};
-
   obs::Registry& registry =
       opts.metrics != nullptr ? *opts.metrics : obs::default_registry();
-  SweepMetrics metrics(registry, replay        ? "replay"
-                                 : counts_path ? "counts"
-                                 : pooled_scratch ? "fast"
-                                                  : "legacy");
+  SweepMetrics metrics(registry, path_label(plan.producer));
   metrics.runs.inc();
   metrics.pool_threads.set(static_cast<std::int64_t>(pool.size()));
-  metrics.shards_per_window.set(static_cast<std::int64_t>(shards));
   obs::TraceSpan sweep_span(metrics.sweep_duration);
 
   // Per-window slots: exactly one of histogram / error is set afterwards;
@@ -435,7 +226,6 @@ WindowSweepResult sweep_impl(const graph::Graph* underlying,
   std::atomic<bool> cancel_seen{false};
   std::atomic<bool> deadline_seen{false};
   std::atomic<std::uint64_t> failpoint_trips{0};
-  std::atomic<std::uint64_t> shard_merges{0};
 
   const bool has_deadline = opts.timeout.count() > 0;
   // Computed only when a deadline is set: unconditionally adding a
@@ -465,29 +255,17 @@ WindowSweepResult sweep_impl(const graph::Graph* underlying,
     return false;
   };
 
-  const Rng base(seed);
-  // One shared traffic matrix: every window sees the same long-term
-  // per-edge rates; only the packet draws differ between windows.
-  // Replay sweeps never touch the RNG or build a generator.
-  const std::vector<double> shared_rates =
-      replay ? std::vector<double>{}
-             : make_edge_rates(*underlying, *rates, base.fork(0));
-
-  // Fast and counts paths: per-worker scratch slots; each slot pays the
-  // edge copy and alias-table build once (the counts support adds itself
-  // lazily on a slot's first counts window) and is reseeded per window,
-  // versus the legacy path's per-window generator construction.  Replay
-  // slots hold only the accumulator arenas and byte/record buffers.
-  std::optional<ScratchPool<SweepScratch>> scratch;
-  if (pooled_scratch) {
-    scratch.emplace([underlying, &shared_rates, replay]() {
-      auto s = std::make_unique<SweepScratch>();
-      if (!replay) {
-        s->gen.emplace(*underlying, shared_rates, Rng(0));
-      }
-      return s;
-    });
-  }
+  // Per-worker scratch slots: each slot pays the edge copy and alias-table
+  // build once (the counts support adds itself lazily on a slot's first
+  // counts window) and is reseeded per window.  Replay slots hold only the
+  // accumulator arenas and byte/record buffers.
+  ScratchPool<SweepScratch> scratch([underlying, &shared_rates]() {
+    auto s = std::make_unique<SweepScratch>();
+    if (underlying != nullptr) {
+      s->gen.emplace(*underlying, shared_rates, Rng(0));
+    }
+    return s;
+  });
 
   // Per-worker stage totals, flushed once per chunk (a worker can run
   // several chunks; map lookup + mutex per chunk is noise next to the
@@ -498,61 +276,16 @@ WindowSweepResult sweep_impl(const graph::Graph* underlying,
 
   parallel_for(pool, 0, num_windows, /*grain=*/1, [&](IndexRange range) {
     StageNs local;
-    std::uint64_t local_merges = 0;
-    std::optional<ScratchPool<SweepScratch>::Lease> lease;
-    if (pooled_scratch) lease.emplace(scratch->acquire());
+    auto lease = scratch.acquire();
     for (std::size_t t = range.begin; t < range.end; ++t) {
       if (should_stop()) break;  // leave the remaining slots unset
       try {
         PALU_FAILPOINT("traffic.sweep_window");
-        if (replay) {
-          histograms[t] = run_window_replay(*replay_src, t, **lease, plan,
-                                            local, local_merges);
-        } else if (counts_path) {
-          (*lease)->gen->reseed(base.fork(t + 1));
-          histograms[t] =
-              run_window_counts(**lease, plan, local, local_merges);
-        } else if (pooled_scratch) {
-          (*lease)->gen->reseed(base.fork(t + 1));
-          histograms[t] =
-              plan.shards > 1
-                  ? run_window_fast_sharded(**lease, plan, local,
-                                            local_merges)
-                  : run_window_fast(**lease, n_valid, quantity, local);
-        } else {
-          SyntheticTrafficGenerator stream(*underlying, shared_rates,
-                                           base.fork(t + 1));
-          const auto t0 = Clock::now();
-          const SparseCountMatrix window = stream.window(n_valid);
-          const auto t1 = Clock::now();
-          histograms[t] = quantity_histogram(window, quantity);
-          local.sampling += ns_between(t0, t1);
-          local.binning += ns_between(t1, Clock::now());
-        }
+        histograms[t] = run_window(plan, t, *lease, local);
         if (opts.capture != nullptr) {
-          // Tee the accumulated window before the reduce.  The counts
-          // path archives its staged records directly (full support;
-          // the writer drops zero rows, which is content-neutral); the
-          // packet paths export canonical records from whichever
-          // accumulator holds the merged window.  Capture I/O is
-          // charged to binning — it is an output stage.
-          SweepScratch& sc = **lease;
+          // Capture I/O is charged to binning — it is an output stage.
           const auto c0 = Clock::now();
-          if (counts_path) {
-            opts.capture->append(
-                t, n_valid,
-                std::span<const EdgePacketCounts>(sc.pairs.data(),
-                                                  sc.pairs.size()));
-          } else {
-            sc.export_buf.clear();
-            const WindowAccumulator& acc =
-                plan.shards > 1 ? sc.shard_accs[0] : sc.acc;
-            acc.export_counts(sc.export_buf);
-            opts.capture->append(
-                t, n_valid,
-                std::span<const EdgePacketCounts>(sc.export_buf.data(),
-                                                  sc.export_buf.size()));
-          }
+          capture_window(plan, t, *lease, *opts.capture);
           local.binning += ns_between(c0, Clock::now());
         }
       } catch (const std::exception& e) {
@@ -567,11 +300,8 @@ WindowSweepResult sweep_impl(const graph::Graph* underlying,
         }
       }
     }
-    shard_merges.fetch_add(local_merges, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(worker_ns_mutex);
-      worker_ns[std::this_thread::get_id()].add(local);
-    }
+    std::lock_guard<std::mutex> lock(worker_ns_mutex);
+    worker_ns[std::this_thread::get_id()].add(local);
   });
 
   // Fold per-worker totals into both timing views and the registry's
@@ -610,7 +340,6 @@ WindowSweepResult sweep_impl(const graph::Graph* underlying,
   metrics.windows_skipped.inc(n_skipped);
   metrics.failpoint_trips.inc(
       failpoint_trips.load(std::memory_order_relaxed));
-  metrics.shard_merges.inc(shard_merges.load(std::memory_order_relaxed));
   if (cancel_seen.load(std::memory_order_relaxed)) metrics.cancelled.inc();
   if (deadline_seen.load(std::memory_order_relaxed)) {
     metrics.deadline_expired.inc();
@@ -659,23 +388,19 @@ WindowSweepResult sweep_windows(const graph::Graph& underlying,
                                 std::size_t num_windows, Quantity quantity,
                                 std::uint64_t seed, ThreadPool& pool,
                                 const SweepOptions& opts) {
-  if (opts.source == SweepSource::kReplay) {
-    PALU_CHECK(opts.replay != nullptr,
-               "sweep_windows: source = kReplay needs SweepOptions::replay");
-    return sweep_windows(*opts.replay, num_windows, quantity, pool, opts);
-  }
   PALU_CHECK(n_valid >= 1, "sweep_windows: need at least one packet");
-  if (opts.synthesis == SynthesisMode::kExpected) {
-    PALU_CHECK(opts.capture == nullptr,
-               "sweep_windows: capture does not compose with the analytic "
-               "expected path (there are no per-window records to store)");
-    // num_windows is deliberately not validated here: the analytic path
-    // ignores it (there is exactly one deterministic evaluation).
-    return sweep_expected(underlying, rates, n_valid, quantity, seed, pool,
-                          opts);
-  }
-  return sweep_impl(&underlying, &rates, nullptr, n_valid, num_windows,
-                    quantity, seed, pool, opts);
+  PALU_CHECK(num_windows >= 1, "sweep_windows: need at least one window");
+  const Rng base(seed);
+  // One shared traffic matrix: every window sees the same long-term
+  // per-edge rates; only the packet draws differ between windows.
+  const std::vector<double> shared_rates =
+      make_edge_rates(underlying, rates, base.fork(0));
+  const Producer producer = opts.synthesis == SynthesisMode::kMultinomial
+                                ? Producer::kCountsDraw
+                                : Producer::kPacketDraw;
+  const SweepPlan plan{producer, nullptr, base, n_valid, quantity};
+  return sweep_impl(plan, &underlying, shared_rates, num_windows, pool,
+                    opts);
 }
 
 WindowSweepResult sweep_windows(const graph::Graph& underlying,
@@ -692,11 +417,50 @@ WindowSweepResult sweep_windows(WindowSource& source,
   PALU_CHECK(opts.capture == nullptr,
              "sweep_windows: capture does not compose with replay (the "
              "windows are already stored)");
+  PALU_CHECK(num_windows >= 1, "sweep_windows: need at least one window");
   PALU_CHECK(num_windows <= source.num_windows(),
              "sweep_windows: replay source holds fewer windows than "
              "requested");
-  return sweep_impl(nullptr, nullptr, &source, /*n_valid=*/1, num_windows,
-                    quantity, /*seed=*/0, pool, opts);
+  const SweepPlan plan{Producer::kStoreRead, &source, Rng(0),
+                       /*n_valid=*/0, quantity};
+  return sweep_impl(plan, nullptr, {}, num_windows, pool, opts);
+}
+
+ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
+                                        const RateModel& rates,
+                                        Count n_valid, Quantity quantity,
+                                        std::uint64_t seed,
+                                        obs::Registry* metrics) {
+  PALU_CHECK(n_valid >= 1,
+             "evaluate_expected_window: need at least one packet");
+  SweepMetrics m(metrics != nullptr ? *metrics : obs::default_registry(),
+                 "expected");
+  m.runs.inc();
+  obs::TraceSpan span(m.sweep_duration);
+  try {
+    SyntheticTrafficGenerator gen(
+        underlying, make_edge_rates(underlying, rates, Rng(seed).fork(0)),
+        Rng(0));
+    // Stage accounting maps onto the sampled paths' graph: the visibility
+    // pass (prepare) is the "sampling" analogue, the marginal folding
+    // (evaluate) is "accumulation", and the hand-off of the result is
+    // "binning".
+    const auto t0 = Clock::now();
+    ExpectedWindowEvaluator eval(gen.pair_support());
+    eval.prepare(n_valid);
+    const auto t1 = Clock::now();
+    ExpectedWindow win = eval.evaluate(quantity);
+    const auto t2 = Clock::now();
+    m.stage_sampling.observe(ns_between(t0, t1));
+    m.stage_accumulation.observe(ns_between(t1, t2));
+    m.stage_binning.observe(ns_between(t2, Clock::now()));
+    m.windows_completed.inc(1);
+    return win;
+  } catch (const std::exception& e) {
+    if (failpoints::is_failpoint_error(e)) m.failpoint_trips.inc(1);
+    m.windows_failed.inc(1);
+    throw;
+  }
 }
 
 }  // namespace palu::traffic

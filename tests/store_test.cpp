@@ -1,7 +1,7 @@
 // Columnar window store suite (DESIGN.md §5j): format primitives, writer
 // canonicalization, and the two acceptance properties of capture/replay —
 // (1) replaying a captured sweep is byte-identical to the original
-// WindowSweepResult for every quantity, seed, and shard count, and
+// WindowSweepResult for every quantity and seed, and
 // (2) a capture killed mid-file is detected at open and cleanly truncated
 // to its intact prefix under the ErrorPolicy budget machinery, never a
 // crash.  Includes the io.capture_write / io.replay_read failpoints and
@@ -236,15 +236,11 @@ TEST_F(StoreTest, ReaderRejectsNonStores) {
 // capture -> replay fidelity (the tentpole acceptance property)
 // ---------------------------------------------------------------------
 
-traffic::SweepOptions sweep_opts(bool counts, std::size_t shards = 1,
+traffic::SweepOptions sweep_opts(bool counts,
                                  traffic::WindowCaptureSink* capture =
                                      nullptr) {
   traffic::SweepOptions opts;
   if (counts) opts.synthesis = traffic::SynthesisMode::kMultinomial;
-  if (shards > 1) {
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
-    opts.shards_per_window = shards;
-  }
   opts.capture = capture;
   return opts;
 }
@@ -259,7 +255,7 @@ void expect_sweep_identical(const traffic::WindowSweepResult& a,
   EXPECT_EQ(a.ensemble.stddev(), b.ensemble.stddev()) << context;
 }
 
-TEST_F(StoreTest, CountsSweepReplaysByteIdenticalAcrossSeedsAndShards) {
+TEST_F(StoreTest, CountsSweepReplaysByteIdenticalAcrossSeeds) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
   ThreadPool pool(2);
@@ -274,7 +270,7 @@ TEST_F(StoreTest, CountsSweepReplaysByteIdenticalAcrossSeedsAndShards) {
     const auto captured = traffic::sweep_windows(
         g, traffic::RateModel{}, 5000, 6,
         traffic::Quantity::kUndirectedDegree, seed, pool,
-        sweep_opts(/*counts=*/true, 1, &writer));
+        sweep_opts(/*counts=*/true, &writer));
     writer.finish();
     // The capture tee must not perturb the sweep it observes.
     const auto baseline_ud = traffic::sweep_windows(
@@ -292,20 +288,16 @@ TEST_F(StoreTest, CountsSweepReplaysByteIdenticalAcrossSeedsAndShards) {
 
     store::WindowStoreReader reader(dir);
     ASSERT_EQ(reader.num_windows(), 6u);
-    EXPECT_EQ(reader.node_domain(), g.num_nodes());
+    EXPECT_EQ(reader.header().node_domain, g.num_nodes());
     for (const auto q : kEveryQuantity) {
       const auto baseline = traffic::sweep_windows(
           g, traffic::RateModel{}, 5000, 6, q, seed, pool,
           sweep_opts(/*counts=*/true));
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-        const auto replayed = traffic::sweep_windows(
-            reader, 6, q, pool, sweep_opts(/*counts=*/false, shards));
-        expect_sweep_identical(
-            replayed, baseline,
-            std::string(traffic::quantity_name(q)) + " seed " +
-                std::to_string(seed) + " shards " +
-                std::to_string(shards));
-      }
+      const auto replayed = traffic::sweep_windows(
+          reader, 6, q, pool, sweep_opts(/*counts=*/false));
+      expect_sweep_identical(replayed, baseline,
+                             std::string(traffic::quantity_name(q)) +
+                                 " seed " + std::to_string(seed));
     }
   }
 }
@@ -322,7 +314,7 @@ TEST_F(StoreTest, PacketFastPathCaptureReplaysIdentically) {
   store::WindowStoreWriter writer(dir, wopts);
   const auto captured = traffic::sweep_windows(
       g, traffic::RateModel{}, 4000, 5, traffic::Quantity::kLinkPackets,
-      23, pool, sweep_opts(/*counts=*/false, 1, &writer));
+      23, pool, sweep_opts(/*counts=*/false, &writer));
   writer.finish();
   store::WindowStoreReader reader(dir);
   for (const auto q : kEveryQuantity) {
@@ -335,31 +327,6 @@ TEST_F(StoreTest, PacketFastPathCaptureReplaysIdentically) {
                            "packet capture, " +
                                std::string(traffic::quantity_name(q)));
   }
-}
-
-TEST_F(StoreTest, ShardedCaptureReplaysIdentically) {
-  // Capturing a sharded sweep exports from the merged shard-0
-  // accumulator; the store content must equal an unsharded capture.
-  Rng gen_rng(13);
-  const auto g = graph::erdos_renyi(gen_rng, 500, 0.02);
-  ThreadPool pool(2);
-  const std::string dir = store_dir("shardedcap");
-  store::WriterOptions wopts;
-  wopts.node_domain = g.num_nodes();
-  store::WindowStoreWriter writer(dir, wopts);
-  traffic::sweep_windows(g, traffic::RateModel{}, 4000, 5,
-                         traffic::Quantity::kUndirectedDegree, 31, pool,
-                         sweep_opts(/*counts=*/true, 4, &writer));
-  writer.finish();
-  store::WindowStoreReader reader(dir);
-  const auto baseline = traffic::sweep_windows(
-      g, traffic::RateModel{}, 4000, 5,
-      traffic::Quantity::kUndirectedDegree, 31, pool,
-      sweep_opts(/*counts=*/true));
-  const auto replayed = traffic::sweep_windows(
-      reader, 5, traffic::Quantity::kUndirectedDegree, pool,
-      sweep_opts(false));
-  expect_sweep_identical(replayed, baseline, "sharded capture");
 }
 
 // ---------------------------------------------------------------------
@@ -525,7 +492,7 @@ TEST_F(StoreTest, CaptureWriteFailpointChargesTheWindowBudget) {
   store::WindowStoreWriter writer(dir, wopts);
   testing::FailpointGuard guard;
   failpoints::arm("io.capture_write", /*fires=*/1, /*skip=*/1);
-  auto opts = sweep_opts(/*counts=*/true, 1, &writer);
+  auto opts = sweep_opts(/*counts=*/true, &writer);
   opts.max_failed_windows = 1;
   const auto swept = traffic::sweep_windows(
       g, traffic::RateModel{}, 2000, 4,
@@ -600,7 +567,7 @@ TEST_F(StoreTest, ServeRecordedWindowsMatchDirectAccumulation) {
   ASSERT_EQ(reader.num_windows(), 3u);
   NodeId max_id = 0;
   for (const auto& p : packets) max_id = std::max({max_id, p.src, p.dst});
-  EXPECT_GE(reader.node_domain(), max_id + 1);
+  EXPECT_GE(reader.header().node_domain, max_id + 1);
 
   std::vector<std::byte> buf;
   std::vector<traffic::EdgePacketCounts> recorded;

@@ -1,20 +1,27 @@
-// Fast-path ↔ legacy-path equivalence for windowed sweeps (PR 2).
+// Packet-sweep equivalence and determinism.
 //
-// The WindowAccumulator fast path must be a pure optimisation: for any
-// seed and quantity it has to produce byte-identical merged histograms,
-// BinnedEnsemble means, and d_max to the legacy SparseCountMatrix path,
-// and it must honour the same failure-budget / cancellation / timeout
-// semantics under fault injection.
+// The WindowAccumulator sweep must be a pure optimisation of the paper's
+// per-window SparseCountMatrix computation: for any seed and quantity it
+// has to produce byte-identical merged histograms, BinnedEnsemble moments,
+// and d_max to a test-local reduce over SyntheticTrafficGenerator::window.
+// Its output must not depend on the pool size, and it must honour the
+// failure-budget / cancellation / timeout semantics under fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "palu/graph/generators.hpp"
 #include "palu/obs/metrics.hpp"
+#include "palu/obs/names.hpp"
 #include "palu/stats/log_binning.hpp"
+#include "palu/store/reader.hpp"
+#include "palu/store/writer.hpp"
 #include "palu/testing/fault_injection.hpp"
 #include "palu/traffic/quantities.hpp"
 #include "palu/traffic/sparse_matrix.hpp"
@@ -89,29 +96,53 @@ TEST(WindowAccumulator, GrowsPastInitialCapacity) {
   }
 }
 
+// The reference the sweep is held to: window t drawn whole as a
+// SparseCountMatrix from its own generator over the shared rate draw,
+// histogrammed, and reduced in window order.
+traffic::WindowSweepResult reference_sweep(const graph::Graph& g,
+                                           Count n_valid,
+                                           std::size_t windows,
+                                           traffic::Quantity q,
+                                           std::uint64_t seed) {
+  const auto rates =
+      traffic::make_edge_rates(g, traffic::RateModel{}, Rng(seed).fork(0));
+  traffic::WindowSweepResult out;
+  for (std::size_t t = 0; t < windows; ++t) {
+    const auto h = traffic::quantity_histogram(
+        traffic::SyntheticTrafficGenerator(g, rates, Rng(seed).fork(t + 1))
+            .window(n_valid),
+        q);
+    out.max_value = std::max(out.max_value, h.max_degree());
+    out.ensemble.add(stats::LogBinned::from_histogram(h));
+    out.merged.merge(h);
+    ++out.windows;
+  }
+  return out;
+}
+
+void expect_sweep_identical(const traffic::WindowSweepResult& a,
+                            const traffic::WindowSweepResult& b,
+                            const std::string& context) {
+  expect_identical(a.merged, b.merged, context);
+  EXPECT_EQ(a.max_value, b.max_value) << context;
+  EXPECT_EQ(a.windows, b.windows) << context;
+  // Bit-exact, not approximately equal: both must feed the Welford
+  // ensemble the same LogBinned sequence in the same order.
+  EXPECT_EQ(a.ensemble.mean(), b.ensemble.mean()) << context;
+  EXPECT_EQ(a.ensemble.stddev(), b.ensemble.stddev()) << context;
+}
+
 TEST(SweepFastPath, ByteIdenticalToLegacyAcrossQuantitiesAndSeeds) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
   ThreadPool pool(2);
   for (const std::uint64_t seed : {3ull, 17ull, 91ull}) {
     for (const auto q : kEveryQuantity) {
-      traffic::SweepOptions fast;
-      fast.fast_path = true;
-      traffic::SweepOptions legacy;
-      legacy.fast_path = false;
       const auto a = traffic::sweep_windows(g, traffic::RateModel{}, 5000,
-                                            6, q, seed, pool, fast);
-      const auto b = traffic::sweep_windows(g, traffic::RateModel{}, 5000,
-                                            6, q, seed, pool, legacy);
-      const std::string context = std::string(traffic::quantity_name(q)) +
-                                  " seed " + std::to_string(seed);
-      expect_identical(a.merged, b.merged, context);
-      EXPECT_EQ(a.max_value, b.max_value) << context;
-      EXPECT_EQ(a.windows, b.windows) << context;
-      // Bit-exact, not approximately equal: the two paths must feed the
-      // Welford ensemble the same LogBinned sequence in the same order.
-      EXPECT_EQ(a.ensemble.mean(), b.ensemble.mean()) << context;
-      EXPECT_EQ(a.ensemble.stddev(), b.ensemble.stddev()) << context;
+                                            6, q, seed, pool);
+      expect_sweep_identical(a, reference_sweep(g, 5000, 6, q, seed),
+                             std::string(traffic::quantity_name(q)) +
+                                 " seed " + std::to_string(seed));
     }
   }
 }
@@ -120,10 +151,9 @@ TEST(SweepFastPath, StageTimingsArePopulated) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 400, 0.02);
   ThreadPool pool(2);
-  traffic::SweepOptions fast;  // fast path is the default
   const auto a = traffic::sweep_windows(
       g, traffic::RateModel{}, 20000, 4,
-      traffic::Quantity::kUndirectedDegree, 5, pool, fast);
+      traffic::Quantity::kUndirectedDegree, 5, pool);
   EXPECT_GT(a.timings.sampling_cpu_ns, 0u);
   EXPECT_GT(a.timings.accumulation_cpu_ns, 0u);
   EXPECT_GT(a.timings.binning_cpu_ns, 0u);
@@ -133,50 +163,78 @@ TEST(SweepFastPath, StageTimingsArePopulated) {
   EXPECT_LE(a.timings.sampling_max_ns, a.timings.sampling_cpu_ns);
   EXPECT_LE(a.timings.accumulation_max_ns, a.timings.accumulation_cpu_ns);
   EXPECT_LE(a.timings.binning_max_ns, a.timings.binning_cpu_ns);
-  traffic::SweepOptions legacy;
-  legacy.fast_path = false;
-  const auto b = traffic::sweep_windows(
-      g, traffic::RateModel{}, 20000, 4,
-      traffic::Quantity::kUndirectedDegree, 5, pool, legacy);
-  // Legacy interleaves draws and cell counts inside window(): combined
-  // time lands in the sampling views, accumulation stays 0 by contract.
-  EXPECT_GT(b.timings.sampling_cpu_ns, 0u);
-  EXPECT_EQ(b.timings.accumulation_cpu_ns, 0u);
-  EXPECT_EQ(b.timings.accumulation_max_ns, 0u);
-  EXPECT_GT(b.timings.binning_cpu_ns, 0u);
 }
 
-// Observability half of the equivalence contract: the fast path must
-// leave the same metric trail as the legacy path.  Only counters and
-// gauges are compared — they are deterministic per (seed, workload) —
-// while stage-duration histograms are excluded by construction (their
-// labels carry path=fast|legacy and worker participation is timing-
-// dependent).
-TEST(SweepFastPath, CountersAndGaugesMatchLegacyPath) {
+// Determinism under real parallelism: the same sweep on a 1-, 2- and
+// 4-thread pool must give the same result and leave the same counter and
+// gauge trail — apart from the pool-size gauge, which records the pool
+// itself — for packet draws, counts draws, and store replay.  Stage-
+// duration histograms are excluded: their values and which workers
+// participate are timing-dependent.
+TEST(SweepDeterminism, IdenticalAcrossPoolSizes) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
-  ThreadPool pool(2);
-  const auto run = [&](std::uint64_t seed, bool fast_path) {
+  constexpr std::size_t kWindows = 8;
+  constexpr std::uint64_t kSeed = 17;
+  const std::string dir = ::testing::TempDir() + "palu_pool_size_store";
+  std::filesystem::remove_all(dir);
+  {
+    store::WriterOptions wopts;
+    wopts.node_domain = g.num_nodes();
+    store::WindowStoreWriter writer(dir, wopts);
+    ThreadPool pool(2);
+    traffic::SweepOptions opts;
+    opts.synthesis = traffic::SynthesisMode::kMultinomial;
+    opts.capture = &writer;
+    traffic::sweep_windows(g, traffic::RateModel{}, 5000, kWindows,
+                           traffic::Quantity::kUndirectedDegree, kSeed, pool,
+                           opts);
+    writer.finish();
+  }
+  store::WindowStoreReader reader(dir);
+
+  struct Run {
+    traffic::WindowSweepResult result;
+    obs::RegistrySnapshot trail;
+  };
+  const auto run = [&](const std::string& path, std::size_t threads,
+                       traffic::Quantity q) {
+    ThreadPool pool(threads);
     obs::Registry registry;
     traffic::SweepOptions opts;
-    opts.fast_path = fast_path;
     opts.metrics = &registry;
-    traffic::sweep_windows(g, traffic::RateModel{}, 5000, 6,
-                           traffic::Quantity::kUndirectedDegree, seed,
-                           pool, opts);
-    obs::RegistrySnapshot snap = registry.snapshot();
-    // Drop the path-labelled duration histograms; everything else must
-    // be byte-identical across the two paths.
-    snap.histograms.clear();
-    return snap;
+    Run r;
+    if (path == "replay") {
+      r.result = traffic::sweep_windows(reader, kWindows, q, pool, opts);
+    } else {
+      if (path == "counts") {
+        opts.synthesis = traffic::SynthesisMode::kMultinomial;
+      }
+      r.result = traffic::sweep_windows(g, traffic::RateModel{}, 5000,
+                                        kWindows, q, kSeed, pool, opts);
+    }
+    r.trail = registry.snapshot();
+    r.trail.histograms.clear();
+    std::erase_if(r.trail.gauges, [](const obs::GaugeSample& s) {
+      return s.name == obs::names::kSweepPoolThreads;
+    });
+    return r;
   };
-  for (const std::uint64_t seed : {3ull, 17ull, 91ull}) {
-    const auto fast = run(seed, /*fast_path=*/true);
-    const auto legacy = run(seed, /*fast_path=*/false);
-    const std::string context = "seed " + std::to_string(seed);
-    EXPECT_EQ(fast.counters, legacy.counters) << context;
-    EXPECT_EQ(fast.gauges, legacy.gauges) << context;
-    EXPECT_FALSE(fast.counters.empty()) << context;
+  for (const std::string path : {"packet", "counts", "replay"}) {
+    for (const auto q : kEveryQuantity) {
+      const Run one = run(path, 1, q);
+      EXPECT_EQ(one.result.windows, kWindows);
+      EXPECT_FALSE(one.trail.counters.empty());
+      for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+        const Run many = run(path, threads, q);
+        const std::string context =
+            path + " " + std::string(traffic::quantity_name(q)) +
+            " threads " + std::to_string(threads);
+        expect_sweep_identical(one.result, many.result, context);
+        EXPECT_EQ(one.trail.counters, many.trail.counters) << context;
+        EXPECT_EQ(one.trail.gauges, many.trail.gauges) << context;
+      }
+    }
   }
 }
 
@@ -187,12 +245,11 @@ TEST(SweepFastPath, StrictFailureCarriesWindowIndex) {
   testing::FailpointGuard guard;
   testing::force_sweep_window_failure(/*fires=*/1, /*skip=*/2);
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   try {
     traffic::sweep_windows(g, traffic::RateModel{}, 1000, 6,
                            traffic::Quantity::kSourceFanOut, 42, pool,
                            opts);
-    FAIL() << "strict fast-path sweep must rethrow the window failure";
+    FAIL() << "strict sweep must rethrow the window failure";
   } catch (const traffic::SweepWindowError& e) {
     EXPECT_EQ(e.window(), 2u);
   }
@@ -205,7 +262,6 @@ TEST(SweepFastPath, HonoursFailureBudget) {
   testing::FailpointGuard guard;
   testing::force_sweep_window_failure(/*fires=*/2, /*skip=*/0);
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   opts.max_failed_windows = 2;
   const auto sweep = traffic::sweep_windows(
       g, traffic::RateModel{}, 1000, 8,
@@ -221,7 +277,6 @@ TEST(SweepFastPath, HonoursCancellation) {
   ThreadPool pool(2);
   std::atomic<bool> cancel{true};  // cancelled before any window starts
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   opts.cancel = &cancel;
   const auto sweep = traffic::sweep_windows(
       g, traffic::RateModel{}, 1000, 6,
@@ -236,7 +291,6 @@ TEST(SweepFastPath, HonoursTimeout) {
   const auto g = graph::erdos_renyi(gen_rng, 500, 0.01);
   ThreadPool pool(2);
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   opts.timeout = std::chrono::milliseconds(1);
   // 64 windows × 500k packets cannot finish inside 1 ms; the deadline
   // must stop new windows, leaving the rest skipped (not failed).

@@ -235,50 +235,6 @@ TEST(TsanStress, CountsSweepSurvivesArmedFailpoints) {
   failpoints::disarm_all();
 }
 
-TEST(TsanStress, IntraWindowShardingSurvivesArmedFailpoints) {
-  // Intra-window sharding (PR 7): each window's accumulation fans out over
-  // four sub-accumulators that merge behind the "traffic.shard_merge"
-  // failpoint.  Two sharded sweeps (one per synthesis path) race an armer
-  // thread flipping the merge and window failpoints; every injected merge
-  // failure must surface as a tolerated window failure, with the
-  // no-lost-no-duplicated-window invariant intact.
-  const auto g = stress_graph();
-  std::atomic<bool> stop_arming{false};
-  std::thread armer([&stop_arming]() {
-    while (!stop_arming.load(std::memory_order_relaxed)) {
-      failpoints::arm("traffic.shard_merge", /*fires=*/2, /*skip=*/5);
-      failpoints::arm("traffic.sweep_window", /*fires=*/1, /*skip=*/7);
-      std::this_thread::yield();
-      failpoints::disarm("traffic.shard_merge");
-      failpoints::disarm("traffic.sweep_window");
-    }
-  });
-
-  auto run_sweep = [&g](std::uint64_t seed, traffic::SynthesisMode mode) {
-    ThreadPool pool(2);
-    traffic::SweepOptions opts;
-    opts.synthesis = mode;
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
-    opts.shards_per_window = 4;
-    opts.max_failed_windows = 24;  // tolerate every injected failure
-    const auto result = traffic::sweep_windows(
-        g, traffic::RateModel{}, 1500, 24,
-        traffic::Quantity::kUndirectedDegree, seed, pool, opts);
-    expect_partitioned(result, 24);
-  };
-  std::thread a([&run_sweep]() {
-    run_sweep(11, traffic::SynthesisMode::kPacket);
-  });
-  std::thread b([&run_sweep]() {
-    run_sweep(23, traffic::SynthesisMode::kMultinomial);
-  });
-  a.join();
-  b.join();
-  stop_arming.store(true, std::memory_order_relaxed);
-  armer.join();
-  failpoints::disarm_all();
-}
-
 TEST(TsanStress, FaultInjectedSweepIsDeterministicUnderBudget) {
   // A failpoint armed to fire exactly 3 times plus a failure budget: the
   // failure COUNT is deterministic even with 4 workers racing over which

@@ -26,15 +26,27 @@ namespace {
 
 using namespace palu;
 
+// Count flags parse signed; a negative would wrap to a huge unsigned
+// (e.g. --window -1 -> 2^64-1) and sail past every later bound, so each
+// command validates them before any cast and before opening any file.
+std::uint64_t get_count(const cli::Args& args, const char* name,
+                        std::int64_t fallback, std::int64_t min_value) {
+  const std::int64_t v = args.get_int(name, fallback);
+  if (v < min_value) {
+    throw InvalidArgument("--" + std::string(name) + " must be >= " +
+                          std::to_string(min_value) + ", got " +
+                          std::to_string(v));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 int cmd_generate(const cli::Args& args) {
   const auto params = core::PaluParams::solve_hubs(
       args.get_double("lambda", 3.0), args.get_double("core", 0.4),
       args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
       args.get_double("window", 1.0));
-  const auto nodes =
-      static_cast<NodeId>(args.get_int("nodes", 50000));
-  const auto packets =
-      static_cast<Count>(args.get_int("packets", 200000));
+  const auto nodes = static_cast<NodeId>(get_count(args, "nodes", 50000, 1));
+  const Count packets = get_count(args, "packets", 200000, 0);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const auto net = core::generate_underlying(params, nodes, rng);
   traffic::RateModel rates;
@@ -51,8 +63,10 @@ int cmd_generate(const cli::Args& args) {
 IngestOptions ingest_options(const cli::Args& args) {
   IngestOptions opts;
   opts.policy = parse_error_policy(args.get_string("on-error", "strict"));
-  const std::int64_t budget = args.get_int("max-bad-lines", -1);
-  if (budget >= 0) opts.max_bad_lines = static_cast<std::size_t>(budget);
+  if (args.has("max-bad-lines")) {
+    opts.max_bad_lines =
+        static_cast<std::size_t>(get_count(args, "max-bad-lines", 0, 0));
+  }
   return opts;
 }
 
@@ -81,9 +95,8 @@ std::vector<traffic::Packet> load_trace(const cli::Args& args) {
 }
 
 int cmd_analyze(const cli::Args& args) {
+  const Count n_valid = get_count(args, "nvalid", 50000, 1);
   const auto packets = load_trace(args);
-  const auto n_valid =
-      static_cast<Count>(args.get_int("nvalid", 50000));
   PALU_CHECK(packets.size() >= n_valid,
              "trace smaller than one window");
   stats::BinnedEnsemble ensemble;
@@ -149,127 +162,25 @@ traffic::Quantity parse_quantity(const std::string& name) {
                         "' (see `palu_tool help`)");
 }
 
-int cmd_sweep(const cli::Args& args) {
-  // Monte-Carlo window sweep over a synthetic PALU network: the paper's
-  // core experiment, through the library's parallel sweep path.
-  const auto params = core::PaluParams::solve_hubs(
-      args.get_double("lambda", 3.0), args.get_double("core", 0.4),
-      args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
-      args.get_double("window", 1.0));
-  const auto nodes = static_cast<NodeId>(args.get_int("nodes", 50000));
-  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
-  const auto windows =
-      static_cast<std::size_t>(args.get_int("windows", 16));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto quantity =
-      parse_quantity(args.get_string("quantity", "undirected_degree"));
-
-  traffic::SweepOptions opts;
-  // --fast-path off is the escape hatch back to the legacy per-window
-  // SparseCountMatrix path (byte-identical output, for A/B debugging).
-  const std::string fast = args.get_string("fast-path", "on");
-  if (fast == "on") {
-    opts.fast_path = true;
-  } else if (fast == "off") {
-    opts.fast_path = false;
-  } else {
-    throw InvalidArgument("--fast-path must be 'on' or 'off', got '" +
-                          fast + "'");
-  }
-  // --synthesis counts switches to count-space window draws (O(edges) per
-  // window; same law as the packet paths, different RNG consumption);
-  // --synthesis expected drops sampling entirely and evaluates the
-  // expected histogram and aggregates in closed form (--windows is then
-  // ignored; --replicates R adds sampled counts windows for σ bands).
-  const std::string synthesis = args.get_string("synthesis", "packet");
-  if (synthesis == "counts") {
-    opts.synthesis = traffic::SynthesisMode::kMultinomial;
-  } else if (synthesis == "expected") {
-    opts.synthesis = traffic::SynthesisMode::kExpected;
-  } else if (synthesis != "packet") {
-    throw InvalidArgument(
-        "--synthesis must be 'packet', 'counts' or 'expected', got '" +
-        synthesis + "'");
-  }
-  const std::int64_t replicates_arg = args.get_int("replicates", 0);
-  if (replicates_arg < 0) {
-    throw InvalidArgument("--replicates must be >= 0, got " +
-                          std::to_string(replicates_arg));
-  }
-  opts.expected_replicates = static_cast<std::size_t>(replicates_arg);
-  if (opts.expected_replicates > 0 &&
-      opts.synthesis != traffic::SynthesisMode::kExpected) {
-    throw InvalidArgument("--replicates needs --synthesis expected");
-  }
-  // --shards K > 1 turns on intra-window sharding: each window's
-  // accumulation is partitioned by node-id range across K mergeable
-  // sub-accumulators.  Byte-identical to --shards 1 for the same seed.
-  const std::int64_t shards_arg = args.get_int("shards", 1);
-  if (shards_arg < 1) {
-    throw InvalidArgument("--shards must be >= 1, got " +
-                          std::to_string(shards_arg));
-  }
-  opts.shards_per_window = static_cast<std::size_t>(shards_arg);
-  if (opts.shards_per_window > 1) {
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
-  }
-
-  Rng rng(seed);
-  const auto net = core::generate_underlying(params, nodes, rng);
-  traffic::RateModel rates;
-  rates.kind = traffic::RateModel::Kind::kPareto;
-  ThreadPool pool;
-  const auto sweep =
-      traffic::sweep_windows(net.graph, rates, n_valid, windows, quantity,
-                             seed, pool, opts);
-  if (args.get_flag("csv")) {
-    io::write_pooled_csv(std::cout, stats::LogBinned(sweep.ensemble.mean()),
-                         sweep.ensemble.stddev());
-    return 0;
-  }
-  const char* path_name =
-      opts.synthesis == traffic::SynthesisMode::kExpected ? "expected"
-      : opts.synthesis == traffic::SynthesisMode::kMultinomial
-          ? "counts"
-          : (opts.fast_path || opts.shards_per_window > 1 ? "fast"
-                                                          : "legacy");
-  std::printf("sweep: %zu/%zu windows, quantity=%s, path=%s, shards=%zu\n",
-              sweep.windows,
-              opts.synthesis == traffic::SynthesisMode::kExpected ? 1
-                                                                  : windows,
-              std::string(traffic::quantity_name(quantity)).c_str(),
-              path_name, opts.shards_per_window);
-  if (sweep.expected) {
-    const auto& agg = sweep.expected->aggregates;
-    std::printf("d_max(median)=%llu visible_entities=%.1f\n",
-                static_cast<unsigned long long>(sweep.max_value),
-                sweep.expected->visible_entities);
-    std::printf("expected aggregates: valid_packets=%.0f unique_links=%.1f "
-                "unique_sources=%.1f unique_destinations=%.1f "
-                "max_link_packets=%.0f\n",
-                agg.valid_packets, agg.unique_links, agg.unique_sources,
-                agg.unique_destinations, agg.max_link_packets);
-  } else {
-    std::printf("d_max=%llu merged_total=%llu support=%zu\n",
-                static_cast<unsigned long long>(sweep.max_value),
-                static_cast<unsigned long long>(sweep.merged.total()),
-                sweep.merged.support_size());
-  }
+void print_stage_timings(const traffic::SweepStageTimings& t) {
   std::printf("stage cpu (summed over workers): sampling=%.1fms "
               "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
+              static_cast<double>(t.sampling_cpu_ns) / 1e6,
+              static_cast<double>(t.accumulation_cpu_ns) / 1e6,
+              static_cast<double>(t.binning_cpu_ns) / 1e6);
   std::printf("stage max (slowest worker):      sampling=%.1fms "
               "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_max_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_max_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_max_ns) / 1e6);
-  // Fit the PALU constants on the merged sweep so one `sweep --metrics`
-  // run exercises — and exports — the whole instrumented pipeline.  The
-  // expected path has no merged integer histogram to fit.
-  if (sweep.merged.total() == 0) return 0;
-  const auto robust = core::robust_fit_palu(sweep.merged);
+              static_cast<double>(t.sampling_max_ns) / 1e6,
+              static_cast<double>(t.accumulation_max_ns) / 1e6,
+              static_cast<double>(t.binning_max_ns) / 1e6);
+}
+
+// Fits the PALU constants on a sweep's merged histogram, so one
+// `sweep --metrics` run exercises — and exports — the whole instrumented
+// pipeline.
+void print_palu_fit(const stats::DegreeHistogram& merged) {
+  if (merged.total() == 0) return;
+  const auto robust = core::robust_fit_palu(merged);
   if (robust.ok()) {
     std::printf("palu constants: alpha=%.4f c=%.5f mu=%.4f u=%.6f "
                 "l=%.5f  [stage=%s]\n",
@@ -280,22 +191,126 @@ int cmd_sweep(const cli::Args& args) {
     std::printf("palu constants: (fit failed on every stage: %s)\n",
                 robust.error.c_str());
   }
+}
+
+// `sweep --synthesis expected`: the analytic window instead of sampled
+// ones.  Its pooled CSV is the expected mass as one pseudo-window
+// (sigma = 0), or with --replicates R the ensemble of an R-window counts
+// sweep, for sampled sigma bands.
+int sweep_expected(const cli::Args& args, const graph::Graph& graph,
+                   const traffic::RateModel& rates, Count n_valid,
+                   traffic::Quantity quantity, std::uint64_t seed,
+                   std::size_t replicates) {
+  const traffic::ExpectedWindow win = traffic::evaluate_expected_window(
+      graph, rates, n_valid, quantity, seed);
+  traffic::WindowSweepResult bands;
+  if (replicates > 0) {
+    traffic::SweepOptions opts;
+    opts.synthesis = traffic::SynthesisMode::kMultinomial;
+    ThreadPool pool;
+    bands = traffic::sweep_windows(graph, rates, n_valid, replicates,
+                                   quantity, seed, pool, opts);
+  } else {
+    bands.ensemble.add(win.mass);
+  }
+  if (args.get_flag("csv")) {
+    io::write_pooled_csv(std::cout, stats::LogBinned(bands.ensemble.mean()),
+                         bands.ensemble.stddev());
+    return 0;
+  }
+  std::printf("sweep: 1/1 windows, quantity=%s, path=expected\n",
+              std::string(traffic::quantity_name(quantity)).c_str());
+  std::printf("d_max(median)=%llu visible_entities=%.1f\n",
+              static_cast<unsigned long long>(win.max_value),
+              win.visible_entities);
+  const auto& agg = win.aggregates;
+  std::printf("expected aggregates: valid_packets=%.0f unique_links=%.1f "
+              "unique_sources=%.1f unique_destinations=%.1f "
+              "max_link_packets=%.0f\n",
+              agg.valid_packets, agg.unique_links, agg.unique_sources,
+              agg.unique_destinations, agg.max_link_packets);
+  // The analytic stage times live in its {path="expected"} histograms;
+  // the replicate sweep, if any, adds its own.
+  traffic::SweepStageTimings& t = bands.timings;
+  const auto fold = [](const char* stage, std::uint64_t& cpu,
+                       std::uint64_t& max) {
+    const std::uint64_t ns =
+        obs::default_registry()
+            .histogram(obs::names::kSweepStageDurationNs,
+                       {{"path", "expected"}, {"stage", stage}})
+            .sum();
+    cpu += ns;
+    max = std::max(max, ns);
+  };
+  fold("sampling", t.sampling_cpu_ns, t.sampling_max_ns);
+  fold("accumulation", t.accumulation_cpu_ns, t.accumulation_max_ns);
+  fold("binning", t.binning_cpu_ns, t.binning_max_ns);
+  print_stage_timings(t);
   return 0;
 }
 
-// Shared by sweep-style commands: --shards K (>= 1) with intra-window
-// sharding turned on for K > 1.
-std::size_t parse_shards(const cli::Args& args, traffic::SweepOptions& opts) {
-  const std::int64_t shards_arg = args.get_int("shards", 1);
-  if (shards_arg < 1) {
-    throw InvalidArgument("--shards must be >= 1, got " +
-                          std::to_string(shards_arg));
+int cmd_sweep(const cli::Args& args) {
+  // Monte-Carlo window sweep over a synthetic PALU network: the paper's
+  // core experiment, through the library's parallel sweep path.
+  const auto params = core::PaluParams::solve_hubs(
+      args.get_double("lambda", 3.0), args.get_double("core", 0.4),
+      args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
+      args.get_double("window", 1.0));
+  const auto nodes = static_cast<NodeId>(get_count(args, "nodes", 50000, 1));
+  const Count n_valid = get_count(args, "nvalid", 100000, 1);
+  const auto windows =
+      static_cast<std::size_t>(get_count(args, "windows", 16, 1));
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto quantity =
+      parse_quantity(args.get_string("quantity", "undirected_degree"));
+  // --synthesis counts switches to count-space window draws (O(edges) per
+  // window; same law as the packet path, different RNG consumption);
+  // --synthesis expected evaluates the analytic window instead.
+  const std::string synthesis = args.get_string("synthesis", "packet");
+  if (synthesis != "packet" && synthesis != "counts" &&
+      synthesis != "expected") {
+    throw InvalidArgument(
+        "--synthesis must be 'packet', 'counts' or 'expected', got '" +
+        synthesis + "'");
   }
-  opts.shards_per_window = static_cast<std::size_t>(shards_arg);
-  if (opts.shards_per_window > 1) {
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
+  const auto replicates =
+      static_cast<std::size_t>(get_count(args, "replicates", 0, 0));
+  if (replicates > 0 && synthesis != "expected") {
+    throw InvalidArgument("--replicates needs --synthesis expected");
   }
-  return opts.shards_per_window;
+
+  Rng rng(seed);
+  const auto net = core::generate_underlying(params, nodes, rng);
+  traffic::RateModel rates;
+  rates.kind = traffic::RateModel::Kind::kPareto;
+  if (synthesis == "expected") {
+    return sweep_expected(args, net.graph, rates, n_valid, quantity, seed,
+                          replicates);
+  }
+  traffic::SweepOptions opts;
+  if (synthesis == "counts") {
+    opts.synthesis = traffic::SynthesisMode::kMultinomial;
+  }
+  ThreadPool pool;
+  const auto sweep =
+      traffic::sweep_windows(net.graph, rates, n_valid, windows, quantity,
+                             seed, pool, opts);
+  if (args.get_flag("csv")) {
+    io::write_pooled_csv(std::cout, stats::LogBinned(sweep.ensemble.mean()),
+                         sweep.ensemble.stddev());
+    return 0;
+  }
+  std::printf("sweep: %zu/%zu windows, quantity=%s, path=%s\n",
+              sweep.windows, windows,
+              std::string(traffic::quantity_name(quantity)).c_str(),
+              synthesis == "counts" ? "counts" : "fast");
+  std::printf("d_max=%llu merged_total=%llu support=%zu\n",
+              static_cast<unsigned long long>(sweep.max_value),
+              static_cast<unsigned long long>(sweep.merged.total()),
+              sweep.merged.support_size());
+  print_stage_timings(sweep.timings);
+  print_palu_fit(sweep.merged);
+  return 0;
 }
 
 void print_store_stats(const char* what, const std::string& dir,
@@ -319,11 +334,10 @@ int cmd_capture(const cli::Args& args) {
   PALU_CHECK(!dir.empty(), "missing --store DIR");
   if (!args.get_string("trace", "").empty()) {
     // Trace mode: window a recorded trace and archive each window's pair
-    // counts.  The node domain is inferred from the trace (max id + 1) so
-    // sharded replay partitions the real id range.
+    // counts.  The node domain recorded in the header is inferred from
+    // the trace (max id + 1).
+    const Count n_valid = get_count(args, "nvalid", 50000, 1);
     const auto packets = load_trace(args);
-    const auto n_valid =
-        static_cast<Count>(args.get_int("nvalid", 50000));
     PALU_CHECK(packets.size() >= n_valid, "trace smaller than one window");
     NodeId domain = 1;
     for (const auto& p : packets) {
@@ -355,10 +369,10 @@ int cmd_capture(const cli::Args& args) {
       args.get_double("lambda", 3.0), args.get_double("core", 0.4),
       args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
       args.get_double("window", 1.0));
-  const auto nodes = static_cast<NodeId>(args.get_int("nodes", 50000));
-  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
+  const auto nodes = static_cast<NodeId>(get_count(args, "nodes", 50000, 1));
+  const Count n_valid = get_count(args, "nvalid", 100000, 1);
   const auto windows =
-      static_cast<std::size_t>(args.get_int("windows", 16));
+      static_cast<std::size_t>(get_count(args, "windows", 16, 1));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const auto quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
@@ -371,13 +385,11 @@ int cmd_capture(const cli::Args& args) {
         "capture --synthesis must be 'packet' or 'counts', got '" +
         synthesis + "'");
   }
-  parse_shards(args, opts);
   Rng rng(seed);
   const auto net = core::generate_underlying(params, nodes, rng);
   store::WriterOptions wopts;
-  // The realized network can round up past the requested node count, and
-  // replay shard routing partitions the store's domain — record what the
-  // sweep actually ran over.
+  // The realized network can round up past the requested node count;
+  // record what the sweep actually ran over.
   wopts.node_domain = net.graph.num_nodes();
   wopts.seed = seed;
   store::WindowStoreWriter writer(dir, wopts);
@@ -402,6 +414,8 @@ int cmd_capture(const cli::Args& args) {
 int cmd_replay(const cli::Args& args) {
   const std::string dir = args.get_string("store", "");
   PALU_CHECK(!dir.empty(), "missing --store DIR");
+  const auto windows_arg =
+      static_cast<std::size_t>(get_count(args, "windows", 0, 0));
   store::WindowStoreReader reader(dir, ingest_options(args));
   report_ingest("store", reader.open_report());
   if (args.get_flag("verify")) {
@@ -428,33 +442,25 @@ int cmd_replay(const cli::Args& args) {
                 static_cast<unsigned long long>(reader.header().seed));
     return 0;
   }
-  const std::int64_t windows_arg = args.get_int("windows", 0);
-  if (windows_arg < 0) {
-    throw InvalidArgument("--windows must be >= 0, got " +
-                          std::to_string(windows_arg));
-  }
-  std::size_t windows = static_cast<std::size_t>(windows_arg);
-  if (windows == 0) windows = reader.num_windows();
+  const std::size_t windows =
+      windows_arg == 0 ? reader.num_windows() : windows_arg;
   PALU_CHECK(windows <= reader.num_windows(),
              "--windows " + std::to_string(windows) +
                  " exceeds the store's " +
                  std::to_string(reader.num_windows()) + " windows");
   const auto quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
-  traffic::SweepOptions opts;
-  const std::size_t shards = parse_shards(args, opts);
   ThreadPool pool;
-  const auto sweep =
-      traffic::sweep_windows(reader, windows, quantity, pool, opts);
+  const auto sweep = traffic::sweep_windows(reader, windows, quantity, pool,
+                                            traffic::SweepOptions{});
   if (args.get_flag("csv")) {
     io::write_pooled_csv(std::cout, stats::LogBinned(sweep.ensemble.mean()),
                          sweep.ensemble.stddev());
     return 0;
   }
-  std::printf("replay: %zu/%zu stored windows, quantity=%s, path=replay, "
-              "shards=%zu\n",
+  std::printf("replay: %zu/%zu stored windows, quantity=%s, path=replay\n",
               sweep.windows, reader.num_windows(),
-              std::string(traffic::quantity_name(quantity)).c_str(), shards);
+              std::string(traffic::quantity_name(quantity)).c_str());
   std::printf("d_max=%llu merged_total=%llu support=%zu\n",
               static_cast<unsigned long long>(sweep.max_value),
               static_cast<unsigned long long>(sweep.merged.total()),
@@ -464,18 +470,7 @@ int cmd_replay(const cli::Args& args) {
               static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
               static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
               static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
-  if (sweep.merged.total() == 0) return 0;
-  const auto robust = core::robust_fit_palu(sweep.merged);
-  if (robust.ok()) {
-    std::printf("palu constants: alpha=%.4f c=%.5f mu=%.4f u=%.6f "
-                "l=%.5f  [stage=%s]\n",
-                robust.fit.alpha, robust.fit.c, robust.fit.mu,
-                robust.fit.u, robust.fit.l,
-                std::string(fit::to_string(robust.stage)).c_str());
-  } else {
-    std::printf("palu constants: (fit failed on every stage: %s)\n",
-                robust.error.c_str());
-  }
+  print_palu_fit(sweep.merged);
   return 0;
 }
 
@@ -531,9 +526,8 @@ void export_metrics(const std::string& json_path) {
 }
 
 int cmd_census(const cli::Args& args) {
+  const Count n_valid = get_count(args, "nvalid", 50000, 1);
   const auto packets = load_trace(args);
-  const auto n_valid =
-      static_cast<Count>(args.get_int("nvalid", 50000));
   PALU_CHECK(packets.size() >= n_valid,
              "trace smaller than one window");
   const std::size_t windows = packets.size() / n_valid;
@@ -637,41 +631,30 @@ int cmd_zoo(const cli::Args& args) {
 }
 
 int cmd_serve(const cli::Args& args) {
-  // Count flags are parsed signed; a negative would wrap to a huge
-  // unsigned (e.g. --window -1 -> 2^64-1) and sail past every later
-  // bound, so validate before any cast.
-  const auto get_count = [&args](const char* name, std::int64_t fallback,
-                                 std::int64_t min_value) {
-    const std::int64_t v = args.get_int(name, fallback);
-    PALU_CHECK(v >= min_value, "--" + std::string(name) +
-                                   " must be >= " +
-                                   std::to_string(min_value) + ", got " +
-                                   std::to_string(v));
-    return static_cast<std::uint64_t>(v);
-  };
   serve::ServeOptions opts;
   opts.input_path = args.get_string("trace", "-");
   opts.follow = args.get_flag("follow");
   opts.ingest = ingest_options(args);
-  opts.window_packets = get_count("window", 100000, 1);
+  opts.window_packets = get_count(args, "window", 100000, 1);
   opts.quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
   opts.streaming.sliding_horizon =
-      static_cast<std::size_t>(get_count("horizon", 4, 1));
+      static_cast<std::size_t>(get_count(args, "horizon", 4, 1));
   opts.streaming.warm_start =
       args.get_string("warm-start", "on") != "off";
-  opts.max_windows = get_count("max-windows", 0, 0);
+  opts.max_windows = get_count(args, "max-windows", 0, 0);
   opts.fit_deadline_ms = args.get_double("fit-deadline-ms", 0.0);
-  opts.queue_capacity = static_cast<std::size_t>(get_count("queue", 65536, 1));
+  opts.queue_capacity =
+      static_cast<std::size_t>(get_count(args, "queue", 65536, 1));
   opts.backpressure =
       serve::parse_backpressure(args.get_string("backpressure", "block"));
   opts.checkpoint_path = args.get_string("checkpoint", "");
-  opts.checkpoint_every = get_count("checkpoint-every", 1, 1);
+  opts.checkpoint_every = get_count(args, "checkpoint-every", 1, 1);
   opts.restore = args.get_flag("restore");
   opts.snapshot_path = args.get_string("snapshot", "");
   opts.snapshot_interval_ms =
       args.get_double("snapshot-interval-ms", 1000.0);
-  opts.max_stage_restarts = get_count("max-restarts", 5, 0);
+  opts.max_stage_restarts = get_count(args, "max-restarts", 5, 0);
   opts.drain_deadline_ms = args.get_double("drain-deadline-ms", 5000.0);
   opts.poll_interval_ms = args.get_double("poll-interval-ms", 50.0);
   opts.record_path = args.get_string("record", "");
@@ -690,18 +673,10 @@ int print_help() {
       "  generate --nodes N --lambda L --core C --leaves F --alpha A\n"
       "           --window P --packets K [--seed S]   write a trace\n"
       "  sweep    --windows W --nvalid N [--quantity Q] [--seed S]\n"
-      "           [--fast-path on|off]\n"
       "           [--synthesis packet|counts|expected]\n"
-      "           [--replicates R]\n"
-      "           [--shards K] [--csv]                 Monte-Carlo window\n"
+      "           [--replicates R] [--csv]             Monte-Carlo window\n"
       "                                               sweep over a PALU\n"
-      "                                               network (fast path\n"
-      "                                               on by default);\n"
-      "                                               --shards K>1 shards\n"
-      "                                               each window by node\n"
-      "                                               range across K merged\n"
-      "                                               sub-accumulators\n"
-      "                                               (byte-identical);\n"
+      "                                               network;\n"
       "                                               'expected' evaluates\n"
       "                                               the analytic window\n"
       "                                               (no sampling, one\n"
@@ -717,7 +692,7 @@ int print_help() {
       "                                               by default) or window a\n"
       "                                               recorded trace\n"
       "  replay   --store DIR [--windows W] [--quantity Q]\n"
-      "           [--shards K] [--csv] [--verify]      re-run the window\n"
+      "           [--csv] [--verify]                   re-run the window\n"
       "                                               sweep from a store —\n"
       "                                               no graph, rates, or\n"
       "                                               synthesis; --verify\n"
@@ -821,6 +796,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const palu::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const std::exception& e) {
+    // Anything else (std::bad_alloc, std::length_error) is still a
+    // runtime error, not an abort.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -15,6 +15,15 @@ trap 'rm -rf "$DIR"' EXIT
 
 "$TOOL" generate --nodes 2000 --packets 30000 --seed 13 > "$DIR/trace.txt"
 
+# True once the interrupted run has published 3 windows ($1) and its
+# checkpoint ($2) records them.  The daemon publishes a window's line
+# before it checkpoints that window, so killing on the line alone can
+# land between the two and resume one window early.
+parked() {
+    [ "$(grep -c '^window=' "$1" 2>/dev/null || true)" -ge 3 ] &&
+        grep -q ' published 3$' "$2" 2>/dev/null
+}
+
 # Uninterrupted reference run: 6 windows.
 "$TOOL" serve --trace "$DIR/trace.txt" --window 5000 > "$DIR/full.txt"
 [ "$(grep -c '^window=' "$DIR/full.txt")" -eq 6 ] || {
@@ -32,7 +41,7 @@ head -n 17500 "$DIR/trace.txt" > "$DIR/growing.txt"
     > "$DIR/part.txt" 2> "$DIR/part_err.txt" &
 PID=$!
 i=0
-while [ "$(grep -c '^window=' "$DIR/part.txt" 2>/dev/null || true)" -lt 3 ]
+while ! parked "$DIR/part.txt" "$DIR/ck.txt"
 do
     i=$((i + 1))
     if [ "$i" -gt 300 ]; then
@@ -102,7 +111,7 @@ PALU_FAILPOINT="$FP" "$TOOL" serve --trace "$DIR/stale_growing.txt" \
     > "$DIR/stale_part.txt" 2> "$DIR/stale_part_err.txt" &
 PID=$!
 i=0
-while [ "$(grep -c '^window=' "$DIR/stale_part.txt" 2>/dev/null || true)" -lt 3 ]
+while ! parked "$DIR/stale_part.txt" "$DIR/stale_ck.txt"
 do
     i=$((i + 1))
     if [ "$i" -gt 300 ]; then

@@ -216,10 +216,16 @@ void BM_StreamingEstimatorWindow(benchmark::State& state) {
   const auto params = core::scenarios::mixed().at_window(0.8);
   Rng rng(14);
   const auto window = core::sample_observed_degrees(params, 50000, rng);
+  // Tumbling lane only: a one-window horizon makes the sliding lane a
+  // copy, and the ZM companion fit is off.
+  core::StreamingOptions opts;
+  opts.sliding_horizon = 1;
+  opts.fit_zm = false;
   for (auto _ : state) {
-    core::StreamingPaluEstimator streaming;
-    for (int w = 0; w < 4; ++w) streaming.add_window(window);
-    benchmark::DoNotOptimize(streaming.current());
+    core::WindowedStreamingEstimator streaming(opts);
+    for (int w = 0; w < 4; ++w) {
+      benchmark::DoNotOptimize(streaming.refit_window(window));
+    }
   }
 }
 BENCHMARK(BM_StreamingEstimatorWindow);

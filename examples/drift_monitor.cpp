@@ -1,8 +1,9 @@
 // Drift monitoring: the operational loop the paper's framing implies.
 //
 // A stream of traffic windows is watched by (a) the streaming PALU
-// estimator, whose μ trajectory tracks the star density (bot activity),
-// and (b) a two-sample KS test between each window and a calm baseline.
+// estimator's tumbling lane, whose per-window μ tracks the star density
+// (bot activity), and (b) a two-sample KS test between each window and a
+// calm baseline.
 // Midway through, the underlying network shifts from a calm profile to a
 // bot-heavy one; both monitors must flag it.
 //
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
       core::PaluParams::solve_hubs(8.0, 0.2, 0.2, 2.2, 1.0);
 
   Rng rng(2027);
-  core::StreamingPaluEstimator monitor;
+  core::WindowedStreamingEstimator monitor;
   core::WindowAnomalyDetector detector;
 
   std::printf("%6s %8s %10s %10s %12s %10s %8s\n", "window", "phase",
@@ -32,12 +33,14 @@ int main(int argc, char** argv) {
     const auto& params = bot_phase ? botty : calm;
     Rng wrng = rng.fork(w + 1);
     const auto h = core::sample_observed_degrees(params, 80000, wrng);
-    // A window the estimator or detector cannot digest is logged and
-    // dropped; the monitor keeps running on the remaining stream.
-    try {
-      monitor.add_window(h);
-    } catch (const Error& e) {
-      std::printf("%6d  estimator skipped window: %s\n", w, e.what());
+    // A window the estimator cannot fit keeps the previous parameters,
+    // tagged stale; a window the detector cannot digest is logged and
+    // dropped.  Either way the monitor keeps running.
+    monitor.refit_window(h);
+    const core::StreamingFitSnapshot& lane = monitor.window_fit();
+    if (lane.freshness == core::FitFreshness::kStale) {
+      std::printf("%6d  estimator kept stale parameters: %s\n", w,
+                  lane.error.c_str());
     }
 
     double ks = 0.0, p = 1.0, d1 = 0.0;
@@ -55,18 +58,20 @@ int main(int argc, char** argv) {
     }
     if (w < per_phase) detector.add_baseline(h);
 
-    const bool fitted = monitor.has_fit();
+    const bool fitted = lane.has_fit();
     std::printf("%6d %8s %10.3f %10.3f %12.4f %10.2e %8.4f%s\n", w,
-                bot_phase ? "BOT" : "calm",
-                fitted ? monitor.current().alpha : 0.0,
-                fitted ? monitor.current().mu : 0.0, ks, p, d1,
+                bot_phase ? "BOT" : "calm", fitted ? lane.fit.alpha : 0.0,
+                fitted ? lane.fit.mu : 0.0, ks, p, d1,
                 flagged ? "  <-- drift flagged" : "");
   }
 
   std::printf("\nisolated-node extrapolation at the end of the run:\n");
   try {
+    if (!monitor.window_fit().has_fit()) {
+      throw DataError("no window has been fitted");
+    }
     const auto est =
-        core::estimate_isolated(monitor.current(), /*window=*/1.0);
+        core::estimate_isolated(monitor.window_fit().fit, /*window=*/1.0);
     std::printf("  implied lambda=%.2f; invisible hubs per visible node="
                 "%.5f\n",
                 est.implied_lambda, est.invisible_hubs_per_visible);

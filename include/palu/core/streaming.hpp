@@ -1,30 +1,22 @@
-// Streaming PALU estimation.
+// Streaming PALU estimation (the `palu_tool serve` engine).
 //
 // The paper's data arrive as an endless sequence of fixed-N_V windows;
 // an operator wants running parameter estimates, not a one-shot batch
-// fit.  Two estimators live here:
-//
-//  - StreamingPaluEstimator: the original cumulative-aggregate tracker.
-//    It merges every window histogram into one growing aggregate and
-//    refits the Section IV-B constants after each, so the trajectory
-//    converges to the batch fit as data accumulate.
-//
-//  - WindowedStreamingEstimator: the serve daemon's per-window engine.
-//    Each window is fitted on its own (tumbling lane) and as part of a
-//    bounded sliding horizon of recent windows (sliding lane), with the
-//    robust LM → Nelder–Mead → moments ladder warm-started from the
-//    previous window's parameters.  A window the ladder cannot fit — or
-//    one force-degraded by the caller (fit deadline, injected fault) —
-//    keeps the previous parameters tagged kStale instead of failing, so
-//    the service degrades rather than dies.  The complete estimator
-//    state (lanes + horizon) is exposed for checkpointing: restoring a
-//    StreamingState and replaying the same windows reproduces the exact
-//    fits of an uninterrupted run.
+// fit.  WindowedStreamingEstimator fits each window on its own (tumbling
+// lane) and as part of a bounded sliding horizon of recent windows
+// (sliding lane), with the robust LM → Nelder–Mead → moments ladder
+// warm-started from the previous window's parameters.  Both lanes keep
+// bounded state, so an unbounded stream cannot grow the estimator, and
+// the tumbling lane follows a regime change within one window.  A window
+// the ladder cannot fit — or one force-degraded by the caller (fit
+// deadline, injected fault) — keeps the previous parameters tagged
+// kStale instead of failing, so the service degrades rather than dies.
+// The complete estimator state (lanes + horizon) is exposed for
+// checkpointing: restoring a StreamingState and replaying the same
+// windows reproduces the exact fits of an uninterrupted run.
 #pragma once
 
-#include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,54 +27,6 @@
 #include "palu/stats/histogram.hpp"
 
 namespace palu::core {
-
-class StreamingPaluEstimator {
- public:
-  /// `history_cap` bounds the per-refit history: once more than
-  /// `history_cap` refits have succeeded the oldest entries are dropped,
-  /// so an unbounded stream cannot grow the estimator without limit.  The
-  /// default 0 keeps the full history (the batch-caller behaviour).
-  explicit StreamingPaluEstimator(PaluFitOptions opts = {},
-                                  std::size_t history_cap = 0)
-      : opts_(opts), history_cap_(history_cap) {}
-
-  /// Folds one window's degree histogram into the running aggregate and
-  /// refits.  Windows whose aggregate is still too thin to fit (DataError
-  /// from the pipeline) are absorbed without producing a snapshot.
-  void add_window(const stats::DegreeHistogram& window);
-
-  std::size_t windows_seen() const noexcept { return windows_; }
-
-  /// Latest successful fit; throws palu::DataError when no window has
-  /// produced a fittable aggregate yet.
-  const PaluFit& current() const;
-
-  bool has_fit() const noexcept { return latest_.has_value(); }
-
-  /// Entries per successful refit, in arrival order; at most history_cap()
-  /// entries when a cap is set (oldest dropped first).
-  const std::vector<PaluFit>& history() const noexcept { return history_; }
-
-  /// Maximum retained history entries; 0 means unbounded.
-  std::size_t history_cap() const noexcept { return history_cap_; }
-
-  /// The merged histogram backing the current fit.
-  const stats::DegreeHistogram& aggregate() const noexcept {
-    return merged_;
-  }
-
- private:
-  PaluFitOptions opts_;
-  std::size_t history_cap_ = 0;
-  stats::DegreeHistogram merged_;
-  std::optional<PaluFit> latest_;
-  std::vector<PaluFit> history_;
-  std::size_t windows_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Windowed streaming estimation (the `palu_tool serve` engine).
-// ---------------------------------------------------------------------------
 
 /// Knobs for the windowed estimator.
 struct StreamingOptions {

@@ -1,15 +1,13 @@
-// Incremental packet-trace reading for unbounded streams.
+// Incremental packet-trace reading — the library's one trace line parser.
 //
 // `palu_tool serve` tails a growing file, a pipe, or stdin: data arrive
-// in arbitrary chunks whose boundaries do not respect line breaks.  The
-// batch read_trace reader would misparse the fragment at the end of
-// every chunk as a malformed line and bleed the error budget dry on
-// perfectly healthy input.  TraceTailReader therefore buffers bytes and
-// only parses complete (newline-terminated) lines: a partial last line
-// is "incomplete, retry with more bytes", never a budget charge.  The
-// per-line policy machinery is exactly read_trace's — same ErrorPolicy
-// semantics, same IngestReport accounting, same palu_ingest_* counters
-// (reader label "trace_tail").
+// in arbitrary chunks whose boundaries do not respect line breaks.
+// TraceTailReader therefore buffers bytes and only parses complete
+// (newline-terminated) lines: a partial last line is "incomplete, retry
+// with more bytes", never a budget charge.  Each line goes through one
+// ErrorPolicy gate with IngestReport accounting and the palu_ingest_*
+// counters (reader label "trace_tail").  io::read_trace is this reader
+// fed from a stream in fixed chunks, under its own label "read_trace".
 //
 // Every emitted record carries the stream byte offset one past its line,
 // so a consumer that persists `end_offset` can crash, reopen the file,
@@ -24,6 +22,7 @@
 #include <vector>
 
 #include "palu/common/result.hpp"
+#include "palu/io/trace.hpp"
 #include "palu/traffic/packet.hpp"
 
 namespace palu::io {
@@ -50,8 +49,8 @@ class TraceTailReader {
 
   /// Consumes one chunk, appending a TailRecord per complete packet line
   /// to `out`.  Returns the number of records appended.  Throws
-  /// palu::DataError exactly where read_trace would (kStrict malformed
-  /// line, exhausted error budget).
+  /// palu::DataError on a kStrict malformed line or an exhausted error
+  /// budget.
   std::size_t feed(std::string_view chunk, std::vector<TailRecord>& out);
 
   /// Flushes the trailing partial line, treating end-of-stream as its
@@ -75,6 +74,11 @@ class TraceTailReader {
   const IngestReport& report() const noexcept;
 
  private:
+  // read_trace's reader: the same parser under the "read_trace" label.
+  friend IngestReport read_trace(std::istream& in, const IngestOptions& opts,
+                                 const PacketSink& sink);
+  TraceTailReader(const char* reader_label, const IngestOptions& opts);
+
   std::size_t consume_line(std::string_view line,
                            std::vector<TailRecord>& out);
 

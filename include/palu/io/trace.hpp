@@ -6,6 +6,12 @@
 // WIDE/CAIDA-style capture exported this way drops straight into the
 // Section II window pipeline.
 //
+// There is one trace line parser, io::TraceTailReader (io/tail.hpp).
+// read_trace feeds it the stream in 64 KiB chunks under its own reader
+// label ("read_trace"); its streaming form hands the accepted packets to
+// a sink as they are parsed, so a caller that cuts windows while reading
+// holds O(N_V) packets however long the trace is.
+//
 // Real captures are noisy, so every reader has a policy-aware overload:
 // under ErrorPolicy::kSkip malformed lines are counted and dropped, under
 // kRepair the reader salvages the first two unsigned integer tokens it can
@@ -15,6 +21,7 @@
 // are exactly kStrict.
 #pragma once
 
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <span>
@@ -39,6 +46,16 @@ struct TraceReadResult {
 /// Policy-aware trace reader.  kStrict throws on the first malformed line;
 /// kSkip and kRepair throw only when the error budget is exhausted.
 TraceReadResult read_trace(std::istream& in, const IngestOptions& opts);
+
+/// Receives the packets a trace read accepts, in trace order, one batch
+/// per input chunk.  The span is valid only for the call.
+using PacketSink = std::function<void(std::span<const traffic::Packet>)>;
+
+/// Streaming form of the policy-aware reader: same policy, errors and
+/// accounting, but the accepted packets go to `sink` as they are parsed
+/// instead of into one vector.  Returns the ingest account.
+IngestReport read_trace(std::istream& in, const IngestOptions& opts,
+                        const PacketSink& sink);
 
 /// Writes packets one per line, with a format header comment.
 void write_trace(std::ostream& out, std::span<const traffic::Packet> pkts);

@@ -30,4 +30,10 @@ void write_prometheus(std::ostream& os, const RegistrySnapshot& snapshot);
 /// `palu_tool check-metrics`.
 std::vector<std::string> validate_prometheus(std::istream& is);
 
+/// Where the Prometheus text goes beside a JSON metrics file: `json_path`
+/// with its extension replaced by `.prom`, or with `.prom` appended when
+/// its last path component has none (`metrics.json` -> `metrics.prom`,
+/// `out.d/metrics` -> `out.d/metrics.prom`).
+std::string prom_path_for(const std::string& json_path);
+
 }  // namespace palu::obs

@@ -8,38 +8,6 @@
 
 namespace palu::core {
 
-void StreamingPaluEstimator::add_window(
-    const stats::DegreeHistogram& window) {
-  merged_.merge(window);
-  ++windows_;
-  try {
-    latest_ = fit_palu(merged_, opts_);
-    history_.push_back(*latest_);
-    if (history_cap_ > 0 && history_.size() > history_cap_) {
-      // Bounded mode: drop oldest.  The cap is operator-sized (tens to
-      // thousands), so the front erase stays cheap next to the refit.
-      history_.erase(history_.begin(),
-                     history_.end() -
-                         static_cast<std::ptrdiff_t>(history_cap_));
-    }
-  } catch (const DataError&) {
-    // Aggregate still too thin (e.g. tail shorter than tail_min); keep
-    // accumulating.
-  }
-}
-
-const PaluFit& StreamingPaluEstimator::current() const {
-  if (!latest_) {
-    throw DataError(
-        "StreamingPaluEstimator: no fittable aggregate yet");
-  }
-  return *latest_;
-}
-
-// ---------------------------------------------------------------------------
-// WindowedStreamingEstimator
-// ---------------------------------------------------------------------------
-
 std::string_view to_string(FitFreshness f) noexcept {
   switch (f) {
     case FitFreshness::kNone:

@@ -125,21 +125,9 @@ HistogramReadResult read_histogram_csv(std::istream& in,
     if (body.empty() || body.front() == '#') continue;
     if (line_number == 1 && body == "d,count") continue;
     ++out.report.lines_read;
-    const auto row = parse_histogram_row(body);
-    if (row.ok()) {
-      gate.kept();
-      out.histogram.add(row.value().first, row.value().second);
-      continue;
-    }
-    if (opts.policy == ErrorPolicy::kRepair) {
-      const auto salvaged = detail::salvage_u64(body, 2);
-      if (salvaged.size() == 2) {
-        gate.repaired(line_number, row.error(), line);
-        out.histogram.add(salvaged[0], salvaged[1]);
-        continue;
-      }
-    }
-    gate.drop(line_number, row.error(), line);
+    const auto row =
+        gate.accept(line_number, parse_histogram_row(body), body, line);
+    if (row) out.histogram.add(row->first, row->second);
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,27 @@
 #include "palu/obs/names.hpp"
 
 namespace palu::io::detail {
+
+/// Salvage helper for kRepair: extracts the values of up to `want` digit
+/// runs in `body` that parse cleanly as uint64 (overlong runs that would
+/// overflow are passed over).
+inline std::vector<std::uint64_t> salvage_u64(std::string_view body,
+                                              std::size_t want) {
+  std::vector<std::uint64_t> out;
+  std::size_t i = 0;
+  while (i < body.size() && out.size() < want) {
+    if (body[i] < '0' || body[i] > '9') {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < body.size() && body[j] >= '0' && body[j] <= '9') ++j;
+    const auto parsed = parse_u64(body.substr(i, j - i));
+    if (parsed.ok()) out.push_back(parsed.value());
+    i = j;
+  }
+  return out;
+}
 
 /// Applies one ErrorPolicy to a stream of per-line verdicts: throws under
 /// kStrict, otherwise counts drops/repairs, pins the first error, and
@@ -78,6 +100,28 @@ class IngestGate {
     check_budget();
   }
 
+  /// One record line through the policy: the `parsed` value; under kRepair
+  /// the value of the first two unsigned integers salvaged from a line
+  /// that did not parse; otherwise nullopt — a drop, which throws under
+  /// kStrict and once the budget is spent.
+  template <typename T>
+  std::optional<T> accept(std::size_t line_number, const Result<T>& parsed,
+                          std::string_view body, std::string_view line) {
+    if (parsed.ok()) {
+      kept();
+      return parsed.value();
+    }
+    if (opts_.policy == ErrorPolicy::kRepair) {
+      const auto salvaged = salvage_u64(body, 2);
+      if (salvaged.size() == 2) {
+        repaired(line_number, parsed.error(), std::string(line));
+        return T{salvaged[0], salvaged[1]};
+      }
+    }
+    drop(line_number, parsed.error(), std::string(line));
+    return std::nullopt;
+  }
+
  private:
   void note_error(std::size_t line_number, const std::string& message,
                   const std::string& line) {
@@ -112,26 +156,5 @@ class IngestGate {
   obs::Counter& dropped_counter_;
   obs::Counter& budget_counter_;
 };
-
-/// Salvage helper for kRepair: extracts the values of up to `want` digit
-/// runs in `body` that parse cleanly as uint64 (overlong runs that would
-/// overflow are passed over).
-inline std::vector<std::uint64_t> salvage_u64(std::string_view body,
-                                              std::size_t want) {
-  std::vector<std::uint64_t> out;
-  std::size_t i = 0;
-  while (i < body.size() && out.size() < want) {
-    if (body[i] < '0' || body[i] > '9') {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < body.size() && body[j] >= '0' && body[j] <= '9') ++j;
-    const auto parsed = parse_u64(body.substr(i, j - i));
-    if (parsed.ok()) out.push_back(parsed.value());
-    i = j;
-  }
-  return out;
-}
 
 }  // namespace palu::io::detail

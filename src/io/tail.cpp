@@ -11,7 +11,8 @@ namespace palu::io {
 // The internal IngestGate keeps references to the options and the report,
 // so both must live alongside it with stable addresses.
 struct TraceTailReader::Gate {
-  explicit Gate(const IngestOptions& o) : opts(o), gate("trace_tail", opts, report) {}
+  Gate(const char* label, const IngestOptions& o)
+      : opts(o), gate(label, opts, report) {}
 
   IngestOptions opts;
   IngestReport report;
@@ -21,7 +22,12 @@ struct TraceTailReader::Gate {
 
 TraceTailReader::TraceTailReader(const IngestOptions& opts,
                                  std::uint64_t base_offset)
-    : gate_(std::make_unique<Gate>(opts)), consumed_(base_offset) {}
+    : gate_(std::make_unique<Gate>("trace_tail", opts)),
+      consumed_(base_offset) {}
+
+TraceTailReader::TraceTailReader(const char* reader_label,
+                                 const IngestOptions& opts)
+    : gate_(std::make_unique<Gate>(reader_label, opts)) {}
 
 TraceTailReader::~TraceTailReader() = default;
 
@@ -35,24 +41,11 @@ std::size_t TraceTailReader::consume_line(std::string_view line,
   const std::string_view body = detail::trim(line);
   if (body.empty() || body.front() == '#') return 0;
   ++gate_->report.lines_read;
-  auto packet = detail::parse_packet_line(body);
-  if (packet.ok()) {
-    gate_->gate.kept();
-    out.push_back(TailRecord{packet.value(), consumed_});
-    return 1;
-  }
-  if (gate_->opts.policy == ErrorPolicy::kRepair) {
-    const auto salvaged = detail::salvage_u64(body, 2);
-    if (salvaged.size() == 2) {
-      gate_->gate.repaired(gate_->line_number, packet.error(),
-                           std::string(line));
-      out.push_back(
-          TailRecord{traffic::Packet{salvaged[0], salvaged[1]}, consumed_});
-      return 1;
-    }
-  }
-  gate_->gate.drop(gate_->line_number, packet.error(), std::string(line));
-  return 0;
+  const auto packet = gate_->gate.accept(
+      gate_->line_number, detail::parse_packet_line(body), body, line);
+  if (!packet) return 0;
+  out.push_back(TailRecord{*packet, consumed_});
+  return 1;
 }
 
 std::size_t TraceTailReader::feed(std::string_view chunk,

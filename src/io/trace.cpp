@@ -6,40 +6,42 @@
 
 #include "palu/common/error.hpp"
 #include "palu/io/parse.hpp"
+#include "palu/io/tail.hpp"
 #include "ingest_gate.hpp"
 #include "trace_line.hpp"
 
 namespace palu::io {
 
-using detail::parse_packet_line;
 using detail::trim;
+
+IngestReport read_trace(std::istream& in, const IngestOptions& opts,
+                        const PacketSink& sink) {
+  TraceTailReader reader("read_trace", opts);
+  std::vector<TailRecord> records;
+  std::vector<traffic::Packet> packets;
+  const auto hand_off = [&] {
+    packets.clear();
+    for (const TailRecord& r : records) packets.push_back(r.packet);
+    records.clear();
+    if (!packets.empty()) sink(packets);
+  };
+  std::vector<char> chunk(std::size_t{1} << 16);
+  while (in) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    reader.feed({chunk.data(), static_cast<std::size_t>(in.gcount())},
+                records);
+    hand_off();
+  }
+  reader.finish(records);  // end of stream terminates the last line
+  hand_off();
+  return reader.report();
+}
 
 TraceReadResult read_trace(std::istream& in, const IngestOptions& opts) {
   TraceReadResult out;
-  detail::IngestGate gate("read_trace", opts, out.report);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const std::string_view body = trim(line);
-    if (body.empty() || body.front() == '#') continue;
-    ++out.report.lines_read;
-    auto packet = parse_packet_line(body);
-    if (packet.ok()) {
-      gate.kept();
-      out.packets.push_back(packet.value());
-      continue;
-    }
-    if (opts.policy == ErrorPolicy::kRepair) {
-      const auto salvaged = detail::salvage_u64(body, 2);
-      if (salvaged.size() == 2) {
-        gate.repaired(line_number, packet.error(), line);
-        out.packets.push_back(traffic::Packet{salvaged[0], salvaged[1]});
-        continue;
-      }
-    }
-    gate.drop(line_number, packet.error(), line);
-  }
+  out.report = read_trace(in, opts, [&](std::span<const traffic::Packet> p) {
+    out.packets.insert(out.packets.end(), p.begin(), p.end());
+  });
   return out;
 }
 
@@ -96,30 +98,16 @@ EdgeListReadResult read_edge_list(std::istream& in,
       continue;
     }
     ++out.report.lines_read;
-    const auto parsed = parse_packet_line(body);
-    bool repaired = false;
-    graph::Edge edge{};
-    if (parsed.ok()) {
-      edge = graph::Edge{parsed.value().src, parsed.value().dst};
-      gate.kept();
-    } else {
-      if (opts.policy == ErrorPolicy::kRepair) {
-        const auto salvaged = detail::salvage_u64(body, 2);
-        if (salvaged.size() == 2) {
-          edge = graph::Edge{salvaged[0], salvaged[1]};
-          gate.repaired(line_number, parsed.error(), line);
-          repaired = true;
-        }
-      }
-      if (!repaired) {
-        gate.drop(line_number, parsed.error(), line);
-        continue;
-      }
-    }
-    max_endpoint = std::max({max_endpoint, edge.u, edge.v});
-    edges.push_back(edge);
+    // The gate counts a salvaged line as repaired; the declared-range check
+    // below needs to know which edges were.
+    const std::size_t repaired_before = out.report.lines_repaired;
+    const auto packet = gate.accept(
+        line_number, detail::parse_packet_line(body), body, line);
+    if (!packet) continue;
+    max_endpoint = std::max({max_endpoint, packet->src, packet->dst});
+    edges.push_back(graph::Edge{packet->src, packet->dst});
     edge_lines.push_back(line_number);
-    edge_was_repaired.push_back(repaired);
+    edge_was_repaired.push_back(out.report.lines_repaired != repaired_before);
   }
   if (have_declaration) {
     // Endpoints past the declaration are data errors discovered late; the

@@ -1,5 +1,5 @@
-// Internal "src dst" line parsing shared by the batch trace reader and
-// the streaming tail reader.  Not installed.
+// Internal "src dst" line parsing shared by the trace reader
+// (TraceTailReader) and read_edge_list.  Not installed.
 #pragma once
 
 #include <string_view>

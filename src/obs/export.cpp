@@ -394,4 +394,12 @@ std::vector<std::string> validate_prometheus(std::istream& is) {
   return errors;
 }
 
+std::string prom_path_for(const std::string& json_path) {
+  const std::size_t dot = json_path.find_last_of('.');
+  const std::size_t slash = json_path.find_last_of('/');
+  const bool has_extension =
+      dot != std::string::npos && (slash == std::string::npos || dot > slash);
+  return (has_extension ? json_path.substr(0, dot) : json_path) + ".prom";
+}
+
 }  // namespace palu::obs

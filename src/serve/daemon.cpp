@@ -57,16 +57,6 @@ bool write_file_atomically(const std::string& path,
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
-std::string prom_sibling(const std::string& json_path) {
-  const std::size_t slash = json_path.find_last_of('/');
-  const std::size_t dot = json_path.find_last_of('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return json_path + ".prom";
-  }
-  return json_path.substr(0, dot) + ".prom";
-}
-
 }  // namespace
 
 ServeDaemon::ServeDaemon(ServeOptions opts)
@@ -504,7 +494,7 @@ void ServeDaemon::write_snapshot() {
       opts_.snapshot_path,
       [&](std::ostream& out) { obs::write_json(out, snap); });
   const bool prom_ok = write_file_atomically(
-      prom_sibling(opts_.snapshot_path),
+      obs::prom_path_for(opts_.snapshot_path),
       [&](std::ostream& out) { obs::write_prometheus(out, snap); });
   if (json_ok && prom_ok) snapshot_writes_.inc();
 }

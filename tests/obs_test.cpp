@@ -255,5 +255,12 @@ TEST(Export, ValidatorRejectsMalformedExposition) {
   EXPECT_EQ(first_error(""), std::string{});
 }
 
+TEST(Export, PromPathReplacesOnlyTheFileExtension) {
+  EXPECT_EQ(prom_path_for("metrics.json"), "metrics.prom");
+  EXPECT_EQ(prom_path_for("metrics"), "metrics.prom");
+  // A dot in a directory name is not the file's extension.
+  EXPECT_EQ(prom_path_for("out.d/metrics"), "out.d/metrics.prom");
+}
+
 }  // namespace
 }  // namespace palu::obs

@@ -1,5 +1,5 @@
 // Unit tests for the DMS tunable-exponent growth core, the webcrawl
-// sampler, and the streaming PALU estimator.
+// sampler, and the windowed streaming PALU estimator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -138,109 +138,46 @@ TEST(BfsCrawl, ValidatesArguments) {
 
 // ------------------------------------------------------------ streaming
 
-TEST(StreamingEstimator, ConvergesToBatchFit) {
-  const auto params = core::PaluParams::solve_hubs(4.0, 0.35, 0.25, 2.2,
-                                                   0.8);
-  Rng rng(9);
-  core::StreamingPaluEstimator streaming;
-  stats::DegreeHistogram batch;
-  for (int w = 0; w < 6; ++w) {
-    Rng wrng = rng.fork(w + 1);
-    const auto h = core::sample_observed_degrees(params, 60000, wrng);
-    streaming.add_window(h);
-    batch.merge(h);
-  }
-  EXPECT_EQ(streaming.windows_seen(), 6u);
-  ASSERT_TRUE(streaming.has_fit());
-  const auto batch_fit = core::fit_palu(batch);
-  EXPECT_DOUBLE_EQ(streaming.current().alpha, batch_fit.alpha);
-  EXPECT_DOUBLE_EQ(streaming.current().mu, batch_fit.mu);
-  EXPECT_EQ(streaming.aggregate().total(), batch.total());
-}
-
-TEST(StreamingEstimator, HistoryTracksEveryRefit) {
-  const auto params = core::PaluParams::solve_hubs(4.0, 0.35, 0.25, 2.2,
-                                                   0.8);
-  Rng rng(10);
-  core::StreamingPaluEstimator streaming;
-  for (int w = 0; w < 4; ++w) {
-    Rng wrng = rng.fork(w + 100);
-    streaming.add_window(
-        core::sample_observed_degrees(params, 40000, wrng));
-  }
-  EXPECT_EQ(streaming.history().size(), 4u);
-  // Estimates should tighten: later alphas at least as close to truth on
-  // average (weak check: last within band).
-  EXPECT_NEAR(streaming.history().back().alpha, params.alpha, 0.35);
-}
-
-TEST(StreamingEstimator, HistoryCapBoundsRetainedRefits) {
-  // Regression: history_ grew without bound, one PaluFit per refit, so a
-  // long-lived streaming estimator leaked memory linearly in windows.
-  // With a cap the newest entries are kept and the trajectory matches the
-  // uncapped run's tail; cap 0 (the default) keeps everything.
-  const auto params = core::PaluParams::solve_hubs(4.0, 0.35, 0.25, 2.2,
-                                                   0.8);
-  Rng rng(12);
-  core::StreamingPaluEstimator uncapped;
-  core::StreamingPaluEstimator capped({}, /*history_cap=*/3);
-  EXPECT_EQ(capped.history_cap(), 3u);
-  for (int w = 0; w < 7; ++w) {
-    Rng wrng = rng.fork(w + 200);
-    const auto h = core::sample_observed_degrees(params, 40000, wrng);
-    Rng wrng_again = rng.fork(w + 200);
-    const auto h_again =
-        core::sample_observed_degrees(params, 40000, wrng_again);
-    uncapped.add_window(h);
-    capped.add_window(h_again);
-  }
-  ASSERT_EQ(uncapped.history().size(), 7u);
-  ASSERT_EQ(capped.history().size(), 3u);
-  // The cap drops oldest-first: the retained entries are exactly the
-  // uncapped run's last three, in order.
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(capped.history()[i].alpha,
-                     uncapped.history()[4 + i].alpha);
-    EXPECT_DOUBLE_EQ(capped.history()[i].mu, uncapped.history()[4 + i].mu);
-  }
-  // Aggregate state (and thus the live fit) is unaffected by the cap.
-  EXPECT_DOUBLE_EQ(capped.current().alpha, uncapped.current().alpha);
-  EXPECT_EQ(capped.aggregate().total(), uncapped.aggregate().total());
-}
-
-TEST(StreamingEstimator, AbsorbsThinWindowsSilently) {
-  core::StreamingPaluEstimator streaming;
+TEST(WindowedStreamingEstimator, ThinFirstWindowLeavesLanesUnfitted) {
+  // A first window too thin to fit has no earlier parameters to fall back
+  // on: both lanes stay kNone and say why, and refit_window does not throw.
+  core::WindowedStreamingEstimator est;
   stats::DegreeHistogram thin;
   thin.add(1, 5);
   thin.add(2, 2);
-  streaming.add_window(thin);  // unfittable: no tail support
-  EXPECT_EQ(streaming.windows_seen(), 1u);
-  EXPECT_FALSE(streaming.has_fit());
-  EXPECT_THROW(streaming.current(), DataError);
+  core::StreamingRefit refit;
+  ASSERT_NO_THROW(refit = est.refit_window(thin));
+  EXPECT_EQ(est.windows_seen(), 1u);
+  EXPECT_FALSE(refit.fresh);
+  for (const core::StreamingFitSnapshot* lane :
+       {&refit.window, &refit.sliding}) {
+    EXPECT_EQ(lane->freshness, core::FitFreshness::kNone);
+    EXPECT_FALSE(lane->error.empty());
+  }
 }
 
-TEST(StreamingEstimator, DriftShowsUpInHistory) {
-  // Feed windows from a low-λ regime, then a high-λ regime: the μ
-  // trajectory must move up.
+TEST(WindowedStreamingEstimator, BotWindowLiftsTumblingMu) {
+  // Three windows from a low-λ regime, then one from a high-λ regime: the
+  // tumbling lane fits that window alone, so its μ moves at once.  A
+  // ladder warm-started from the calm fit settled at μ ≈ 0.6 here; the
+  // shift has to start it cold.
   Rng rng(11);
-  core::StreamingPaluEstimator calm_then_botty;
   const auto calm = core::PaluParams::solve_hubs(1.0, 0.35, 0.25, 2.2,
                                                  1.0);
   const auto botty = core::PaluParams::solve_hubs(8.0, 0.35, 0.25, 2.2,
                                                   1.0);
+  core::WindowedStreamingEstimator est;
   for (int w = 0; w < 3; ++w) {
     Rng wrng = rng.fork(w + 1);
-    calm_then_botty.add_window(
-        core::sample_observed_degrees(calm, 80000, wrng));
+    est.refit_window(core::sample_observed_degrees(calm, 80000, wrng));
   }
-  const double mu_before = calm_then_botty.current().mu;
-  for (int w = 0; w < 6; ++w) {
-    Rng wrng = rng.fork(w + 50);
-    calm_then_botty.add_window(
-        core::sample_observed_degrees(botty, 80000, wrng));
-  }
-  const double mu_after = calm_then_botty.current().mu;
-  EXPECT_GT(mu_after, 2.0 * mu_before);
+  ASSERT_EQ(est.window_fit().freshness, core::FitFreshness::kFresh);
+  const double mu_before = est.window_fit().fit.mu;
+  Rng wrng = rng.fork(50);
+  const auto refit =
+      est.refit_window(core::sample_observed_degrees(botty, 80000, wrng));
+  ASSERT_TRUE(refit.fresh);
+  EXPECT_GE(refit.window.fit.mu, 2.0 * mu_before);
 }
 
 }  // namespace

@@ -12,11 +12,15 @@
 //       Prints the Fig-2 topology census of each window.
 //   help
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "palu/cli/args.hpp"
@@ -38,6 +42,21 @@ std::uint64_t get_count(const cli::Args& args, const char* name,
                           std::to_string(v));
   }
   return static_cast<std::uint64_t>(v);
+}
+
+// Millisecond flags parse as doubles.  serve hands them to poll()'s int
+// timeout and to deadline arithmetic, where NaN, an infinity or a value
+// past int's range is undefined behaviour or a wait that never ends, so
+// each is range-checked before the daemon starts.
+double get_ms(const cli::Args& args, const char* name, double fallback,
+              double min_value, double max_value = HUGE_VAL) {
+  const double v = args.get_double(name, fallback);
+  if (std::isfinite(v) && v >= min_value && v <= max_value) return v;
+  char what[160];
+  std::snprintf(what, sizeof what,
+                "--%s must be finite and in [%.10g, %.10g], got %g", name,
+                min_value, max_value, v);
+  throw InvalidArgument(what);
 }
 
 int cmd_generate(const cli::Args& args) {
@@ -70,6 +89,16 @@ IngestOptions ingest_options(const cli::Args& args) {
   return opts;
 }
 
+// The input a FILE|- flag names: stdin for "-", else `in` opened at
+// `path`.
+std::istream& open_input(const std::string& path, std::ifstream& in,
+                         const std::string& what) {
+  if (path == "-") return std::cin;
+  in.open(path);
+  PALU_CHECK(static_cast<bool>(in), "cannot open " + what + " file: " + path);
+  return in;
+}
+
 // Ingest accounting goes to stderr so piped CSV output stays clean.
 void report_ingest(const char* what, const IngestReport& report) {
   if (!report.clean()) {
@@ -78,40 +107,53 @@ void report_ingest(const char* what, const IngestReport& report) {
   }
 }
 
-std::vector<traffic::Packet> load_trace(const cli::Args& args) {
+using TraceWindowFn =
+    std::function<void(std::size_t, std::span<const traffic::Packet>)>;
+
+// Reads --trace and hands each run of n_valid consecutive packets to
+// `window` as it is cut, with its index; a trailing partial window is
+// dropped.  Holds O(n_valid) packets however long the trace is.  Returns
+// the window count; a trace shorter than one window is a usage error.
+std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
+                                  const TraceWindowFn& window) {
   const std::string path = args.get_string("trace", "");
   PALU_CHECK(!path.empty(), "missing --trace FILE");
   const IngestOptions opts = ingest_options(args);
-  io::TraceReadResult result;
-  if (path == "-") {
-    result = io::read_trace(std::cin, opts);
-  } else {
-    std::ifstream in(path);
-    PALU_CHECK(static_cast<bool>(in), "cannot open trace file: " + path);
-    result = io::read_trace(in, opts);
-  }
-  report_ingest("trace", result.report);
-  return std::move(result.packets);
+  std::ifstream file;
+  std::istream& in = open_input(path, file, "trace");
+  std::vector<traffic::Packet> pending;
+  std::size_t windows = 0;
+  const IngestReport report =
+      io::read_trace(in, opts, [&](std::span<const traffic::Packet> batch) {
+        for (const traffic::Packet& p : batch) {
+          pending.push_back(p);
+          if (pending.size() == n_valid) {
+            window(windows++, pending);
+            pending.clear();
+          }
+        }
+      });
+  report_ingest("trace", report);
+  PALU_CHECK(windows > 0, "trace smaller than one window");
+  return windows;
 }
 
 int cmd_analyze(const cli::Args& args) {
   const Count n_valid = get_count(args, "nvalid", 50000, 1);
-  const auto packets = load_trace(args);
-  PALU_CHECK(packets.size() >= n_valid,
-             "trace smaller than one window");
   stats::BinnedEnsemble ensemble;
   stats::DegreeHistogram merged;
   Degree dmax = 0;
-  const std::size_t windows = packets.size() / n_valid;
-  for (std::size_t t = 0; t < windows; ++t) {
-    const std::span<const traffic::Packet> slice(
-        packets.data() + t * n_valid, n_valid);
-    const auto h = traffic::undirected_degree_histogram(
-        traffic::SparseCountMatrix::from_packets(slice));
-    dmax = std::max(dmax, h.max_degree());
-    ensemble.add(stats::LogBinned::from_histogram(h));
-    merged.merge(h);
-  }
+  traffic::WindowAccumulator acc;
+  const std::size_t windows = for_each_trace_window(
+      args, n_valid,
+      [&](std::size_t, std::span<const traffic::Packet> window) {
+        acc.begin_window();
+        acc.add_packets(window);
+        const auto h = acc.histogram(traffic::Quantity::kUndirectedDegree);
+        dmax = std::max(dmax, h.max_degree());
+        ensemble.add(stats::LogBinned::from_histogram(h));
+        merged.merge(h);
+      });
   fit::ZmFitOptions opts;
   opts.bin_sigma = ensemble.stddev();
   const auto zm = fit::fit_zipf_mandelbrot(
@@ -329,42 +371,38 @@ void print_store_stats(const char* what, const std::string& dir,
               static_cast<unsigned long long>(stats.file_bytes), per_record);
 }
 
-int cmd_capture(const cli::Args& args) {
-  const std::string dir = args.get_string("store", "");
-  PALU_CHECK(!dir.empty(), "missing --store DIR");
-  if (!args.get_string("trace", "").empty()) {
-    // Trace mode: window a recorded trace and archive each window's pair
-    // counts.  The node domain recorded in the header is inferred from
-    // the trace (max id + 1).
-    const Count n_valid = get_count(args, "nvalid", 50000, 1);
-    const auto packets = load_trace(args);
-    PALU_CHECK(packets.size() >= n_valid, "trace smaller than one window");
-    NodeId domain = 1;
-    for (const auto& p : packets) {
-      domain = std::max(domain, std::max(p.src, p.dst) + 1);
-    }
-    store::WriterOptions wopts;
-    wopts.node_domain = domain;
-    store::WindowStoreWriter writer(dir, wopts);
-    traffic::WindowAccumulator acc;
-    std::vector<traffic::EdgePacketCounts> records;
-    const std::size_t windows = packets.size() / n_valid;
-    for (std::size_t t = 0; t < windows; ++t) {
-      acc.begin_window();
-      acc.add_packets(
-          std::span<const traffic::Packet>(packets.data() + t * n_valid,
-                                           n_valid));
-      records.clear();
-      acc.export_counts(records);
-      writer.append(t, n_valid, records);
-    }
-    writer.finish();
-    print_store_stats("capture", dir, writer.stats());
-    return 0;
-  }
-  // Synthesis mode: the sweep's network/window knobs, teed into the store
-  // while the sweep runs.  Replaying the store later reproduces this
-  // exact ensemble without a graph, rates, or RNG.
+// Trace mode: window a recorded trace as it is read and archive each
+// window's pair counts.  The writer opens at the first window with node
+// domain 1 and widens it at finish() to the archived windows' ids, as
+// `serve --record` does.
+int capture_trace(const cli::Args& args, const std::string& dir,
+                  std::unique_ptr<store::WindowStoreWriter>& writer) {
+  const Count n_valid = get_count(args, "nvalid", 50000, 1);
+  traffic::WindowAccumulator acc;
+  std::vector<traffic::EdgePacketCounts> records;
+  for_each_trace_window(
+      args, n_valid,
+      [&](std::size_t t, std::span<const traffic::Packet> window) {
+        if (writer == nullptr) {
+          writer = std::make_unique<store::WindowStoreWriter>(
+              dir, store::WriterOptions{.node_domain = 1});
+        }
+        acc.begin_window();
+        acc.add_packets(window);
+        records.clear();
+        acc.export_counts(records);
+        writer->append(t, n_valid, records);
+      });
+  writer->finish();
+  print_store_stats("capture", dir, writer->stats());
+  return 0;
+}
+
+// Synthesis mode: the sweep's network/window knobs, teed into the store
+// while the sweep runs.  Replaying the store later reproduces this exact
+// ensemble without a graph, rates, or RNG.
+int capture_sweep(const cli::Args& args, const std::string& dir,
+                  std::unique_ptr<store::WindowStoreWriter>& writer) {
   const auto params = core::PaluParams::solve_hubs(
       args.get_double("lambda", 3.0), args.get_double("core", 0.4),
       args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
@@ -392,16 +430,16 @@ int cmd_capture(const cli::Args& args) {
   // record what the sweep actually ran over.
   wopts.node_domain = net.graph.num_nodes();
   wopts.seed = seed;
-  store::WindowStoreWriter writer(dir, wopts);
-  opts.capture = &writer;
+  writer = std::make_unique<store::WindowStoreWriter>(dir, wopts);
+  opts.capture = writer.get();
   traffic::RateModel rates;
   rates.kind = traffic::RateModel::Kind::kPareto;
   ThreadPool pool;
   const auto sweep =
       traffic::sweep_windows(net.graph, rates, n_valid, windows, quantity,
                              seed, pool, opts);
-  writer.finish();
-  print_store_stats("capture", dir, writer.stats());
+  writer->finish();
+  print_store_stats("capture", dir, writer->stats());
   std::printf("sweep: %zu windows, quantity=%s, d_max=%llu "
               "merged_total=%llu\n",
               sweep.windows,
@@ -409,6 +447,27 @@ int cmd_capture(const cli::Args& args) {
               static_cast<unsigned long long>(sweep.max_value),
               static_cast<unsigned long long>(sweep.merged.total()));
   return 0;
+}
+
+int cmd_capture(const cli::Args& args) {
+  const std::string dir = args.get_string("store", "");
+  PALU_CHECK(!dir.empty(), "missing --store DIR");
+  // A capture that fails after opening its writer removes the store file:
+  // the writer's destructor seals whatever was appended, and that partial
+  // store would pass `replay --verify`.
+  std::unique_ptr<store::WindowStoreWriter> writer;
+  try {
+    return args.get_string("trace", "").empty()
+               ? capture_sweep(args, dir, writer)
+               : capture_trace(args, dir, writer);
+  } catch (...) {
+    if (writer != nullptr) {
+      writer.reset();  // closes the file before it is removed
+      std::error_code ec;
+      std::filesystem::remove(store::WindowStoreWriter::store_file(dir), ec);
+    }
+    throw;
+  }
 }
 
 int cmd_replay(const cli::Args& args) {
@@ -496,18 +555,7 @@ int cmd_check_metrics(const cli::Args& args) {
 }
 
 // --metrics FILE: export the default registry after the command ran —
-// JSON at FILE, Prometheus text alongside it at FILE with the extension
-// replaced by '.prom'.
-std::string prom_path_for(const std::string& json_path) {
-  const std::size_t slash = json_path.find_last_of('/');
-  const std::size_t dot = json_path.find_last_of('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return json_path + ".prom";
-  }
-  return json_path.substr(0, dot) + ".prom";
-}
-
+// JSON at FILE, Prometheus text alongside it (obs::prom_path_for).
 void export_metrics(const std::string& json_path) {
   const auto snap = obs::default_registry().snapshot();
   {
@@ -516,7 +564,7 @@ void export_metrics(const std::string& json_path) {
                "cannot write metrics file: " + json_path);
     obs::write_json(out, snap);
   }
-  const std::string prom = prom_path_for(json_path);
+  const std::string prom = obs::prom_path_for(json_path);
   std::ofstream out(prom);
   PALU_CHECK(static_cast<bool>(out), "cannot write metrics file: " + prom);
   obs::write_prometheus(out, snap);
@@ -527,24 +575,22 @@ void export_metrics(const std::string& json_path) {
 
 int cmd_census(const cli::Args& args) {
   const Count n_valid = get_count(args, "nvalid", 50000, 1);
-  const auto packets = load_trace(args);
-  PALU_CHECK(packets.size() >= n_valid,
-             "trace smaller than one window");
-  const std::size_t windows = packets.size() / n_valid;
-  std::printf("window  links  un.links  stars  core.comps  largest\n");
-  for (std::size_t t = 0; t < windows; ++t) {
-    const std::span<const traffic::Packet> slice(
-        packets.data() + t * n_valid, n_valid);
-    const auto window = traffic::SparseCountMatrix::from_packets(slice);
-    const auto census =
-        graph::classify_topology(traffic::window_to_graph(window));
-    std::printf("%6zu %6zu %9llu %6llu %11llu %8llu\n", t,
-                window.nnz(),
-                static_cast<unsigned long long>(census.unattached_links),
-                static_cast<unsigned long long>(census.star_components),
-                static_cast<unsigned long long>(census.core_components),
-                static_cast<unsigned long long>(census.largest_component));
-  }
+  for_each_trace_window(
+      args, n_valid,
+      [](std::size_t t, std::span<const traffic::Packet> packets) {
+        if (t == 0) {
+          std::printf("window  links  un.links  stars  core.comps  largest\n");
+        }
+        const auto window = traffic::SparseCountMatrix::from_packets(packets);
+        const auto census =
+            graph::classify_topology(traffic::window_to_graph(window));
+        std::printf(
+            "%6zu %6zu %9llu %6llu %11llu %8llu\n", t, window.nnz(),
+            static_cast<unsigned long long>(census.unattached_links),
+            static_cast<unsigned long long>(census.star_components),
+            static_cast<unsigned long long>(census.core_components),
+            static_cast<unsigned long long>(census.largest_component));
+      });
   return 0;
 }
 
@@ -552,14 +598,9 @@ int cmd_graph_census(const cli::Args& args) {
   const std::string path = args.get_string("graph", "");
   PALU_CHECK(!path.empty(), "missing --graph FILE");
   const IngestOptions opts = ingest_options(args);
-  io::EdgeListReadResult result;
-  if (path == "-") {
-    result = io::read_edge_list(std::cin, opts);
-  } else {
-    std::ifstream in(path);
-    PALU_CHECK(static_cast<bool>(in), "cannot open graph file: " + path);
-    result = io::read_edge_list(in, opts);
-  }
+  std::ifstream file;
+  const io::EdgeListReadResult result =
+      io::read_edge_list(open_input(path, file, "graph"), opts);
   report_ingest("edge-list", result.report);
   const graph::Graph& g = result.graph;
   const auto census = graph::classify_topology(g);
@@ -602,15 +643,9 @@ int cmd_zoo(const cli::Args& args) {
   const std::string path = args.get_string("histogram", "");
   PALU_CHECK(!path.empty(), "missing --histogram FILE");
   const IngestOptions opts = ingest_options(args);
-  io::HistogramReadResult result;
-  if (path == "-") {
-    result = io::read_histogram_csv(std::cin, opts);
-  } else {
-    std::ifstream in(path);
-    PALU_CHECK(static_cast<bool>(in),
-               "cannot open histogram file: " + path);
-    result = io::read_histogram_csv(in, opts);
-  }
+  std::ifstream file;
+  const io::HistogramReadResult result =
+      io::read_histogram_csv(open_input(path, file, "histogram"), opts);
   report_ingest("histogram", result.report);
   const stats::DegreeHistogram& h = result.histogram;
   const auto ranking = fit::fit_all_models(h);
@@ -643,7 +678,7 @@ int cmd_serve(const cli::Args& args) {
   opts.streaming.warm_start =
       args.get_string("warm-start", "on") != "off";
   opts.max_windows = get_count(args, "max-windows", 0, 0);
-  opts.fit_deadline_ms = args.get_double("fit-deadline-ms", 0.0);
+  opts.fit_deadline_ms = get_ms(args, "fit-deadline-ms", 0.0, 0.0);
   opts.queue_capacity =
       static_cast<std::size_t>(get_count(args, "queue", 65536, 1));
   opts.backpressure =
@@ -653,10 +688,12 @@ int cmd_serve(const cli::Args& args) {
   opts.restore = args.get_flag("restore");
   opts.snapshot_path = args.get_string("snapshot", "");
   opts.snapshot_interval_ms =
-      args.get_double("snapshot-interval-ms", 1000.0);
+      get_ms(args, "snapshot-interval-ms", 1000.0, 0.0);
   opts.max_stage_restarts = get_count(args, "max-restarts", 5, 0);
-  opts.drain_deadline_ms = args.get_double("drain-deadline-ms", 5000.0);
-  opts.poll_interval_ms = args.get_double("poll-interval-ms", 50.0);
+  opts.drain_deadline_ms = get_ms(args, "drain-deadline-ms", 5000.0, 0.0);
+  // poll()'s int timeout, where -1 would mean "wait forever".
+  opts.poll_interval_ms =
+      get_ms(args, "poll-interval-ms", 50.0, 1.0, 2147483647.0);
   opts.record_path = args.get_string("record", "");
   PALU_CHECK(!(opts.restore && opts.checkpoint_path.empty()),
              "--restore needs --checkpoint FILE");

@@ -1,7 +1,8 @@
-// The Section IV-B parameter-estimation pipeline.
+// The Section IV-B parameter-estimation pipeline and the estimator that
+// serves it.
 //
 // Given an observed degree distribution, recover the simplified PALU
-// constants:
+// constants.  fit_palu is the paper's staged moment recipe:
 //
 //  (a) Fit c and α to the tail (d >= tail_min, default 10) of the degree
 //      distribution by weighted log-log linear regression (Eq. 4: slope
@@ -16,6 +17,13 @@
 //      point-wise alternative is provided for the ablation bench.
 //  (c) u = Σ e(d) / (e^μ − 1 − μ), then l from the degree-1 mass:
 //      share(1) = c + l + u·μ·(e^μ + 1).
+//
+// robust_fit_palu serves the profile-likelihood MLE of the same law
+// (THEORY.md, "Profile likelihood"): l absorbs the d = 1 cell, d >= 2 is a
+// two-component mixture of d^{−α}/(ζ(α)−1) and (μ^d/d!)/(e^μ−1−μ) whose
+// weight solves a concave 1-D problem, and (α, μ) come from a coarse grid
+// polished by Nelder–Mead.  fit_palu is one of its candidate starts and
+// the answer when it fails.
 #pragma once
 
 #include <cstdint>
@@ -76,12 +84,16 @@ struct PaluFit {
   /// The paper's Λ = e·λ·p.
   double lambda_cap() const;
 
-  // Diagnostics.
+  // Diagnostics of the staged pipeline.  An `mle` fit carries those of
+  // the fit_palu run beside it (zero when that run failed); only
+  // mu_identifiable is the profile fit's own.
   double tail_r_squared = 0.0;   ///< goodness of the step-(a) regression
   double excess_mass = 0.0;      ///< Σ e(d) used in (b)/(c)
   double moment_ratio = 0.0;     ///< R fed into g^{-1}
   std::size_t tail_points = 0;   ///< support points in the (a) regression
-  bool mu_identifiable = true;   ///< false when R <= 2 forced μ = 0
+  /// false when R <= 2 forced μ = 0 (moments), or when the profile fit
+  /// found no star bump (μ = u = 0) or put μ on a search bound.
+  bool mu_identifiable = true;
 
   /// Model prediction share(d) implied by the fit (Poisson star bump).
   double predicted_share(Degree d) const;
@@ -109,38 +121,26 @@ PaluFitCi bootstrap_palu_fit(const stats::DegreeHistogram& h, Rng& rng,
                              const fit::BootstrapOptions& boot_opts = {},
                              const PaluFitOptions& fit_opts = {});
 
-/// Joint polish: starting from a IV-B pipeline fit, refines
-/// (α, c, μ, u, l) together by Levenberg–Marquardt on the weighted
-/// residuals between predicted_share(d) and the empirical pmf over
-/// d = 1..refine_max (weights √n(d), i.e. Poisson-ish).  Typically
-/// shaves the remaining bias of the staged pipeline; falls back to the
-/// input fit if LM cannot improve it.
-PaluFit refine_palu_fit(const stats::EmpiricalDistribution& dist,
-                        const PaluFit& initial, Degree refine_max = 256);
-
-/// Degraded-mode estimation: a PaluFit tagged with the optimizer stage
-/// that produced it (see fit::RobustStage) plus per-stage diagnostics.
+/// A PaluFit tagged with the estimator that produced it (see
+/// fit::RobustStage).
 struct RobustPaluFit {
   PaluFit fit;
   fit::RobustStage stage = fit::RobustStage::kFailed;
-  std::vector<fit::StageDiagnostic> diagnostics;
-  std::string error;  ///< why everything failed, when stage == kFailed
-  /// True when the staged moment pipeline failed on this window and the
-  /// caller-supplied warm-start parameters served as the base fit instead
-  /// (warm overloads only) — a lower-provenance result worth surfacing.
-  bool warm_base = false;
+  std::string error;  ///< why both estimators failed, when stage == kFailed
 
   bool ok() const noexcept { return stage != fit::RobustStage::kFailed; }
 };
 
-/// Resilient driver around the IV-B pipeline: the staged moment pipeline
-/// supplies the closed-form base fit (retried with relaxed tail starts on
-/// thin data), then fit::robust chains the LM polish and a Nelder–Mead
-/// rescue on top with bounded jittered restarts.  Degradation order:
-/// kLevMar (polished) → kNelderMead → kMoments (staged pipeline as-is).
-/// Never throws for bad data — a window the pipeline cannot fit at all
-/// comes back with stage == kFailed and the reason in `error`, so a
-/// multi-window sweep keeps its remaining windows.
+/// The served PALU estimator.  Fits the profile-likelihood MLE (kMle) and
+/// falls back to the staged moment pipeline (kMoments, retried with
+/// relaxed tail starts on thin data) when the profile fit fails: fewer
+/// than 5 occupied cells at d >= 2, no degree-1 mass, or an injected
+/// `fit.palu_mle` fault.  Degrees above `refine_max` (at least 8) form
+/// one pooled cell, so the fit's cost does not grow with d_max.  μ is
+/// searched in [0.05, fit_opts.mu_cap] and α in [1.01, 30].  Never throws
+/// for bad data — a window neither estimator can fit comes back with
+/// stage == kFailed and the reason in `error`, so a multi-window sweep
+/// keeps its remaining windows.
 RobustPaluFit robust_fit_palu(
     const stats::EmpiricalDistribution& dist,
     const PaluFitOptions& fit_opts = {},
@@ -153,13 +153,11 @@ RobustPaluFit robust_fit_palu(
     const fit::RobustFitOptions& robust_opts = {},
     Degree refine_max = 256);
 
-/// Warm-started variant for streaming refits: the LM → Nelder–Mead ladder
-/// starts from `warm` (the previous window's parameters) instead of the
-/// staged pipeline's estimate, and when the staged pipeline fails outright
-/// on a pathological window, `warm` itself serves as the base fit
-/// (result tagged `warm_base`), so a window the cold pipeline cannot fit
-/// still yields usable parameters.  Identical to robust_fit_palu when the
-/// warm start neither helps nor is needed as a base.
+/// Streaming variant: `warm` (the previous window's parameters) joins the
+/// grid optimum and the moment fit as one more candidate start of the
+/// polish.  The grid still runs, so a regime shift cannot trap the fit in
+/// the previous window's basin.  A pure function of its arguments, like
+/// robust_fit_palu.
 RobustPaluFit robust_fit_palu_warm(
     const stats::EmpiricalDistribution& dist, const PaluFit& warm,
     const PaluFitOptions& fit_opts = {},
@@ -172,6 +170,16 @@ RobustPaluFit robust_fit_palu_warm(
     const PaluFitOptions& fit_opts = {},
     const fit::RobustFitOptions& robust_opts = {},
     Degree refine_max = 256);
+
+/// The profile log-likelihood the served fit maximizes: the d >= 2 cells
+/// (those above `refine_max` pooled) under the two-component mixture at
+/// (α, μ), maximized over the weight subject to l >= 0; μ = 0 means the
+/// zeta component alone.  In nats, summed over observations; −inf where
+/// no weight keeps l >= 0.  Throws palu::InvalidArgument for α <= 1 or
+/// μ < 0.
+double palu_profile_log_likelihood(const stats::EmpiricalDistribution& dist,
+                                   double alpha, double mu,
+                                   Degree refine_max = 256);
 
 /// Ablation twin of step (b): estimates μ by point-wise matching of
 /// consecutive excess ratios e(d+1)/e(d) = μ/(d+1) instead of the moment

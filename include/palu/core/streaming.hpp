@@ -4,13 +4,15 @@
 // an operator wants running parameter estimates, not a one-shot batch
 // fit.  WindowedStreamingEstimator fits each window on its own (tumbling
 // lane) and as part of a bounded sliding horizon of recent windows
-// (sliding lane), with the robust LM → Nelder–Mead → moments ladder
-// warm-started from the previous window's parameters.  Both lanes keep
-// bounded state, so an unbounded stream cannot grow the estimator, and
-// the tumbling lane follows a regime change within one window.  A window
-// the ladder cannot fit — or one force-degraded by the caller (fit
-// deadline, injected fault) — keeps the previous parameters tagged
-// kStale instead of failing, so the service degrades rather than dies.
+// (sliding lane) with robust_fit_palu_warm: the profile-likelihood fit,
+// with the previous window's parameters as one more candidate start, and
+// the moment fit when it fails.  Both lanes keep bounded state, so an
+// unbounded stream cannot grow the estimator, and the tumbling lane
+// follows a regime change within one window (the grid runs on every
+// window).  A window neither estimator can fit — or one force-degraded
+// by the caller (fit deadline, injected fault) — keeps the previous
+// parameters tagged kStale instead of failing, so the service degrades
+// rather than dies.
 // The complete estimator state (lanes + horizon) is exposed for
 // checkpointing: restoring a StreamingState and replaying the same
 // windows reproduces the exact fits of an uninterrupted run.
@@ -32,13 +34,13 @@ namespace palu::core {
 struct StreamingOptions {
   PaluFitOptions fit;
   fit::RobustFitOptions robust;
-  /// Joint-polish degree cap forwarded to the robust ladder.
+  /// Degrees above this form the profile fit's pooled tail cell.
   Degree refine_max = 256;
   /// Windows merged into the sliding lane (>= 1).  The horizon is a
   /// bounded deque: window t's sliding fit sees windows
   /// [t − horizon + 1, t].
   std::size_t sliding_horizon = 4;
-  /// Seed each window's ladder from the previous window's parameters.
+  /// Offer the previous window's parameters as a candidate start.
   bool warm_start = true;
   /// Also fit the modified Zipf–Mandelbrot model per window.
   bool fit_zm = true;
@@ -59,9 +61,6 @@ struct StreamingFitSnapshot {
   PaluFit fit;
   fit::RobustStage stage = fit::RobustStage::kFailed;
   FitFreshness freshness = FitFreshness::kNone;
-  /// The staged pipeline failed and the warm-start parameters served as
-  /// the base fit (see RobustPaluFit::warm_base).
-  bool warm_base = false;
   fit::ZmFitResult zm;
   bool zm_valid = false;
   /// Why the most recent window degraded this lane (empty when fresh).
@@ -107,7 +106,8 @@ class WindowedStreamingEstimator {
   /// (deadline overrun, injected fault): the histogram still enters the
   /// horizon — so a later restore replay stays consistent — but both
   /// lanes keep their previous parameters tagged kStale.  Never throws
-  /// for bad data; a window the ladder cannot fit degrades the same way.
+  /// for bad data; a window neither estimator can fit degrades the same
+  /// way.
   StreamingRefit refit_window(const stats::DegreeHistogram& window,
                               std::string_view forced_error = {});
 

@@ -1,26 +1,15 @@
-// Degraded-mode fitting: a resilience wrapper over the optimizer stack.
+// Provenance tags and metrics routing for the served PALU fit.
 //
-// Fits on real traffic windows routinely fail to converge (Clegg et al.,
-// "A critical look at power law modelling of the Internet"): pathological
-// windows produce singular Jacobians, off-domain steps, or plain
-// ConvergenceError.  robust_least_squares chains
-//
-//     Levenberg–Marquardt → Nelder–Mead → caller-supplied closed form
-//
-// with bounded, deterministically jittered restarts per stage, and returns
-// a result tagged with the stage that produced it plus per-stage
-// diagnostics — so a sweep keeps a (possibly lower-quality) estimate for a
-// bad window instead of losing the whole run to one exception.
+// core::robust_fit_palu serves one of two estimators on every window: the
+// profile-likelihood fit (kMle) or, when that fails, the paper's staged
+// moment recipe (kMoments).  A window neither can fit comes back kFailed
+// with the reason, so a sweep keeps its remaining windows and a streaming
+// lane keeps its previous parameters.  This header holds only the tag
+// and the options every caller passes through; the estimators live in
+// core/estimate.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "palu/fit/levmar.hpp"
-#include "palu/fit/nelder_mead.hpp"
 
 namespace palu::obs {
 class Registry;
@@ -28,62 +17,28 @@ class Registry;
 
 namespace palu::fit {
 
-/// Which rung of the fallback ladder produced the result.
+/// Which estimator produced a served PALU fit.
 enum class RobustStage {
-  kLevMar,      ///< full-quality nonlinear least squares
-  kNelderMead,  ///< derivative-free rescue
-  kMoments,     ///< caller's closed-form / moment fallback
-  kFailed,      ///< every stage failed
+  /// Retired Levenberg–Marquardt rung.  Nothing produces it any more;
+  /// declared so that existing switch statements over the enum compile.
+  kLevMar,
+  /// Retired Nelder–Mead rung; likewise never produced.
+  kNelderMead,
+  kMoments,  ///< the staged moment pipeline (core::fit_palu) as-is
+  kFailed,   ///< neither estimator could fit the window
+  kMle,      ///< the profile-likelihood fit
 };
 
+/// "mle", "moments", "failed" (and "levmar", "nelder-mead" for the
+/// retired tags): the tokens of serve lines, `[stage=…]` output,
+/// checkpoints and the palu_fit_* metric labels.
 std::string_view to_string(RobustStage stage) noexcept;
 
-/// What happened inside one stage of the ladder.
-struct StageDiagnostic {
-  RobustStage stage = RobustStage::kFailed;
-  int attempts = 0;        ///< starts tried (1 + jittered restarts)
-  int iterations = 0;      ///< optimizer iterations of the last attempt
-  double objective = 0.0;  ///< best Σ r² reached in this stage
-  bool succeeded = false;
-  std::string error;       ///< last failure, empty when succeeded
-};
-
 struct RobustFitOptions {
-  /// Starts per stage: the clean x0 plus (max_attempts_per_stage − 1)
-  /// jittered restarts.
-  int max_attempts_per_stage = 3;
-  /// Relative perturbation of x0 on restarts, drawn from the seeded RNG so
-  /// reruns are bit-identical.
-  double jitter = 0.1;
-  std::uint64_t seed = 0x0b0e5eedULL;
-  LevMarOptions levmar;
-  NelderMeadOptions nelder_mead;
-  /// Metrics sink for the palu_fit_* families (per-stage attempts,
-  /// successes, iteration histograms, ladder outcomes); nullptr routes to
-  /// obs::default_registry().
+  /// Metrics sink for the palu_fit_* families (profile-fit attempts,
+  /// successes and evaluation counts; served-stage outcomes); nullptr
+  /// routes to obs::default_registry().
   obs::Registry* metrics = nullptr;
 };
-
-struct RobustFitResult {
-  std::vector<double> x;
-  double objective = 0.0;  ///< Σ r² at x (when computable)
-  RobustStage stage = RobustStage::kFailed;
-  std::vector<StageDiagnostic> diagnostics;
-
-  bool ok() const noexcept { return stage != RobustStage::kFailed; }
-};
-
-/// Minimizes Σ r²(x) with graceful degradation.  `residuals` may throw any
-/// palu::Error for pathological x — throws are treated as failed attempts,
-/// never propagated.  `fallback`, when provided, supplies the stage-3
-/// closed-form parameter vector (e.g. moment estimators); it too may
-/// throw.  The result is the FIRST stage that succeeds, so callers get the
-/// highest-quality estimate available, tagged with its provenance.
-RobustFitResult robust_least_squares(
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        residuals,
-    std::vector<double> x0,
-    const std::function<std::vector<double>()>& fallback = {},
-    const RobustFitOptions& opts = {});
 
 }  // namespace palu::fit

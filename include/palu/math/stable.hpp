@@ -3,8 +3,11 @@
 
 namespace palu::math {
 
-/// (e^x − 1 − x) computed without catastrophic cancellation near 0.
-/// This is the denominator of the paper's Λ moment-ratio (Section IV-B).
+/// (e^x − 1 − x) computed without catastrophic cancellation near 0
+/// (series for |x| < 1; within a few ulp on [1e-8, 40], see
+/// math_accuracy_test).  This is the denominator of the paper's Λ
+/// moment-ratio (Section IV-B) and of the zero-truncated star component
+/// in the profile-likelihood fit.
 double expm1_minus_x(double x);
 
 /// x·ln(y) with the convention 0·ln(0) = 0 (used in log-likelihoods).

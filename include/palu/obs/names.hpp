@@ -46,17 +46,17 @@ inline constexpr char kSweepStageDurationNs[] =
 /// Histogram: end-to-end wall ns per sweep_windows call.
 inline constexpr char kSweepDurationNs[] = "palu_sweep_duration_ns";
 
-// --- fit ladder (src/fit, src/core) ------------------------------------
-/// Counter{stage=levmar|nelder-mead|moments}: optimizer attempts.
+// --- PALU fit (src/core/estimate.cpp) ------------------------------------
+/// Counter{stage=mle}: profile-likelihood fit attempts.
 inline constexpr char kFitStageAttempts[] = "palu_fit_stage_attempts_total";
-/// Counter{stage}: attempts that produced an accepted stage result.
+/// Counter{stage=mle}: attempts that produced parameters.
 inline constexpr char kFitStageSuccess[] = "palu_fit_stage_success_total";
-/// Histogram{stage}: iterations consumed by each attempt.
+/// Histogram{stage=mle}: profile evaluations (weight solves) per attempt.
 inline constexpr char kFitStageIterations[] = "palu_fit_stage_iterations";
-/// Counter{stage=levmar|nelder-mead|moments|failed}: which rung of the
-/// ladder each robust_fit_palu call ultimately returned from.
+/// Counter{stage=mle|moments|failed}: which estimator each
+/// robust_fit_palu call served.
 inline constexpr char kFitResults[] = "palu_fit_results_total";
-/// Counter: base-fit retries inside robust_fit_palu's tail relaxation.
+/// Counter: moment-fit retries inside robust_fit_palu's tail relaxation.
 inline constexpr char kFitBaseRetries[] = "palu_fit_base_retries_total";
 
 // --- columnar window store (src/store) ----------------------------------

@@ -9,8 +9,8 @@
 //    so a corruption run is exactly reproducible.
 //
 //  * Seeded failpoints (palu/common/failpoint.hpp) that force
-//    ConvergenceError inside iterative routines ("fit.levmar",
-//    "fit.nelder_mead") and sweep workers ("traffic.sweep_window").
+//    ConvergenceError inside fits ("fit.palu_mle", "fit.nelder_mead")
+//    and sweep workers ("traffic.sweep_window").
 //
 // Header-only and test-oriented: nothing here is linked into the library
 // proper, and the umbrella header deliberately does not include it.
@@ -145,9 +145,9 @@ inline std::string corrupt_trace(const std::string& clean,
   return out.str();
 }
 
-/// Arms the failpoint that makes Levenberg–Marquardt diverge.
-inline void force_levmar_divergence(int fires = -1, int skip = 0) {
-  failpoints::arm("fit.levmar", fires, skip);
+/// Arms the failpoint that makes the profile-likelihood PALU fit fail.
+inline void force_palu_mle_failure(int fires = -1, int skip = 0) {
+  failpoints::arm("fit.palu_mle", fires, skip);
 }
 
 /// Arms the failpoint that makes Nelder–Mead diverge.

@@ -56,7 +56,6 @@ StreamingFitSnapshot WindowedStreamingEstimator::fit_lane(
   out.fit = robust.fit;
   out.stage = robust.stage;
   out.freshness = FitFreshness::kFresh;
-  out.warm_base = robust.warm_base;
   if (opts_.fit_zm) {
     // The ZM companion rides along best-effort: a window whose pooled
     // distribution cannot be fitted keeps the previous ZM parameters.

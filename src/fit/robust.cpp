@@ -1,71 +1,6 @@
 #include "palu/fit/robust.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "palu/common/error.hpp"
-#include "palu/obs/metrics.hpp"
-#include "palu/obs/names.hpp"
-#include "palu/rng/xoshiro.hpp"
-
 namespace palu::fit {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Folds a finished stage's diagnostic into the fit-ladder metrics.
-void record_stage(obs::Registry& registry, const StageDiagnostic& diag) {
-  const obs::Labels labels = {
-      {"stage", std::string(to_string(diag.stage))}};
-  registry.counter(obs::names::kFitStageAttempts, labels)
-      .inc(static_cast<std::uint64_t>(diag.attempts));
-  if (diag.succeeded) {
-    registry.counter(obs::names::kFitStageSuccess, labels).inc();
-  }
-  registry.histogram(obs::names::kFitStageIterations, labels)
-      .observe(static_cast<std::uint64_t>(std::max(diag.iterations, 0)));
-}
-
-bool all_finite(const std::vector<double>& x) {
-  for (const double v : x) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
-/// Σ r²(x); +inf when the residual function rejects x.
-double guarded_objective(
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        residuals,
-    const std::vector<double>& x) {
-  try {
-    const auto r = residuals(x);
-    double acc = 0.0;
-    for (const double v : r) acc += v * v;
-    return std::isfinite(acc) ? acc : kInf;
-  } catch (const Error&) {
-    return kInf;
-  }
-}
-
-/// x0 perturbed by ±jitter relative noise, deterministic per attempt.
-std::vector<double> jittered_start(const std::vector<double>& x0,
-                                   double jitter, const Rng& base,
-                                   int attempt) {
-  if (attempt == 0) return x0;
-  Rng rng = base.fork(static_cast<std::uint64_t>(attempt));
-  std::vector<double> x = x0;
-  for (double& v : x) {
-    const double scale = 1.0 + jitter * (2.0 * rng.uniform() - 1.0);
-    v = v * scale;
-    // A zero coordinate cannot be scaled out of place; nudge it instead.
-    if (v == 0.0) v = jitter * (2.0 * rng.uniform() - 1.0);
-  }
-  return x;
-}
-
-}  // namespace
 
 std::string_view to_string(RobustStage stage) noexcept {
   switch (stage) {
@@ -73,123 +8,9 @@ std::string_view to_string(RobustStage stage) noexcept {
     case RobustStage::kNelderMead: return "nelder-mead";
     case RobustStage::kMoments: return "moments";
     case RobustStage::kFailed: return "failed";
+    case RobustStage::kMle: return "mle";
   }
   return "unknown";
-}
-
-RobustFitResult robust_least_squares(
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        residuals,
-    std::vector<double> x0,
-    const std::function<std::vector<double>()>& fallback,
-    const RobustFitOptions& opts) {
-  PALU_CHECK(opts.max_attempts_per_stage >= 1,
-             "robust_least_squares: need at least one attempt per stage");
-  RobustFitResult out;
-  obs::Registry& registry = opts.metrics != nullptr
-                                ? *opts.metrics
-                                : obs::default_registry();
-  const Rng base(opts.seed);
-
-  // --- stage 1: Levenberg–Marquardt.
-  {
-    StageDiagnostic diag;
-    diag.stage = RobustStage::kLevMar;
-    diag.objective = kInf;
-    for (int attempt = 0; attempt < opts.max_attempts_per_stage;
-         ++attempt) {
-      ++diag.attempts;
-      try {
-        const auto start = jittered_start(x0, opts.jitter, base, attempt);
-        const LevMarResult lm =
-            levenberg_marquardt(residuals, start, opts.levmar);
-        diag.iterations = lm.iterations;
-        if (lm.converged && all_finite(lm.x) &&
-            std::isfinite(lm.chi_squared)) {
-          diag.succeeded = true;
-          diag.objective = lm.chi_squared;
-          diag.error.clear();
-          out.x = lm.x;
-          out.objective = lm.chi_squared;
-          out.stage = RobustStage::kLevMar;
-          break;
-        }
-        diag.error = "did not converge in " +
-                     std::to_string(lm.iterations) + " iterations";
-      } catch (const Error& e) {
-        diag.error = e.what();
-      }
-    }
-    record_stage(registry, diag);
-    out.diagnostics.push_back(std::move(diag));
-    if (out.ok()) return out;
-  }
-
-  // --- stage 2: Nelder–Mead on the same objective.
-  {
-    StageDiagnostic diag;
-    diag.stage = RobustStage::kNelderMead;
-    diag.objective = kInf;
-    const auto objective = [&](const std::vector<double>& x) {
-      return guarded_objective(residuals, x);
-    };
-    for (int attempt = 0; attempt < opts.max_attempts_per_stage;
-         ++attempt) {
-      ++diag.attempts;
-      try {
-        const auto start =
-            jittered_start(x0, opts.jitter, base.fork(0x4e4d), attempt);
-        const NelderMeadResult nm =
-            nelder_mead(objective, start, opts.nelder_mead);
-        diag.iterations = nm.iterations;
-        if (nm.converged && all_finite(nm.x) && std::isfinite(nm.value)) {
-          diag.succeeded = true;
-          diag.objective = nm.value;
-          diag.error.clear();
-          out.x = nm.x;
-          out.objective = nm.value;
-          out.stage = RobustStage::kNelderMead;
-          break;
-        }
-        diag.error = "did not converge in " +
-                     std::to_string(nm.iterations) + " iterations";
-      } catch (const Error& e) {
-        diag.error = e.what();
-      }
-    }
-    record_stage(registry, diag);
-    out.diagnostics.push_back(std::move(diag));
-    if (out.ok()) return out;
-  }
-
-  // --- stage 3: closed-form fallback.
-  {
-    StageDiagnostic diag;
-    diag.stage = RobustStage::kMoments;
-    diag.attempts = 1;
-    diag.objective = kInf;
-    if (!fallback) {
-      diag.error = "no fallback provided";
-    } else {
-      try {
-        std::vector<double> x = fallback();
-        if (all_finite(x)) {
-          diag.succeeded = true;
-          diag.objective = guarded_objective(residuals, x);
-          out.x = std::move(x);
-          out.objective = diag.objective;
-          out.stage = RobustStage::kMoments;
-        } else {
-          diag.error = "fallback produced non-finite parameters";
-        }
-      } catch (const Error& e) {
-        diag.error = e.what();
-      }
-    }
-    record_stage(registry, diag);
-    out.diagnostics.push_back(std::move(diag));
-  }
-  return out;
 }
 
 }  // namespace palu::fit

@@ -6,10 +6,14 @@
 namespace palu::math {
 
 double expm1_minus_x(double x) {
-  if (std::abs(x) < 1e-4) {
-    // x²/2 · (1 + x/3 + x²/12 + x³/60); next term is O(x⁴/360) relative.
-    return 0.5 * x * x *
-           (1.0 + x / 3.0 + x * x / 12.0 + x * x * x / 60.0);
+  if (std::abs(x) < 1.0) {
+    // Σ_{k≥2} x^k/k! = x²/2 · (1 + x/3·(1 + x/4·(1 + …))), through
+    // k = 19; the first omitted term is below 1e-18 of the sum.  Below 1
+    // the other branch cancels: expm1(x) − x loses log10(2/|x|) digits
+    // (8.8e-13 relative error at x = 1.01e-4, 1.3e-14 at 1e-2).
+    double s = 1.0;
+    for (int k = 19; k >= 3; --k) s = 1.0 + x * s / k;
+    return 0.5 * x * x * s;
   }
   return std::expm1(x) - x;
 }

@@ -238,20 +238,18 @@ void preregister_palu_metrics(Registry& r) {
   r.histogram(names::kSweepDurationNs, {},
               "End-to-end wall nanoseconds per sweep_windows call");
 
-  for (const char* stage : {"levmar", "nelder-mead", "moments"}) {
-    r.counter(names::kFitStageAttempts, {{"stage", stage}},
-              "Optimizer attempts per fit-ladder stage");
-    r.counter(names::kFitStageSuccess, {{"stage", stage}},
-              "Accepted results per fit-ladder stage");
-    r.histogram(names::kFitStageIterations, {{"stage", stage}},
-                "Iterations consumed per fit-ladder attempt");
-  }
-  for (const char* stage : {"levmar", "nelder-mead", "moments", "failed"}) {
+  r.counter(names::kFitStageAttempts, {{"stage", "mle"}},
+            "Profile-likelihood fit attempts");
+  r.counter(names::kFitStageSuccess, {{"stage", "mle"}},
+            "Profile-likelihood fits that produced parameters");
+  r.histogram(names::kFitStageIterations, {{"stage", "mle"}},
+              "Profile evaluations per profile-likelihood fit attempt");
+  for (const char* stage : {"mle", "moments", "failed"}) {
     r.counter(names::kFitResults, {{"stage", stage}},
-              "Fit-ladder rung each robust_fit_palu call returned from");
+              "Estimator each robust_fit_palu call served");
   }
   r.counter(names::kFitBaseRetries, {},
-            "Base-fit retries during tail relaxation in robust_fit_palu");
+            "Moment-fit retries during tail relaxation in robust_fit_palu");
 
   r.counter(names::kIngestReads, {{"reader", "trace_tail"}},
             "Calls into a policy-aware reader");

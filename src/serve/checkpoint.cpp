@@ -18,12 +18,14 @@
 namespace palu::serve {
 namespace {
 
-// v2: the counts line gained `consecutive <n>` (the estimator's
-// consecutive-stale run, which the serve staleness gauge is derived
-// from).  v1 files fail the magic check and fall back to the documented
-// fresh-start degrade path — safer than silently resuming with a zeroed
-// gauge.
-constexpr char kMagic[] = "palu-serve-checkpoint v2";
+// v3: lane stages are mle|moments|failed and the lane line lost its
+// warm-base flag, both with the profile-likelihood fit.  (v2 added
+// `consecutive <n>` to the counts line: the estimator's consecutive-stale
+// run, which the serve staleness gauge is derived from.)  Older files
+// fail the magic check and take the documented, counted fresh start —
+// safer than resuming a lane whose stage and warm start mean something
+// else.
+constexpr char kMagic[] = "palu-serve-checkpoint v3";
 
 std::uint64_t fnv1a(std::string_view bytes) noexcept {
   std::uint64_t h = 1469598103934665603ULL;
@@ -71,11 +73,8 @@ bool parse_bool_tok(std::string_view tok) {
 }
 
 fit::RobustStage parse_stage(std::string_view tok) {
-  if (tok == fit::to_string(fit::RobustStage::kLevMar)) {
-    return fit::RobustStage::kLevMar;
-  }
-  if (tok == fit::to_string(fit::RobustStage::kNelderMead)) {
-    return fit::RobustStage::kNelderMead;
+  if (tok == fit::to_string(fit::RobustStage::kMle)) {
+    return fit::RobustStage::kMle;
   }
   if (tok == fit::to_string(fit::RobustStage::kMoments)) {
     return fit::RobustStage::kMoments;
@@ -103,7 +102,7 @@ void append_lane(std::string& out, const char* name,
   out += core::to_string(lane.freshness);
   out += ' ';
   out += fit::to_string(lane.stage);
-  out += lane.warm_base ? " 1 " : " 0 ";
+  out += ' ';
   append_double(out, lane.fit.alpha);
   out += ' ';
   append_double(out, lane.fit.c);
@@ -149,30 +148,29 @@ std::vector<std::string_view> split(std::string_view line) {
 
 core::StreamingFitSnapshot parse_lane(
     const std::vector<std::string_view>& tok) {
-  if (tok.size() != 21) {
+  if (tok.size() != 20) {
     throw DataError("serve checkpoint: malformed lane line");
   }
   core::StreamingFitSnapshot lane;
   lane.freshness = parse_freshness(tok[2]);
   lane.stage = parse_stage(tok[3]);
-  lane.warm_base = parse_bool_tok(tok[4]);
-  lane.fit.alpha = parse_double(tok[5]);
-  lane.fit.c = parse_double(tok[6]);
-  lane.fit.mu = parse_double(tok[7]);
-  lane.fit.u = parse_double(tok[8]);
-  lane.fit.l = parse_double(tok[9]);
-  lane.fit.tail_r_squared = parse_double(tok[10]);
-  lane.fit.excess_mass = parse_double(tok[11]);
-  lane.fit.moment_ratio = parse_double(tok[12]);
+  lane.fit.alpha = parse_double(tok[4]);
+  lane.fit.c = parse_double(tok[5]);
+  lane.fit.mu = parse_double(tok[6]);
+  lane.fit.u = parse_double(tok[7]);
+  lane.fit.l = parse_double(tok[8]);
+  lane.fit.tail_r_squared = parse_double(tok[9]);
+  lane.fit.excess_mass = parse_double(tok[10]);
+  lane.fit.moment_ratio = parse_double(tok[11]);
   lane.fit.tail_points =
-      static_cast<std::size_t>(parse_u64_tok(tok[13]));
-  lane.fit.mu_identifiable = parse_bool_tok(tok[14]);
-  lane.zm_valid = parse_bool_tok(tok[15]);
-  lane.zm.alpha = parse_double(tok[16]);
-  lane.zm.delta = parse_double(tok[17]);
-  lane.zm.dmax = parse_u64_tok(tok[18]);
-  lane.zm.objective = parse_double(tok[19]);
-  lane.zm.converged = parse_bool_tok(tok[20]);
+      static_cast<std::size_t>(parse_u64_tok(tok[12]));
+  lane.fit.mu_identifiable = parse_bool_tok(tok[13]);
+  lane.zm_valid = parse_bool_tok(tok[14]);
+  lane.zm.alpha = parse_double(tok[15]);
+  lane.zm.delta = parse_double(tok[16]);
+  lane.zm.dmax = parse_u64_tok(tok[17]);
+  lane.zm.objective = parse_double(tok[18]);
+  lane.zm.converged = parse_bool_tok(tok[19]);
   return lane;
 }
 

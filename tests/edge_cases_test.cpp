@@ -9,7 +9,6 @@
 #include "palu/core/generator.hpp"
 #include "palu/core/theory.hpp"
 #include "palu/core/zm_connection.hpp"
-#include "palu/fit/levmar.hpp"
 #include "palu/fit/powerlaw_mle.hpp"
 #include "palu/fit/zipf_mandelbrot.hpp"
 #include "palu/graph/components.hpp"
@@ -156,15 +155,6 @@ TEST(EdgeCases, FitPaluAllMassInTail) {
   const auto fit = core::fit_palu(h);
   EXPECT_NEAR(fit.alpha, 2.0, 0.05);
   EXPECT_DOUBLE_EQ(fit.l, 0.0);
-}
-
-TEST(EdgeCases, LevMarPropagatesThrowAtStart) {
-  const auto residuals =
-      [](const std::vector<double>&) -> std::vector<double> {
-    throw InvalidArgument("bad start");
-  };
-  EXPECT_THROW(fit::levenberg_marquardt(residuals, {1.0}),
-               InvalidArgument);
 }
 
 TEST(EdgeCases, ChiSquareRaggedBinCounts) {

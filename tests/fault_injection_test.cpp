@@ -15,6 +15,7 @@
 #include "palu/common/failpoint.hpp"
 #include "palu/common/result.hpp"
 #include "palu/core/estimate.hpp"
+#include "palu/core/streaming.hpp"
 #include "palu/graph/generators.hpp"
 #include "palu/io/csv.hpp"
 #include "palu/io/trace.hpp"
@@ -265,51 +266,65 @@ core::PaluFitOptions exact_law_fit_options() {
   return opts;
 }
 
-TEST(FaultInjection, ForcedLevMarDivergenceStillYieldsTaggedFit) {
+TEST(FaultInjection, ForcedProfileFailureServesMomentFit) {
   const auto hist = exact_law_histogram();
   const auto clean = core::robust_fit_palu(hist, exact_law_fit_options());
   ASSERT_TRUE(clean.ok());
-
-  testing::FailpointGuard guard;
-  testing::force_levmar_divergence();
-  const auto degraded =
-      core::robust_fit_palu(hist, exact_law_fit_options());
-  ASSERT_TRUE(degraded.ok());
-  EXPECT_NE(degraded.stage, fit::RobustStage::kLevMar);
-  // The acceptance bound: the degraded path stays within 10% of the
-  // clean-path parameters.
-  EXPECT_NEAR(degraded.fit.alpha, clean.fit.alpha,
-              0.10 * clean.fit.alpha);
-  EXPECT_NEAR(degraded.fit.c, clean.fit.c, 0.10 * clean.fit.c);
-  EXPECT_NEAR(degraded.fit.mu, clean.fit.mu, 0.10 * clean.fit.mu);
-  // The LM stage must be present in the diagnostics as a failure.
-  bool saw_levmar_failure = false;
-  for (const auto& d : degraded.diagnostics) {
-    if (d.stage == fit::RobustStage::kLevMar && !d.succeeded &&
-        !d.error.empty()) {
-      saw_levmar_failure = true;
-    }
-  }
-  EXPECT_TRUE(saw_levmar_failure);
-}
-
-TEST(FaultInjection, BothOptimizersForcedDownFallsBackToMoments) {
-  const auto hist = exact_law_histogram();
+  EXPECT_EQ(clean.stage, fit::RobustStage::kMle);
   const auto base = core::fit_palu(hist, exact_law_fit_options());
 
   testing::FailpointGuard guard;
-  testing::force_levmar_divergence();
-  testing::force_nelder_mead_divergence();
+  testing::force_palu_mle_failure();
   const auto degraded =
       core::robust_fit_palu(hist, exact_law_fit_options());
   ASSERT_TRUE(degraded.ok());
   EXPECT_EQ(degraded.stage, fit::RobustStage::kMoments);
+  EXPECT_EQ(failpoints::hit_count("fit.palu_mle"), 1);
   // kMoments is the staged pipeline untouched: exact equality.
   EXPECT_EQ(degraded.fit.alpha, base.alpha);
   EXPECT_EQ(degraded.fit.c, base.c);
   EXPECT_EQ(degraded.fit.mu, base.mu);
   EXPECT_EQ(degraded.fit.u, base.u);
   EXPECT_EQ(degraded.fit.l, base.l);
+  // The acceptance bound: the degraded path stays within 10% of the
+  // clean-path parameters.
+  EXPECT_NEAR(degraded.fit.alpha, clean.fit.alpha,
+              0.10 * clean.fit.alpha);
+  EXPECT_NEAR(degraded.fit.mu, clean.fit.mu, 0.10 * clean.fit.mu);
+}
+
+TEST(FaultInjection, ProfileAndMomentFailureLeavesLaneStale) {
+  // Support {1, 2, 3}: too thin for the moment pipeline at every relaxed
+  // tail start, and the profile fit is forced down.
+  stats::DegreeHistogram thin;
+  thin.add(1, 500);
+  thin.add(2, 120);
+  thin.add(3, 40);
+
+  testing::FailpointGuard guard;
+  testing::force_palu_mle_failure();
+  const auto failed = core::robust_fit_palu(thin);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(failed.stage, fit::RobustStage::kFailed);
+  EXPECT_NE(failed.error.find("fit.palu_mle"), std::string::npos)
+      << failed.error;
+  EXPECT_NE(failed.error.find("moments:"), std::string::npos)
+      << failed.error;
+
+  // A streaming lane with earlier parameters keeps them, tagged stale.
+  failpoints::disarm_all();
+  core::WindowedStreamingEstimator est;
+  const auto first = est.refit_window(exact_law_histogram());
+  ASSERT_TRUE(first.fresh);
+  ASSERT_EQ(first.window.stage, fit::RobustStage::kMle);
+  testing::force_palu_mle_failure();
+  const auto second = est.refit_window(thin);
+  EXPECT_FALSE(second.fresh);
+  EXPECT_EQ(second.window.freshness, core::FitFreshness::kStale);
+  EXPECT_EQ(second.window.stage, fit::RobustStage::kMle);
+  EXPECT_EQ(second.window.fit.alpha, first.window.fit.alpha);
+  EXPECT_FALSE(second.window.error.empty());
+  EXPECT_EQ(est.consecutive_stale(), 1u);
 }
 
 TEST(FaultInjection, UnfittableHistogramDegradesInsteadOfThrowing) {
@@ -330,10 +345,10 @@ TEST(FaultInjection, UnfittableHistogramDegradesInsteadOfThrowing) {
 TEST(FaultInjection, DegradedFitIsDeterministic) {
   const auto hist = exact_law_histogram();
   testing::FailpointGuard guard;
-  testing::force_levmar_divergence();
+  testing::force_palu_mle_failure();
   const auto a = core::robust_fit_palu(hist, exact_law_fit_options());
   failpoints::disarm_all();
-  testing::force_levmar_divergence();
+  testing::force_palu_mle_failure();
   const auto b = core::robust_fit_palu(hist, exact_law_fit_options());
   EXPECT_EQ(a.stage, b.stage);
   EXPECT_EQ(a.fit.alpha, b.fit.alpha);

@@ -10,7 +10,6 @@
 #include "palu/common/error.hpp"
 #include "palu/parallel/thread_pool.hpp"
 #include "palu/fit/brent.hpp"
-#include "palu/fit/levmar.hpp"
 #include "palu/fit/linreg.hpp"
 #include "palu/fit/nelder_mead.hpp"
 #include "palu/fit/powerlaw_mle.hpp"
@@ -143,45 +142,6 @@ TEST(NelderMead, FourDimensionalSphere) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(res.x[i], static_cast<double>(i), 1e-4);
   }
-}
-
-TEST(LevenbergMarquardt, FitsExponentialDecay) {
-  // y = a·exp(−b·t) with a=2, b=0.5.
-  std::vector<double> t, y;
-  for (int i = 0; i < 30; ++i) {
-    t.push_back(i * 0.3);
-    y.push_back(2.0 * std::exp(-0.5 * i * 0.3));
-  }
-  const auto residuals = [&](const std::vector<double>& p) {
-    std::vector<double> r(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      r[i] = p[0] * std::exp(-p[1] * t[i]) - y[i];
-    }
-    return r;
-  };
-  const auto res = levenberg_marquardt(residuals, {1.0, 1.0});
-  EXPECT_NEAR(res.x[0], 2.0, 1e-6);
-  EXPECT_NEAR(res.x[1], 0.5, 1e-6);
-  EXPECT_LT(res.chi_squared, 1e-12);
-}
-
-TEST(LevenbergMarquardt, LinearProblemOneHop) {
-  // Linear residuals: LM solves in very few iterations.
-  const auto residuals = [](const std::vector<double>& p) {
-    return std::vector<double>{p[0] - 3.0, p[1] + 1.0, p[0] + p[1] - 2.0};
-  };
-  const auto res = levenberg_marquardt(residuals, {0.0, 0.0});
-  EXPECT_LT(res.iterations, 20);
-  EXPECT_NEAR(res.x[0], 3.0, 1e-6);
-  EXPECT_NEAR(res.x[1], -1.0, 1e-6);
-}
-
-TEST(LevenbergMarquardt, RequiresEnoughResiduals) {
-  const auto residuals = [](const std::vector<double>&) {
-    return std::vector<double>{0.0};
-  };
-  EXPECT_THROW(levenberg_marquardt(residuals, {1.0, 2.0}),
-               palu::InvalidArgument);
 }
 
 // ---------------------------------------------------------------- power law

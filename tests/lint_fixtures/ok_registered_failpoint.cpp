@@ -6,7 +6,7 @@
 
 #include "palu/common/failpoint.hpp"
 
-void poke() { PALU_FAILPOINT("fit.levmar"); }
+void poke() { PALU_FAILPOINT("fit.palu_mle"); }
 
 inline std::string prose() {
   return "mentions std::rand and time(nullptr) only as text";

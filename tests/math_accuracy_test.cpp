@@ -2,24 +2,121 @@
 // need no memorized constants, plus a standard optimizer battery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 #include <vector>
 
 #include "palu/common/error.hpp"
 #include "palu/fit/brent.hpp"
-#include "palu/fit/levmar.hpp"
 #include "palu/fit/nelder_mead.hpp"
 #include "palu/math/binmass.hpp"
 #include "palu/math/gamma.hpp"
 #include "palu/math/incomplete_gamma.hpp"
+#include "palu/math/stable.hpp"
 #include "palu/math/vexp.hpp"
 #include "palu/math/zeta.hpp"
 #include "palu/rng/xoshiro.hpp"
 
 namespace palu {
 namespace {
+
+// ------------------------------------------ profile-likelihood kernels
+
+// The two normalizers the PALU profile likelihood evaluates at every
+// (α, μ): e^μ − 1 − μ (zero-truncated star component) and ζ(α) − 1 (zeta
+// core on d >= 2).  Both are checked on dense grids against long-double
+// series that share no code with src/math.
+
+// Σ_{k>=2} x^k/k! in long double, all terms positive for x > 0.
+long double expm1_minus_x_reference(long double x) {
+  long double term = x * x / 2.0L;
+  long double sum = 0.0L;
+  for (int k = 2; k < 1000; ++k) {
+    sum += term;
+    term *= x / static_cast<long double>(k + 1);
+    if (static_cast<long double>(k) > x && term < 1e-30L * sum) break;
+  }
+  return sum;
+}
+
+// Σ_{n>=2} n^{-s} in long double: 254 direct terms summed smallest
+// first, then the Euler–Maclaurin tail from n = 256 through the B10 term
+// (its truncation error is below 1e-30 of the sum for s ∈ (1, 30]).
+long double zeta_minus_one_reference(long double s) {
+  constexpr long double kStart = 256.0L;
+  const long double f = std::pow(kStart, -s);
+  long double tail = kStart * f / (s - 1.0L) + 0.5L * f;
+  // B_{2k}/(2k)! · (s)(s+1)…(s+2k−2) · kStart^{−s−2k+1}.
+  const long double bernoulli[] = {1.0L / 6, -1.0L / 30, 1.0L / 42,
+                                   -1.0L / 30, 5.0L / 66};
+  long double rising = s;        // (s)(s+1)…(s+2k−2)
+  long double power = f / kStart;  // kStart^{−s−2k+1}
+  long double factorial = 2.0L;  // (2k)!
+  for (int k = 1; k <= 5; ++k) {
+    tail += bernoulli[k - 1] / factorial * rising * power;
+    const auto m = static_cast<long double>(2 * k);
+    rising *= (s + m - 1.0L) * (s + m);
+    power /= kStart * kStart;
+    factorial *= (m + 1.0L) * (m + 2.0L);
+  }
+  long double head = 0.0L;
+  for (int n = 255; n >= 2; --n) {
+    head += std::pow(static_cast<long double>(n), -s);
+  }
+  return head + tail;
+}
+
+TEST(ProfileKernels, Expm1MinusXWithinAFewUlp) {
+  // The series branch used to stop at |x| = 1e-4, where expm1(x) − x
+  // cancels: 8.8e-13 relative error at 1.01e-4, 1.3e-14 at 1e-2.
+  double worst = 0.0;
+  double worst_x = 0.0;
+  for (int i = 0; i <= 4000; ++i) {
+    const double x = 1e-8 * std::pow(4e9, i / 4000.0);  // [1e-8, 40]
+    const long double ref = expm1_minus_x_reference(x);
+    const double err = static_cast<double>(
+        std::fabs((static_cast<long double>(math::expm1_minus_x(x)) - ref) /
+                  ref));
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, 4.0 * std::numeric_limits<double>::epsilon())
+      << "x=" << worst_x;
+}
+
+TEST(ProfileKernels, HurwitzZetaAtTwoIsZetaMinusOne) {
+  // ζ(α) − 1 as hurwitz_zeta(α, 2) keeps full relative precision; the
+  // subtraction riemann_zeta(α) − 1 does not once ζ(α) ≈ 1 (relative
+  // error ~6e-11 at α = 20, ~3e-8 at α = 30).
+  double worst = 0.0;
+  double worst_alpha = 0.0;
+  double worst_subtracted = 0.0;
+  for (int i = 0; i <= 300; ++i) {
+    const double alpha =
+        1.0 + 1e-3 * std::pow(29.0 / 1e-3, i / 300.0);  // [1.001, 30]
+    const long double ref = zeta_minus_one_reference(alpha);
+    const double err = static_cast<double>(std::fabs(
+        (static_cast<long double>(math::hurwitz_zeta(alpha, 2.0)) - ref) /
+        ref));
+    if (err > worst) {
+      worst = err;
+      worst_alpha = alpha;
+    }
+    worst_subtracted = std::max(
+        worst_subtracted,
+        static_cast<double>(std::fabs(
+            (static_cast<long double>(math::riemann_zeta(alpha) - 1.0) -
+             ref) /
+            ref)));
+  }
+  EXPECT_LE(worst, 1e-15) << "alpha=" << worst_alpha;
+  EXPECT_GT(worst_subtracted, 1e3 * worst);
+}
 
 // ------------------------------------------------------ gamma identities
 
@@ -166,40 +263,6 @@ TEST(OptimizerBattery, NelderMeadHimmelblauReachesAZero) {
   // Four global minima, all with value 0; any is acceptable.
   const auto res = fit::nelder_mead(himmelblau, {0.0, 0.0});
   EXPECT_LT(res.value, 1e-8);
-}
-
-TEST(OptimizerBattery, LevMarFitsSinusoid) {
-  // y = A·sin(ω t + φ) with A=1.5, ω=2, φ=0.5.
-  std::vector<double> t, y;
-  for (int i = 0; i < 60; ++i) {
-    t.push_back(0.1 * i);
-    y.push_back(1.5 * std::sin(2.0 * 0.1 * i + 0.5));
-  }
-  const auto residuals = [&](const std::vector<double>& p) {
-    std::vector<double> r(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      r[i] = p[0] * std::sin(p[1] * t[i] + p[2]) - y[i];
-    }
-    return r;
-  };
-  const auto res = fit::levenberg_marquardt(residuals, {1.0, 1.8, 0.0});
-  EXPECT_NEAR(res.x[0], 1.5, 1e-5);
-  EXPECT_NEAR(res.x[1], 2.0, 1e-5);
-  EXPECT_NEAR(res.x[2], 0.5, 1e-5);
-}
-
-TEST(OptimizerBattery, LevMarPowellSingular) {
-  // Powell's singular function: minimum 0 at the origin with a singular
-  // Hessian — a classic stress test for damping.
-  const auto residuals = [](const std::vector<double>& p) {
-    return std::vector<double>{
-        p[0] + 10.0 * p[1], std::sqrt(5.0) * (p[2] - p[3]),
-        (p[1] - 2.0 * p[2]) * (p[1] - 2.0 * p[2]),
-        std::sqrt(10.0) * (p[0] - p[3]) * (p[0] - p[3])};
-  };
-  const auto res =
-      fit::levenberg_marquardt(residuals, {3.0, -1.0, 0.0, 1.0});
-  EXPECT_LT(res.chi_squared, 1e-8);
 }
 
 TEST(OptimizerBattery, BrentMinimizeZetaLikelihoodShape) {

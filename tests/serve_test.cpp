@@ -385,7 +385,6 @@ void expect_snapshot_equal(const core::StreamingFitSnapshot& a,
                            const core::StreamingFitSnapshot& b) {
   EXPECT_EQ(a.freshness, b.freshness);
   EXPECT_EQ(a.stage, b.stage);
-  EXPECT_EQ(a.warm_base, b.warm_base);
   EXPECT_TRUE(bitwise_equal(a.fit.alpha, b.fit.alpha));
   EXPECT_TRUE(bitwise_equal(a.fit.c, b.fit.c));
   EXPECT_TRUE(bitwise_equal(a.fit.mu, b.fit.mu));
@@ -790,6 +789,86 @@ TEST_F(ServeTest, DaemonRestoreFailpointFallsBackToFreshStart) {
                 .counter(obs::names::kServeRestores, {{"outcome", "failed"}})
                 .value(),
             1u);
+  std::remove(trace.c_str());
+  std::remove(ck.c_str());
+}
+
+// The checkpoint's FNV-1a trailer, recomputed so a test can hand-edit a
+// payload and still present a file that passes the checksum.
+std::string with_checksum(const std::string& payload) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : payload) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  char sum[32];
+  std::snprintf(sum, sizeof sum, "checksum %016llx\n",
+                static_cast<unsigned long long>(h));
+  return payload + sum;
+}
+
+// A checkpoint written before the profile-likelihood fit (format v2: a
+// warm-base flag after each lane's stage, ladder stage tokens) is intact
+// but no longer restorable: the daemon counts a failed restore and starts
+// fresh at window 0.
+TEST_F(ServeTest, DaemonTakesFreshStartFromV2Checkpoint) {
+  const std::string trace = temp_path("v2.trace");
+  const std::string ck = temp_path("v2.ck");
+  write_file(trace, to_trace_text(synth_packets(6000, 59)));
+  {
+    obs::Registry registry;
+    std::ostringstream out;
+    auto opts = daemon_opts(trace, registry, out);
+    opts.checkpoint_path = ck;
+    opts.max_windows = 2;
+    serve::ServeDaemon daemon(std::move(opts));
+    ASSERT_EQ(daemon.run(), 0);
+  }
+
+  // Rewrite the v3 file the run left into its v2 form.
+  std::istringstream v3(read_file(ck));
+  std::string payload;
+  std::string line;
+  while (std::getline(v3, line) && line.rfind("checksum ", 0) != 0) {
+    if (line == "palu-serve-checkpoint v3") {
+      line = "palu-serve-checkpoint v2";
+    } else if (line.rfind("lane ", 0) == 0) {
+      // lane <name> <freshness> <stage> ... → ... levmar 0 ...
+      std::size_t at = 0;
+      for (int k = 0; k < 3; ++k) at = line.find(' ', at) + 1;
+      line = line.substr(0, at) + "levmar 0" +
+             line.substr(line.find(' ', at));
+    }
+    payload += line + '\n';
+  }
+  write_file(ck, with_checksum(payload));
+  try {
+    serve::load_checkpoint(ck);
+    ADD_FAILURE() << "a v2 checkpoint loaded";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown format version"),
+              std::string::npos)
+        << e.what();
+  }
+
+  obs::Registry registry;
+  std::ostringstream out;
+  auto opts = daemon_opts(trace, registry, out);
+  opts.checkpoint_path = ck;
+  opts.restore = true;
+  serve::ServeDaemon daemon(std::move(opts));
+  EXPECT_EQ(daemon.run(), 0);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0].rfind("window=0 ", 0), 0u);
+  EXPECT_EQ(registry
+                .counter(obs::names::kServeRestores, {{"outcome", "failed"}})
+                .value(),
+            1u);
+  EXPECT_EQ(registry
+                .counter(obs::names::kServeRestores, {{"outcome", "ok"}})
+                .value(),
+            0u);
   std::remove(trace.c_str());
   std::remove(ck.c_str());
 }

@@ -1,7 +1,7 @@
 // palu::obs — a lock-cheap metrics registry for the production pipeline.
 //
 // The paper's analysis is meant to run continuously over live trunk
-// captures, so every hot layer (ingest, window sweeps, the fit ladder)
+// captures, so every hot layer (ingest, window sweeps, the PALU fit)
 // records what it did into a Registry: monotone Counters, settable
 // Gauges, and latency Histograms with fixed binary-log buckets — the same
 // d_i = 2^i pooling idiom the paper uses for degree distributions

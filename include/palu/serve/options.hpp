@@ -50,7 +50,7 @@ struct ServeOptions {
   std::uint64_t window_packets = 100000;
   /// Which Fig-1 quantity each window histograms.
   traffic::Quantity quantity = traffic::Quantity::kUndirectedDegree;
-  /// Estimator knobs (sliding horizon, warm start, ladder options).
+  /// Estimator knobs (sliding horizon, warm start, fit options).
   core::StreamingOptions streaming;
   /// Stop after this many fitted windows; 0 = run until EOF or signal.
   std::uint64_t max_windows = 0;

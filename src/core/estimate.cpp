@@ -318,8 +318,8 @@ class ProfileLikelihood {
   // Maximizes the d >= 2 log-likelihood over the core weight w.  l >= 0
   // confines w to an interval: the model's d = 1 mass c + u·μ·(e^μ + 1)
   // may not exceed the observed share P1, i.e.
-  //     P≥2·(w·z1 + (1 − w)·p1) <= P1
-  // with z1, p1 the components' one_ratio.  The log-likelihood is concave
+  //     P≥2·(w·a + (1 − w)·b) <= P1
+  // with a, b the components' one_ratio.  The log-likelihood is concave
   // in w, so the constrained maximum is its unconstrained one clamped to
   // that interval: test the score at both ends, then safeguarded Newton.
   WeightFit weight(const Component& zeta, const Component& star) const {

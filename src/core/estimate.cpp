@@ -204,6 +204,7 @@ namespace {
 // log-likelihood is concave in w, so the weight is a 1-D root; (α, μ)
 // come from a coarse grid and a short Nelder–Mead polish.
 
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kAlphaMin = 1.01;  // ζ(α) diverges at 1
 constexpr double kAlphaMax = 30.0;
 // μ's lower search bound: e^μ − 1 − μ ≈ μ²/2 stays >= 1.25e-3, so u stays
@@ -230,7 +231,7 @@ struct Component {
 };
 
 struct WeightFit {
-  double log_lik = -std::numeric_limits<double>::infinity();
+  double log_lik = kNegInf;
   double w = 1.0;  // weight of the zeta core
 };
 
@@ -239,8 +240,7 @@ struct WeightFit {
 // above refine_max.
 class ProfileLikelihood {
  public:
-  ProfileLikelihood(const stats::EmpiricalDistribution& dist,
-                    Degree refine_max)
+  ProfileLikelihood(const stats::EmpiricalDistribution& dist, Degree refine_max)
       : tail_start_(std::max<Degree>(refine_max, 8) + 1) {
     const auto& support = dist.support();
     const auto& pmf = dist.pmf();
@@ -280,9 +280,8 @@ class ProfileLikelihood {
       out.pmf[i] = std::exp(-alpha * log_d_[i] - log_norm);
     }
     if (has_tail_) {
-      out.pmf.back() =
-          math::hurwitz_zeta(alpha, static_cast<double>(tail_start_)) /
-          norm;
+      const double tail_start = static_cast<double>(tail_start_);
+      out.pmf.back() = math::hurwitz_zeta(alpha, tail_start) / norm;
     }
     out.one_ratio = 1.0 / norm;
     return out;
@@ -384,8 +383,7 @@ class ProfileLikelihood {
     for (std::size_t i = 0; i < count_.size(); ++i) {
       ll += count_[i] * std::log(p[i] + w * (z[i] - p[i]));
     }
-    out.log_lik = std::isnan(ll) ? -std::numeric_limits<double>::infinity()
-                                 : ll;
+    out.log_lik = std::isnan(ll) ? kNegInf : ll;
     out.w = w;
     return out;
   }
@@ -478,7 +476,7 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
   // through each column's best node and its neighbours, then maximize
   // over α (Brent, bracketed by those neighbours) in the top kRefined.
   struct Column {
-    double vertex = -std::numeric_limits<double>::infinity();
+    double vertex = kNegInf;
     std::size_t node = 0;  // best α node
     std::size_t j = 0;
   };
@@ -500,27 +498,25 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
       }
     }
   }
-  std::stable_sort(columns.begin(), columns.end(),
-                   [](const Column& x, const Column& y) {
-                     return x.vertex > y.vertex;
-                   });
+  const auto by_vertex = [](const Column& x, const Column& y) {
+    return x.vertex > y.vertex;
+  };
+  std::stable_sort(columns.begin(), columns.end(), by_vertex);
   const double spacing = log_alpha[1] - log_alpha[0];
-  double best = -std::numeric_limits<double>::infinity();
+  double best = kNegInf;
   std::vector<double> x0 = {log_alpha[0], log_mu[0]};
   for (std::size_t k = 0; k < std::min(kRefined, columns.size()); ++k) {
     const Column& col = columns[k];
     if (!std::isfinite(col.vertex)) break;
-    const double lo = col.node > 0 ? log_alpha[col.node - 1]
-                                   : std::log(kAlphaMin);
-    const double hi = col.node + 1 < cores.size()
-                          ? log_alpha[col.node + 1]
-                          : std::min(std::log(kAlphaMax),
-                                     log_alpha.back() + spacing);
+    double lo = std::log(kAlphaMin);
+    double hi = std::min(std::log(kAlphaMax), log_alpha.back() + spacing);
+    if (col.node > 0) lo = log_alpha[col.node - 1];
+    if (col.node + 1 < cores.size()) hi = log_alpha[col.node + 1];
     double col_best = grid[col.node * stars.size() + col.j];
     double col_x = log_alpha[col.node];
     const auto nll = [&](double x) {
-      const double ll = profile.weight(profile.zeta(std::exp(x)),
-                                       stars[col.j]).log_lik;
+      const Component core = profile.zeta(std::exp(x));
+      const double ll = profile.weight(core, stars[col.j]).log_lik;
       if (ll > col_best) {
         col_best = ll;
         col_x = x;
@@ -597,7 +593,7 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
   return out;
 }
 
-// Shared driver behind robust_fit_palu and robust_fit_palu_warm.
+// Shared implementation of robust_fit_palu and robust_fit_palu_warm.
 RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
                                    const PaluFitOptions& fit_opts,
                                    const fit::RobustFitOptions& robust_opts,
@@ -622,8 +618,7 @@ RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
   for (const Degree relaxed : {Degree{6}, Degree{4}, Degree{2}}) {
     if (relaxed < fit_opts.tail_min) tails.push_back(relaxed);
   }
-  obs::Counter& base_retries =
-      registry.counter(obs::names::kFitBaseRetries);
+  obs::Counter& base_retries = registry.counter(obs::names::kFitBaseRetries);
   for (std::size_t k = 0; k < tails.size() && !have_moments; ++k) {
     PaluFitOptions attempt = fit_opts;
     attempt.tail_min = tails[k];
@@ -674,8 +669,9 @@ RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
   return out;
 }
 
-// Histogram front door shared by the cold and warm drivers: converts, and
-// treats a degenerate histogram as bad data (kFailed), not as a throw.
+// Histogram front door shared by the cold and warm entry points:
+// converts, and treats a degenerate histogram as bad data (kFailed), not
+// as a throw.
 RobustPaluFit robust_fit_palu_from_histogram(
     const stats::DegreeHistogram& h, const PaluFitOptions& fit_opts,
     const fit::RobustFitOptions& robust_opts, Degree refine_max,
@@ -685,7 +681,7 @@ RobustPaluFit robust_fit_palu_from_histogram(
         stats::EmpiricalDistribution::from_histogram(h), fit_opts,
         robust_opts, refine_max, warm);
   } catch (const Error& e) {
-    // The inner driver never ran, so this failure is recorded here.
+    // The fit never ran, so this failure is recorded here.
     obs::Registry& registry = robust_opts.metrics != nullptr
                                   ? *robust_opts.metrics
                                   : obs::default_registry();
@@ -737,8 +733,7 @@ RobustPaluFit robust_fit_palu_warm(const stats::DegreeHistogram& h,
 }
 
 double palu_profile_log_likelihood(const stats::EmpiricalDistribution& dist,
-                                   double alpha, double mu,
-                                   Degree refine_max) {
+                                   double alpha, double mu, Degree refine_max) {
   PALU_CHECK(alpha > 1.0, "palu_profile_log_likelihood: requires alpha > 1");
   PALU_CHECK(mu >= 0.0, "palu_profile_log_likelihood: requires mu >= 0");
   const ProfileLikelihood profile(dist, refine_max);

@@ -17,6 +17,10 @@ trap 'rm -rf "$DIR"' EXIT
 
 "$TOOL" generate --nodes 2000 --packets 12000 --seed 11 > "$DIR/trace.txt"
 
+# Created before the daemon starts: the backgrounded shell opens its
+# redirect asynchronously, and a wait loop that found no file read an
+# empty count, ended early and sent SIGTERM before the handlers were up.
+: > "$DIR/out.txt"
 "$TOOL" serve --trace "$DIR/trace.txt" --follow --window 3000 \
     --poll-interval-ms 20 --checkpoint "$DIR/ck.txt" \
     --snapshot "$DIR/snap.json" --snapshot-interval-ms 100 \

@@ -134,13 +134,13 @@ struct RobustPaluFit {
 /// The served PALU estimator.  Fits the profile-likelihood MLE (kMle) and
 /// falls back to the staged moment pipeline (kMoments, retried with
 /// relaxed tail starts on thin data) when the profile fit fails: fewer
-/// than 5 occupied cells at d >= 2, no degree-1 mass, or an injected
-/// `fit.palu_mle` fault.  Degrees above `refine_max` (at least 8) form
-/// one pooled cell, so the fit's cost does not grow with d_max.  μ is
-/// searched in [0.05, fit_opts.mu_cap] and α in [1.01, 30].  Never throws
-/// for bad data — a window neither estimator can fit comes back with
-/// stage == kFailed and the reason in `error`, so a multi-window sweep
-/// keeps its remaining windows.
+/// than 5 occupied cells at d >= 2, no degree-1 mass, no (α, μ) that
+/// keeps l >= 0, or an injected `fit.palu_mle` fault.  Degrees above
+/// `refine_max` (at least 8) form one pooled cell, so the fit's cost does
+/// not grow with d_max.  μ is searched in [0.05, fit_opts.mu_cap] and α
+/// in [1.01, 30].  Never throws for bad data — a window neither estimator
+/// can fit comes back with stage == kFailed and the reason in `error`, so
+/// a multi-window sweep keeps its remaining windows.
 RobustPaluFit robust_fit_palu(
     const stats::EmpiricalDistribution& dist,
     const PaluFitOptions& fit_opts = {},

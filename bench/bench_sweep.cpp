@@ -17,8 +17,6 @@
 //     "config": {"windows", "nvalid", "nodes", "edges", "quantity",
 //                "seed", "pool_threads", "nproc", "compiler"},
 //     "fast":   {"seconds", "packets_per_sec",
-//                "timings_cpu_ns": {"sampling", "accumulation", "binning"},
-//                "timings_max_ns": {... slowest worker ...},
 //                "metrics": {... obs registry snapshot for the run ...}},
 //     "counts": {... same shape ...},
 //     "speedup_counts_vs_fast": counts pps / fast pps,
@@ -32,14 +30,15 @@
 //     "replay_store": {"windows", "records", "payload_bytes", "file_bytes",
 //                      "payload_bytes_per_record", "bytes_per_window",
 //                      "capture_seconds"},
-//     "speedup_synthesis_vs_replay_per_window": X,  // stage cost replaced
+//     "speedup_synthesis_vs_replay_per_window": X,  // sampling-stage sums
 //     "speedup_replay_vs_counts": X,   // whole-sweep wall ratio
 //     "replay_identical": true|false   // replay vs capture
 //   }
 //
 // Each run records into its own obs::Registry, so the metrics block is
-// per-run (not cumulative across paths).  The counts path consumes RNG
-// differently, so it is held to distributional equivalence (tested in
+// per-run (not cumulative across paths); its stage-duration histograms
+// are the run's stage times.  The counts path consumes RNG differently,
+// so it is held to distributional equivalence (tested in
 // sweep_counts_test) plus the exact mass check here, not byte identity.
 //
 // Default config is the acceptance workload (64 windows × 1e6 packets);
@@ -68,7 +67,7 @@ using namespace palu;
 struct RunResult {
   double seconds = 0.0;
   double packets_per_sec = 0.0;
-  traffic::SweepStageTimings timings;
+  std::uint64_t sampling_ns = 0;  // the run's stage="sampling" sum
   stats::DegreeHistogram merged;
   std::string metrics_json;  // this run's registry, already serialized
 };
@@ -81,6 +80,14 @@ constexpr const char* kCompiler = "gcc " __VERSION__;
 #else
 constexpr const char* kCompiler = "unknown";
 #endif
+
+// A run's sampling-stage CPU time, summed over its windows.
+std::uint64_t sampling_stage_ns(obs::Registry& registry, const char* path) {
+  return registry
+      .histogram(obs::names::kSweepStageDurationNs,
+                 {{"path", path}, {"stage", "sampling"}})
+      .sum();
+}
 
 RunResult run_sweep(const graph::Graph& g, Count n_valid,
                     std::size_t windows, traffic::Quantity quantity,
@@ -101,7 +108,9 @@ RunResult run_sweep(const graph::Graph& g, Count n_valid,
   out.packets_per_sec =
       static_cast<double>(n_valid) * static_cast<double>(windows) /
       out.seconds;
-  out.timings = sweep.timings;
+  out.sampling_ns = sampling_stage_ns(
+      registry,
+      synthesis == traffic::SynthesisMode::kPacket ? "fast" : "counts");
   out.merged = std::move(sweep.merged);
   std::ostringstream metrics;
   obs::write_json(metrics, registry.snapshot());
@@ -127,7 +136,7 @@ RunResult run_replay(store::WindowStoreReader& reader, std::size_t windows,
   out.packets_per_sec =
       static_cast<double>(n_valid) * static_cast<double>(windows) /
       out.seconds;
-  out.timings = sweep.timings;
+  out.sampling_ns = sampling_stage_ns(registry, "replay");
   out.merged = std::move(sweep.merged);
   std::ostringstream metrics;
   obs::write_json(metrics, registry.snapshot());
@@ -168,15 +177,7 @@ void write_run_json(std::ostream& out, const char* name,
                     const RunResult& r) {
   out << "  \"" << name << "\": {\"seconds\": " << r.seconds
       << ", \"packets_per_sec\": " << r.packets_per_sec
-      << ",\n    \"timings_cpu_ns\": {\"sampling\": "
-      << r.timings.sampling_cpu_ns
-      << ", \"accumulation\": " << r.timings.accumulation_cpu_ns
-      << ", \"binning\": " << r.timings.binning_cpu_ns
-      << "},\n    \"timings_max_ns\": {\"sampling\": "
-      << r.timings.sampling_max_ns
-      << ", \"accumulation\": " << r.timings.accumulation_max_ns
-      << ", \"binning\": " << r.timings.binning_max_ns
-      << "},\n    \"metrics\": " << indent_block(r.metrics_json)
+      << ",\n    \"metrics\": " << indent_block(r.metrics_json)
       << "},\n";
 }
 
@@ -349,14 +350,15 @@ int main(int argc, char** argv) {
     // The per-window acceptance ratio: what synthesis costs to produce a
     // window's records (the counts path's sampling stage) vs. what replay
     // pays instead (block read + checksum + decode, accounted in the same
-    // stage slot).  Accumulation and binning are shared verbatim by both
-    // paths, so this isolates the work the store actually replaces; the
-    // whole-sweep wall ratio is reported alongside it.  In --replay-only
-    // mode the capturing run is the synthesis baseline.
+    // stage slot), both read from the runs' registries.  Accumulation
+    // and binning are shared verbatim by both paths, so this isolates the
+    // work the store actually replaces; the whole-sweep wall ratio is
+    // reported alongside it.  In --replay-only mode the capturing run is
+    // the synthesis baseline.
     const auto& synth = replay_only ? captured : counts;
     replay_speedup =
-        static_cast<double>(synth.timings.sampling_cpu_ns) /
-        static_cast<double>(replay.timings.sampling_cpu_ns);
+        static_cast<double>(synth.sampling_ns) /
+        static_cast<double>(replay.sampling_ns);
     replay_sweep_ratio = synth.seconds / replay.seconds;
     std::printf("replay: %.3fs (%.2fM packets/s, %.2fms/window), "
                 "identical: %s\n",
@@ -365,9 +367,9 @@ int main(int argc, char** argv) {
                 replay_identical ? "true" : "false");
     std::printf("per-window synthesis %.2fms vs replay read %.2fms: "
                 "%.1fx (whole sweep: %.1fx)\n",
-                static_cast<double>(synth.timings.sampling_cpu_ns) / 1e6 /
+                static_cast<double>(synth.sampling_ns) / 1e6 /
                     static_cast<double>(windows),
-                static_cast<double>(replay.timings.sampling_cpu_ns) / 1e6 /
+                static_cast<double>(replay.sampling_ns) / 1e6 /
                     static_cast<double>(windows),
                 replay_speedup, replay_sweep_ratio);
   }

@@ -16,8 +16,10 @@
 //
 // Determinism contract: the registry never reads a clock — durations
 // enter it only through obs::TraceSpan (src/obs/span.cpp, the one
-// lint-allowlisted timing file of the subsystem) or through values the
-// caller already holds.  No analysis result ever depends on a metric.
+// lint-allowlisted timing file of the subsystem), either directly or as
+// the window-local span totals a sweep observes per completed window.
+// The sweep and the store reader hold no clock of their own.  No
+// analysis result ever depends on a metric.
 #pragma once
 
 #include <array>

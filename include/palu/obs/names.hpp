@@ -28,22 +28,21 @@ inline constexpr char kIngestBudgetExhausted[] =
 inline constexpr char kSweepRuns[] = "palu_sweep_runs_total";
 /// Counter{outcome=completed|failed|skipped}: per-window dispositions.
 inline constexpr char kSweepWindows[] = "palu_sweep_windows_total";
-/// Counter: sweeps that observed their cancel flag.
-inline constexpr char kSweepCancelled[] = "palu_sweep_cancelled_total";
-/// Counter: sweeps that hit their wall-clock deadline.
-inline constexpr char kSweepDeadlineExpired[] =
-    "palu_sweep_deadline_expired_total";
 /// Counter: window failures caused by an armed failpoint.
 inline constexpr char kSweepFailpointTrips[] =
     "palu_sweep_failpoint_trips_total";
 /// Gauge: worker count of the pool driving the most recent sweep.
 inline constexpr char kSweepPoolThreads[] = "palu_sweep_pool_threads";
 /// Histogram{stage=sampling|accumulation|binning,
-/// path=fast|counts|replay|expected}: per-worker CPU ns spent in each
-/// stage (one observation per worker; one per analytic evaluation).
+/// path=fast|counts|replay|expected}: ns one window spent in each stage,
+/// measured by obs::TraceSpan.  One observation per stage per completed
+/// window, so a series' count is the windows its path completed and its
+/// sum is the stage's CPU time summed over workers.  Binning includes
+/// the capture tee; the analytic path records 0 for it.
 inline constexpr char kSweepStageDurationNs[] =
     "palu_sweep_stage_duration_ns";
-/// Histogram: end-to-end wall ns per sweep_windows call.
+/// Histogram: end-to-end wall ns per sweep_windows or
+/// evaluate_expected_window call, serial reduce included.
 inline constexpr char kSweepDurationNs[] = "palu_sweep_duration_ns";
 
 // --- PALU fit (src/core/estimate.cpp) ------------------------------------

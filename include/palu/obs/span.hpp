@@ -2,12 +2,15 @@
 //
 // A TraceSpan reads std::chrono::steady_clock at construction and again
 // at stop()/destruction, then hands the elapsed nanoseconds to either a
-// Histogram (registry-backed latency series) or a plain uint64_t
-// accumulator (the per-worker stage totals in the sweep hot loop, where
-// even a relaxed atomic per batch would be too much).  Both clock reads
-// live in src/obs/span.cpp — the single lint-allowlisted timing TU of
-// the obs subsystem — so the determinism rule stays enforceable
-// tree-wide (DESIGN.md §5c).
+// Histogram (registry-backed latency series: a whole sweep, one store
+// block decode) or a plain uint64_t accumulator (a sweep window's stage
+// totals, which add up over its packet batches and reach the registry
+// once per completed window, so the hot loop never pays an atomic per
+// batch).  Every duration the library records goes through it.  Both
+// clock reads live in src/obs/span.cpp; under src/ only it and
+// src/serve/daemon.cpp (supervision pacing) are on the lint's timing
+// allowlist, so the determinism rule stays enforceable tree-wide
+// (DESIGN.md §5c).
 #pragma once
 
 #include <cstdint>

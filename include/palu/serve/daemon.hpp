@@ -14,6 +14,14 @@
 //                   signals, enforces the drain deadline, writes metrics
 //                   snapshots on an interval, and finalizes state.
 //
+// Delivery is at-least-once across a crash: boundary() publishes a
+// window's line before it checkpoints, so a --restore publishes again
+// every window published after the last checkpoint — at most
+// checkpoint_every of them, more only if checkpoint writes failed.  The
+// repeated lines are byte-identical to the first ones (the fit is
+// deterministic given the restored state), so consumers dedupe on
+// `window=`.
+//
 // Both worker stages run under run_stage(): a palu::DataError is fatal
 // (bad input, exit 3), any other failure restarts the stage with capped
 // exponential backoff, and a stage that keeps failing without making

@@ -8,10 +8,11 @@
 // Fig-3-style sweeps.
 //
 // Sweeps are hardened for long production runs: a worker exception carries
-// its window index back to the caller (SweepWindowError), a failure budget
-// lets a sweep tolerate a bounded number of bad windows without losing the
-// rest, and a cancellation flag / wall-clock timeout stops a stuck sweep
-// cleanly between windows.
+// its window index back to the caller (SweepWindowError), and a failure
+// budget lets a sweep tolerate a bounded number of bad windows without
+// losing the rest.  Stage and wall times land in the sweep's metrics
+// registry (palu_sweep_stage_duration_ns, palu_sweep_duration_ns), one
+// stage observation per completed window.
 //
 // Every sweep runs one stage graph (DESIGN.md §5g): a pool worker
 // produces window t — a packet draw, a count-space draw, or a store read
@@ -34,8 +35,6 @@
 // once per window size, independent of N_V (DESIGN.md §5i).
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -91,7 +90,7 @@ enum class SynthesisMode {
   kMultinomial,
 };
 
-/// Resilience knobs and sinks for sweep_windows.
+/// Failure budget, synthesis strategy and sinks for sweep_windows.
 struct SweepOptions {
   /// Windows allowed to fail before the sweep itself fails.  0 preserves
   /// the strict behaviour: the first failure is rethrown as
@@ -101,48 +100,18 @@ struct SweepOptions {
   /// packet-exact reference behaviour, kMultinomial switches to
   /// O(num_edges) count-space draws.
   SynthesisMode synthesis = SynthesisMode::kPacket;
-  /// Cooperative cancellation: checked between windows; a cancelled sweep
-  /// returns the windows finished so far with `cancelled` set.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Wall-clock budget for the whole sweep; zero means unlimited.  Checked
-  /// between windows (a worker stuck inside one window cannot be
-  /// preempted, but no new window starts past the deadline).
-  std::chrono::milliseconds timeout{0};
   /// Optional capture tee: every successfully accumulated window is
   /// appended (canonical per-pair counts) before the sweep reduces it.
   /// Not owned; must be thread-safe (workers append concurrently) and
   /// outlive the sweep call.  An append failure is charged to the
   /// window like any other per-window fault.
   WindowCaptureSink* capture = nullptr;
-  /// Metrics sink for sweep counters and stage-duration histograms
-  /// (palu_sweep_* families, see palu/obs/names.hpp).  nullptr routes to
+  /// Metrics sink for sweep counters and the stage and wall duration
+  /// histograms (palu_sweep_* families, see palu/obs/names.hpp): the only
+  /// place a sweep reports its timings.  nullptr routes to
   /// obs::default_registry(); point it at a caller-owned registry for
   /// per-run isolation (bench_sweep, the equivalence tests).
   obs::Registry* metrics = nullptr;
-};
-
-/// CPU nanoseconds per sweep stage, in two views.  `*_cpu_ns` is the sum
-/// over all workers — total compute burned, which on a multi-worker pool
-/// exceeds elapsed wall time.  `*_max_ns` is the largest single worker's
-/// total for the stage — the straggler bound, i.e. the best lower bound
-/// on the stage's wall-clock contribution this accounting can give
-/// without per-stage barriers.  (An earlier revision reported the summed
-/// values under a "wall-clock" label; both views exist so neither gets
-/// misread again.)  Sampling covers producing the window (packet draws,
-/// the Multinomial + direction-split draws, or the store read and
-/// decode), accumulation the packet adds or the ingest of the pair
-/// records.  The serial window-order reduce runs on the calling thread
-/// and is added to both binning views.
-struct SweepStageTimings {
-  // Summed across workers (total CPU time per stage).
-  std::uint64_t sampling_cpu_ns = 0;      // draws or store read + decode
-  std::uint64_t accumulation_cpu_ns = 0;  // packets / records → counts
-  std::uint64_t binning_cpu_ns = 0;       // histogramming + reduce
-
-  // Slowest single worker per stage (straggler view).
-  std::uint64_t sampling_max_ns = 0;
-  std::uint64_t accumulation_max_ns = 0;
-  std::uint64_t binning_max_ns = 0;
 };
 
 struct WindowSweepResult {
@@ -151,9 +120,6 @@ struct WindowSweepResult {
   Degree max_value = 0;             // d_max over all windows (Eq. 1)
   std::size_t windows = 0;          // windows merged into the result
   std::vector<WindowFailure> failures;  // tolerated per-window failures
-  std::size_t windows_skipped = 0;  // not attempted (cancel / timeout)
-  bool cancelled = false;           // cancel flag or timeout fired
-  SweepStageTimings timings;        // per-stage CPU sum + straggler max
 };
 
 /// Draws `num_windows` windows of `n_valid` packets each over
@@ -194,8 +160,8 @@ WindowSweepResult sweep_windows(WindowSource& source,
 /// No window RNG and no window count: the result is what an infinite
 /// sampled ensemble converges to.  Records palu_sweep_* counters and the
 /// {path="expected"} stage histograms (prepare → sampling, evaluate →
-/// accumulation, result assembly → binning) into `metrics` (nullptr =
-/// obs::default_registry()).  Throws on failure, including an armed
+/// accumulation, 0 for binning: the evaluator emits binned mass) into
+/// `metrics` (nullptr = obs::default_registry()).  Throws on failure, including an armed
 /// `theory.expected_window` failpoint.
 ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
                                         const RateModel& rates,

@@ -221,9 +221,6 @@ void preregister_palu_metrics(Registry& r) {
     r.counter(names::kSweepWindows, {{"outcome", outcome}},
               "Per-window sweep dispositions");
   }
-  r.counter(names::kSweepCancelled, {}, "Sweeps that observed cancellation");
-  r.counter(names::kSweepDeadlineExpired, {},
-            "Sweeps that hit their wall-clock deadline");
   r.counter(names::kSweepFailpointTrips, {},
             "Window failures caused by an armed failpoint");
   r.gauge(names::kSweepPoolThreads, {},
@@ -232,11 +229,12 @@ void preregister_palu_metrics(Registry& r) {
     for (const char* stage : {"sampling", "accumulation", "binning"}) {
       r.histogram(names::kSweepStageDurationNs,
                   {{"path", path}, {"stage", stage}},
-                  "Per-worker CPU nanoseconds spent in each sweep stage");
+                  "Nanoseconds one completed window spent in each sweep "
+                  "stage");
     }
   }
   r.histogram(names::kSweepDurationNs, {},
-              "End-to-end wall nanoseconds per sweep_windows call");
+              "End-to-end wall nanoseconds per sweep call");
 
   r.counter(names::kFitStageAttempts, {{"stage", "mle"}},
             "Profile-likelihood fit attempts");

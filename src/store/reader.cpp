@@ -1,7 +1,3 @@
-// Timing TU: steady_clock reads here feed only the palu_store_decode_ns
-// observability histogram; no decoded window content ever depends on the
-// clock.  Listed in tools/timing_files.txt for palu_lint's determinism
-// rule.
 #include "palu/store/reader.hpp"
 
 #include <fcntl.h>
@@ -9,20 +5,18 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "palu/common/error.hpp"
 #include "palu/common/failpoint.hpp"
 #include "palu/obs/metrics.hpp"
 #include "palu/obs/names.hpp"
+#include "palu/obs/span.hpp"
 #include "palu/store/writer.hpp"
 
 namespace palu::store {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 obs::Registry& pick(obs::Registry* r) {
   return r != nullptr ? *r : obs::default_registry();
@@ -310,7 +304,7 @@ Count WindowStoreReader::read_window(
                     "' does not match its manifest entry");
   }
 
-  const auto t0 = Clock::now();
+  obs::TraceSpan decode_span(decode_ns_);
   out.clear();
   out.reserve(view.header.record_count);
   const unsigned char* p = view.payload;
@@ -365,9 +359,6 @@ Count WindowStoreReader::read_window(
                     " records, header says " +
                     std::to_string(view.header.record_count));
   }
-  decode_ns_.observe(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count()));
   blocks_read_.inc();
   return view.header.n_valid;
 }

@@ -1,16 +1,11 @@
-// Timing TU: steady_clock reads here feed the SweepStageTimings
-// diagnostics, the obs duration histograms, and the wall-clock timeout;
-// no analysis result (histograms, ensembles, d_max) ever depends on the
-// clock.  Listed in tools/timing_files.txt for palu_lint's determinism
-// rule.
+// Stage times reach the registry only through obs::TraceSpan, so this
+// file never reads a clock and palu_lint's determinism rule covers it.
 #include "palu/traffic/window_pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <map>
-#include <mutex>
+#include <atomic>
 #include <optional>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "palu/common/failpoint.hpp"
@@ -25,14 +20,6 @@
 namespace palu::traffic {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
-          .count());
-}
 
 /// Per-worker sweep scratch: one generator (edges + alias tables built
 /// once, reseeded per window; absent on replay sweeps, which have no
@@ -75,20 +62,6 @@ const char* path_label(Producer p) {
   return "fast";
 }
 
-/// Plain per-stage nanosecond totals, accumulated worker-locally in the
-/// hot loop and folded into both SweepStageTimings views afterwards.
-struct StageNs {
-  std::uint64_t sampling = 0;
-  std::uint64_t accumulation = 0;
-  std::uint64_t binning = 0;
-
-  void add(const StageNs& o) noexcept {
-    sampling += o.sampling;
-    accumulation += o.accumulation;
-    binning += o.binning;
-  }
-};
-
 /// Counter handles for one sweep call, resolved once against whichever
 /// registry the options selected so the per-window hot path never touches
 /// the registry's mutex.
@@ -97,8 +70,6 @@ struct SweepMetrics {
   obs::Counter& windows_completed;
   obs::Counter& windows_failed;
   obs::Counter& windows_skipped;
-  obs::Counter& cancelled;
-  obs::Counter& deadline_expired;
   obs::Counter& failpoint_trips;
   obs::Gauge& pool_threads;
   obs::Histogram& sweep_duration;
@@ -114,8 +85,6 @@ struct SweepMetrics {
             r.counter(obs::names::kSweepWindows, {{"outcome", "failed"}})),
         windows_skipped(
             r.counter(obs::names::kSweepWindows, {{"outcome", "skipped"}})),
-        cancelled(r.counter(obs::names::kSweepCancelled)),
-        deadline_expired(r.counter(obs::names::kSweepDeadlineExpired)),
         failpoint_trips(r.counter(obs::names::kSweepFailpointTrips)),
         pool_threads(r.gauge(obs::names::kSweepPoolThreads)),
         sweep_duration(r.histogram(obs::names::kSweepDurationNs)),
@@ -128,57 +97,15 @@ struct SweepMetrics {
     return r.histogram(obs::names::kSweepStageDurationNs,
                        {{"path", path}, {"stage", stage}});
   }
+
+  /// Records one completed window: one observation per stage.
+  void observe_window(std::uint64_t sampling_ns, std::uint64_t accumulation_ns,
+                      std::uint64_t binning_ns) noexcept {
+    stage_sampling.observe(sampling_ns);
+    stage_accumulation.observe(accumulation_ns);
+    stage_binning.observe(binning_ns);
+  }
 };
-
-// ---------------------------------------------------------------------
-// Stage graph (DESIGN.md §5g).  Every window flows through
-//
-//   produce → accumulate → bin  [→ capture]   (inside one pool worker)
-//                           └→ reduce          (serial, caller's thread)
-//
-// run_window is the per-window half.  A packet draw is accumulated batch
-// by batch; a counts draw or a store read stages the window's pair
-// records, which the accumulator ingests whole.
-// ---------------------------------------------------------------------
-
-stats::DegreeHistogram run_window(const SweepPlan& plan, std::size_t t,
-                                  SweepScratch& s, StageNs& ns) {
-  if (plan.producer != Producer::kStoreRead) {
-    s.gen->reseed(plan.base.fork(t + 1));
-  }
-  s.acc.begin_window();
-  if (plan.producer == Producer::kPacketDraw) {
-    if (s.buf.size() < kPacketBatch) s.buf.resize(kPacketBatch);
-    for (Count left = plan.n_valid; left > 0;) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<Count>(left, kPacketBatch));
-      const auto t0 = Clock::now();
-      s.gen->next_batch(std::span<Packet>(s.buf.data(), n));
-      const auto t1 = Clock::now();
-      for (std::size_t i = 0; i < n; ++i) {
-        s.acc.add(s.buf[i].src, s.buf[i].dst);
-      }
-      ns.sampling += ns_between(t0, t1);
-      ns.accumulation += ns_between(t1, Clock::now());
-      left -= n;
-    }
-  } else {
-    const auto t0 = Clock::now();
-    if (plan.producer == Producer::kStoreRead) {
-      plan.source->read_window(t, s.io_buf, s.pairs);
-    } else {
-      s.gen->next_window_counts(plan.n_valid, s.pairs);
-    }
-    const auto t1 = Clock::now();
-    s.acc.ingest_counts(s.pairs);
-    ns.sampling += ns_between(t0, t1);
-    ns.accumulation += ns_between(t1, Clock::now());
-  }
-  const auto t0 = Clock::now();
-  stats::DegreeHistogram h = s.acc.histogram(plan.quantity);
-  ns.binning += ns_between(t0, Clock::now());
-  return h;
-}
 
 /// Tees window t into the capture sink before the reduce.  A counts draw
 /// archives its staged records directly (full support; the writer drops
@@ -193,6 +120,62 @@ void capture_window(const SweepPlan& plan, std::size_t t, SweepScratch& s,
     records = s.export_buf;
   }
   sink.append(t, plan.n_valid, records);
+}
+
+// ---------------------------------------------------------------------
+// Stage graph (DESIGN.md §5g).  Every window flows through
+//
+//   produce → accumulate → bin  [→ capture]   (inside one pool worker)
+//                           └→ reduce          (serial, caller's thread)
+//
+// run_window is the per-window half.  A packet draw is accumulated batch
+// by batch; a counts draw or a store read stages the window's pair
+// records, which the accumulator ingests whole.
+// ---------------------------------------------------------------------
+
+/// Runs window t through its stages and, once it has completed, records
+/// one observation per stage (capture I/O counts as binning, an output
+/// stage).  Packet batches add into window-local totals, so the registry
+/// is touched once per window, and a window that throws records nothing.
+stats::DegreeHistogram run_window(const SweepPlan& plan, std::size_t t,
+                                  SweepScratch& s, WindowCaptureSink* capture,
+                                  SweepMetrics& metrics) {
+  std::uint64_t sampling_ns = 0, accumulation_ns = 0, binning_ns = 0;
+  if (plan.producer != Producer::kStoreRead) {
+    s.gen->reseed(plan.base.fork(t + 1));
+  }
+  s.acc.begin_window();
+  if (plan.producer == Producer::kPacketDraw) {
+    if (s.buf.size() < kPacketBatch) s.buf.resize(kPacketBatch);
+    for (Count left = plan.n_valid; left > 0;) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<Count>(left, kPacketBatch));
+      obs::TraceSpan produce(sampling_ns);
+      s.gen->next_batch(std::span<Packet>(s.buf.data(), n));
+      produce.stop();
+      obs::TraceSpan accumulate(accumulation_ns);
+      for (std::size_t i = 0; i < n; ++i) {
+        s.acc.add(s.buf[i].src, s.buf[i].dst);
+      }
+      left -= n;
+    }
+  } else {
+    obs::TraceSpan produce(sampling_ns);
+    if (plan.producer == Producer::kStoreRead) {
+      plan.source->read_window(t, s.io_buf, s.pairs);
+    } else {
+      s.gen->next_window_counts(plan.n_valid, s.pairs);
+    }
+    produce.stop();
+    obs::TraceSpan accumulate(accumulation_ns);
+    s.acc.ingest_counts(s.pairs);
+  }
+  obs::TraceSpan bin(binning_ns);
+  stats::DegreeHistogram h = s.acc.histogram(plan.quantity);
+  if (capture != nullptr) capture_window(plan, t, s, *capture);
+  bin.stop();
+  metrics.observe_window(sampling_ns, accumulation_ns, binning_ns);
+  return h;
 }
 
 /// Shared sweep core: runs windows [0, num_windows) of `plan` on `pool`
@@ -210,8 +193,8 @@ WindowSweepResult sweep_impl(const SweepPlan& plan,
   metrics.pool_threads.set(static_cast<std::int64_t>(pool.size()));
   obs::TraceSpan sweep_span(metrics.sweep_duration);
 
-  // Per-window slots: exactly one of histogram / error is set afterwards;
-  // neither set means the window was skipped (cancellation or timeout).
+  // Per-window slots: at most one of histogram / error is set afterwards;
+  // neither set means the window was skipped after a strict-mode failure.
   //
   // Thread-safety invariant (checked by tsan_stress_test): each worker
   // writes only the slots for its own window indices, and the reduce loop
@@ -223,37 +206,7 @@ WindowSweepResult sweep_impl(const SweepPlan& plan,
       num_windows);
   std::vector<std::optional<std::string>> errors(num_windows);
   std::atomic<bool> stop_new_windows{false};
-  std::atomic<bool> cancel_seen{false};
-  std::atomic<bool> deadline_seen{false};
   std::atomic<std::uint64_t> failpoint_trips{0};
-
-  const bool has_deadline = opts.timeout.count() > 0;
-  // Computed only when a deadline is set: unconditionally adding a
-  // duration::max()-class timeout to now() overflows the time_point
-  // (signed-overflow UB).  Oversized budgets clamp to the clock's
-  // horizon, which is indistinguishable from unlimited.
-  Clock::time_point deadline{};
-  if (has_deadline) {
-    const auto now = Clock::now();
-    const auto headroom =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::time_point::max() - now);
-    deadline = opts.timeout >= headroom ? Clock::time_point::max()
-                                        : now + opts.timeout;
-  }
-  const auto should_stop = [&]() {
-    if (stop_new_windows.load(std::memory_order_relaxed)) return true;
-    if (opts.cancel != nullptr &&
-        opts.cancel->load(std::memory_order_relaxed)) {
-      cancel_seen.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
-      deadline_seen.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
 
   // Per-worker scratch slots: each slot pays the edge copy and alias-table
   // build once (the counts support adds itself lazily on a slot's first
@@ -267,27 +220,14 @@ WindowSweepResult sweep_impl(const SweepPlan& plan,
     return s;
   });
 
-  // Per-worker stage totals, flushed once per chunk (a worker can run
-  // several chunks; map lookup + mutex per chunk is noise next to the
-  // windows inside it).  Keeping totals per worker is what makes the
-  // straggler view (`*_max_ns`) computable after the join.
-  std::mutex worker_ns_mutex;
-  std::map<std::thread::id, StageNs> worker_ns;
-
   parallel_for(pool, 0, num_windows, /*grain=*/1, [&](IndexRange range) {
-    StageNs local;
     auto lease = scratch.acquire();
     for (std::size_t t = range.begin; t < range.end; ++t) {
-      if (should_stop()) break;  // leave the remaining slots unset
+      // Leave the remaining slots unset once a strict sweep is lost.
+      if (stop_new_windows.load(std::memory_order_relaxed)) break;
       try {
         PALU_FAILPOINT("traffic.sweep_window");
-        histograms[t] = run_window(plan, t, *lease, local);
-        if (opts.capture != nullptr) {
-          // Capture I/O is charged to binning — it is an output stage.
-          const auto c0 = Clock::now();
-          capture_window(plan, t, *lease, *opts.capture);
-          local.binning += ns_between(c0, Clock::now());
-        }
+        histograms[t] = run_window(plan, t, *lease, opts.capture, metrics);
       } catch (const std::exception& e) {
         if (failpoints::is_failpoint_error(e)) {
           failpoint_trips.fetch_add(1, std::memory_order_relaxed);
@@ -300,52 +240,25 @@ WindowSweepResult sweep_impl(const SweepPlan& plan,
         }
       }
     }
-    std::lock_guard<std::mutex> lock(worker_ns_mutex);
-    worker_ns[std::this_thread::get_id()].add(local);
   });
 
-  // Fold per-worker totals into both timing views and the registry's
-  // stage histograms (one observation per participating worker).
-  WindowSweepResult out;
-  for (const auto& [id, ns] : worker_ns) {
-    (void)id;
-    out.timings.sampling_cpu_ns += ns.sampling;
-    out.timings.accumulation_cpu_ns += ns.accumulation;
-    out.timings.binning_cpu_ns += ns.binning;
-    out.timings.sampling_max_ns =
-        std::max(out.timings.sampling_max_ns, ns.sampling);
-    out.timings.accumulation_max_ns =
-        std::max(out.timings.accumulation_max_ns, ns.accumulation);
-    out.timings.binning_max_ns =
-        std::max(out.timings.binning_max_ns, ns.binning);
-    metrics.stage_sampling.observe(ns.sampling);
-    metrics.stage_accumulation.observe(ns.accumulation);
-    metrics.stage_binning.observe(ns.binning);
-  }
-
-  // Record window dispositions and stop causes before the strict/budget
-  // throws below, so metrics describe failed sweeps too.
-  std::size_t n_failed = 0, n_skipped = 0, n_completed = 0;
+  // Record window dispositions before the strict/budget throws below, so
+  // metrics describe failed sweeps too.
+  std::size_t n_failed = 0, n_completed = 0;
   for (std::size_t t = 0; t < num_windows; ++t) {
     if (errors[t]) {
       ++n_failed;
-    } else if (!histograms[t]) {
-      ++n_skipped;
-    } else {
+    } else if (histograms[t]) {
       ++n_completed;
     }
   }
   metrics.windows_completed.inc(n_completed);
   metrics.windows_failed.inc(n_failed);
-  metrics.windows_skipped.inc(n_skipped);
+  metrics.windows_skipped.inc(num_windows - n_failed - n_completed);
   metrics.failpoint_trips.inc(
       failpoint_trips.load(std::memory_order_relaxed));
-  if (cancel_seen.load(std::memory_order_relaxed)) metrics.cancelled.inc();
-  if (deadline_seen.load(std::memory_order_relaxed)) {
-    metrics.deadline_expired.inc();
-  }
 
-  const auto reduce_start = Clock::now();
+  WindowSweepResult out;
   for (std::size_t t = 0; t < num_windows; ++t) {
     if (errors[t]) {
       if (opts.max_failed_windows == 0) {
@@ -354,17 +267,13 @@ WindowSweepResult sweep_impl(const SweepPlan& plan,
       out.failures.push_back(WindowFailure{t, std::move(*errors[t])});
       continue;
     }
-    if (!histograms[t]) {
-      ++out.windows_skipped;
-      continue;
-    }
+    if (!histograms[t]) continue;  // skipped; the strict failure throws
     const stats::DegreeHistogram& h = *histograms[t];
     out.max_value = std::max(out.max_value, h.max_degree());
     out.ensemble.add(stats::LogBinned::from_histogram(h));
     out.merged.merge(h);
     ++out.windows;
   }
-  out.cancelled = out.windows_skipped > 0;
   if (out.failures.size() > opts.max_failed_windows) {
     const WindowFailure& first = out.failures.front();
     throw SweepWindowError(
@@ -373,11 +282,6 @@ WindowSweepResult sweep_impl(const SweepPlan& plan,
             " windows failed, budget " +
             std::to_string(opts.max_failed_windows) + ")");
   }
-  // The serial window-order reduce runs on this (single) thread, so its
-  // cost goes into both the CPU and straggler views of binning.
-  const std::uint64_t reduce_ns = ns_between(reduce_start, Clock::now());
-  out.timings.binning_cpu_ns += reduce_ns;
-  out.timings.binning_max_ns += reduce_ns;
   return out;
 }
 
@@ -442,18 +346,18 @@ ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
         underlying, make_edge_rates(underlying, rates, Rng(seed).fork(0)),
         Rng(0));
     // Stage accounting maps onto the sampled paths' graph: the visibility
-    // pass (prepare) is the "sampling" analogue, the marginal folding
-    // (evaluate) is "accumulation", and the hand-off of the result is
-    // "binning".
-    const auto t0 = Clock::now();
+    // pass (prepare) is the "sampling" analogue and the marginal folding
+    // (evaluate) is "accumulation".  The evaluator emits the binned mass
+    // itself, so the analytic window has no binning stage and records 0.
+    std::uint64_t prepare_ns = 0, evaluate_ns = 0;
+    obs::TraceSpan prepare(prepare_ns);
     ExpectedWindowEvaluator eval(gen.pair_support());
     eval.prepare(n_valid);
-    const auto t1 = Clock::now();
+    prepare.stop();
+    obs::TraceSpan evaluate(evaluate_ns);
     ExpectedWindow win = eval.evaluate(quantity);
-    const auto t2 = Clock::now();
-    m.stage_sampling.observe(ns_between(t0, t1));
-    m.stage_accumulation.observe(ns_between(t1, t2));
-    m.stage_binning.observe(ns_between(t2, Clock::now()));
+    evaluate.stop();
+    m.observe_window(prepare_ns, evaluate_ns, 0);
     m.windows_completed.inc(1);
     return win;
   } catch (const std::exception& e) {

@@ -4,7 +4,6 @@
 // corruptor and the failpoints both run off fixed seeds.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -386,8 +385,6 @@ TEST(FaultInjection, SweepBudgetToleratesBadWindows) {
       traffic::Quantity::kSourceFanOut, 42, pool, opts);
   EXPECT_EQ(sweep.failures.size(), 2u);
   EXPECT_EQ(sweep.windows, 6u);
-  EXPECT_EQ(sweep.windows_skipped, 0u);
-  EXPECT_FALSE(sweep.cancelled);
   for (const auto& f : sweep.failures) {
     EXPECT_LT(f.window, 8u);
     EXPECT_FALSE(f.error.empty());
@@ -411,22 +408,6 @@ TEST(FaultInjection, SweepBudgetOverflowRethrowsWithContext) {
     EXPECT_NE(std::string(e.what()).find("budget 1"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(FaultInjection, SweepCancellationReturnsPartialResult) {
-  Rng gen_rng(7);
-  const auto g = graph::erdos_renyi(gen_rng, 500, 0.01);
-  ThreadPool pool(2);
-  std::atomic<bool> cancel{true};  // cancelled before any window starts
-  traffic::SweepOptions opts;
-  opts.cancel = &cancel;
-  const auto sweep = traffic::sweep_windows(
-      g, traffic::RateModel{}, 1000, 6,
-      traffic::Quantity::kSourceFanOut, 42, pool, opts);
-  EXPECT_TRUE(sweep.cancelled);
-  EXPECT_EQ(sweep.windows, 0u);
-  EXPECT_EQ(sweep.windows_skipped, 6u);
-  EXPECT_TRUE(sweep.failures.empty());
 }
 
 TEST(FaultInjection, SweepWithoutFaultsMatchesStrictOverload) {

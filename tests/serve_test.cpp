@@ -672,6 +672,61 @@ TEST_F(ServeTest, DaemonRestoreResumesByteIdentical) {
   std::remove(ck.c_str());
 }
 
+// serve is at-least-once across a crash: it publishes a window's line
+// before it checkpoints that window, so --restore publishes again every
+// window after the last good checkpoint.  Here the checkpoint after
+// window 2 and the final flush both fail; the resumed run must repeat the
+// prefix run's window=2 line byte for byte and then continue exactly as
+// the uninterrupted run does.
+TEST_F(ServeTest, DaemonRestoreRepublishesWindowsAfterLastCheckpoint) {
+  const std::string trace = temp_path("alo.trace");
+  const std::string ck = temp_path("alo.ck");
+  write_file(trace, to_trace_text(synth_packets(9000, 43)));
+  std::remove(ck.c_str());
+
+  obs::Registry reg_full;
+  std::ostringstream full_out;
+  serve::ServeDaemon full(daemon_opts(trace, reg_full, full_out));
+  ASSERT_EQ(full.run(), 0);  // 6 windows
+
+  // The checkpoints after windows 0 and 1 land; the two after them fail.
+  failpoints::arm("serve.checkpoint", /*fires=*/2, /*skip=*/2);
+  obs::Registry reg_prefix;
+  std::ostringstream prefix_out;
+  auto prefix_opts = daemon_opts(trace, reg_prefix, prefix_out);
+  prefix_opts.checkpoint_path = ck;
+  prefix_opts.max_windows = 3;
+  serve::ServeDaemon prefix(std::move(prefix_opts));
+  ASSERT_EQ(prefix.run(), 0);
+  failpoints::disarm_all();
+  EXPECT_EQ(reg_prefix.counter(obs::names::kServeCheckpointWrites).value(),
+            2u);
+  EXPECT_EQ(
+      reg_prefix.counter(obs::names::kServeCheckpointFailures).value(), 2u);
+
+  obs::Registry reg_resume;
+  std::ostringstream resume_out;
+  auto resume_opts = daemon_opts(trace, reg_resume, resume_out);
+  resume_opts.checkpoint_path = ck;
+  resume_opts.restore = true;
+  serve::ServeDaemon resumed(std::move(resume_opts));
+  ASSERT_EQ(resumed.run(), 0);
+
+  const auto full_lines = lines_of(full_out.str());
+  const auto prefix_lines = lines_of(prefix_out.str());
+  const auto resume_lines = lines_of(resume_out.str());
+  ASSERT_EQ(full_lines.size(), 6u);
+  ASSERT_EQ(prefix_lines.size(), 3u);
+  ASSERT_EQ(resume_lines.size(), 4u);
+  EXPECT_EQ(prefix_lines[2].rfind("window=2 ", 0), 0u);
+  EXPECT_EQ(resume_lines[0], prefix_lines[2]);
+  EXPECT_EQ(resume_lines,
+            std::vector<std::string>(full_lines.begin() + 2,
+                                     full_lines.end()));
+  std::remove(trace.c_str());
+  std::remove(ck.c_str());
+}
+
 TEST_F(ServeTest, DaemonFitFailpointDegradesThenRecovers) {
   const std::string trace = temp_path("fitfp.trace");
   write_file(trace, to_trace_text(synth_packets(6000, 29)));

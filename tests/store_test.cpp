@@ -329,6 +329,64 @@ TEST_F(StoreTest, PacketFastPathCaptureReplaysIdentically) {
   }
 }
 
+// Capture output does not depend on the pool size: the same counts sweep
+// captured on 1-, 2- and 4-thread pools stores the same records for every
+// window, ends with the same writer Stats, and replays to the same merged
+// histogram.  Only the order of blocks in the file may differ — workers
+// append concurrently, and the manifest maps each window to its block.
+TEST_F(StoreTest, CaptureIsIdenticalAcrossPoolSizes) {
+  Rng gen_rng(7);
+  const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
+  constexpr std::size_t kWindows = 8;
+  constexpr std::uint64_t kSeed = 17;
+  struct Capture {
+    std::vector<std::vector<traffic::EdgePacketCounts>> records;
+    store::WindowStoreWriter::Stats writer_stats;
+    stats::DegreeHistogram replayed;
+  };
+  const auto capture = [&](std::size_t threads) {
+    const std::string dir = store_dir("pool_" + std::to_string(threads));
+    store::WriterOptions wopts;
+    wopts.node_domain = g.num_nodes();
+    wopts.seed = kSeed;
+    store::WindowStoreWriter writer(dir, wopts);
+    ThreadPool pool(threads);
+    traffic::sweep_windows(g, traffic::RateModel{}, 5000, kWindows,
+                           traffic::Quantity::kUndirectedDegree, kSeed, pool,
+                           sweep_opts(/*counts=*/true, &writer));
+    writer.finish();
+    Capture c;
+    c.writer_stats = writer.stats();
+    store::WindowStoreReader reader(dir);
+    std::vector<std::byte> buf;
+    c.records.resize(reader.num_windows());
+    for (std::size_t t = 0; t < reader.num_windows(); ++t) {
+      reader.read_window(t, buf, c.records[t]);
+    }
+    c.replayed = traffic::sweep_windows(reader, reader.num_windows(),
+                                        traffic::Quantity::kUndirectedDegree,
+                                        pool, sweep_opts(/*counts=*/false))
+                     .merged;
+    return c;
+  };
+  const Capture one = capture(1);
+  ASSERT_EQ(one.records.size(), kWindows);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const Capture many = capture(threads);
+    const std::string context = "threads " + std::to_string(threads);
+    EXPECT_EQ(many.records, one.records) << context;
+    EXPECT_EQ(many.writer_stats.blocks, one.writer_stats.blocks) << context;
+    EXPECT_EQ(many.writer_stats.records, one.writer_stats.records)
+        << context;
+    EXPECT_EQ(many.writer_stats.payload_bytes,
+              one.writer_stats.payload_bytes)
+        << context;
+    EXPECT_EQ(many.writer_stats.file_bytes, one.writer_stats.file_bytes)
+        << context;
+    expect_identical(many.replayed, one.replayed, context);
+  }
+}
+
 // ---------------------------------------------------------------------
 // torn tails, corrupt blocks, short manifests
 // ---------------------------------------------------------------------

@@ -5,13 +5,11 @@
 // has to produce byte-identical merged histograms, BinnedEnsemble moments,
 // and d_max to a test-local reduce over SyntheticTrafficGenerator::window.
 // Its output must not depend on the pool size, and it must honour the
-// failure-budget / cancellation / timeout semantics under fault injection.
+// failure-budget semantics under fault injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -151,26 +149,28 @@ TEST(SweepFastPath, StageTimingsArePopulated) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 400, 0.02);
   ThreadPool pool(2);
-  const auto a = traffic::sweep_windows(
-      g, traffic::RateModel{}, 20000, 4,
-      traffic::Quantity::kUndirectedDegree, 5, pool);
-  EXPECT_GT(a.timings.sampling_cpu_ns, 0u);
-  EXPECT_GT(a.timings.accumulation_cpu_ns, 0u);
-  EXPECT_GT(a.timings.binning_cpu_ns, 0u);
-  // The straggler view is a max over per-worker sums of the same samples:
-  // it must be positive and can never exceed the CPU (summed) view.
-  EXPECT_GT(a.timings.sampling_max_ns, 0u);
-  EXPECT_LE(a.timings.sampling_max_ns, a.timings.sampling_cpu_ns);
-  EXPECT_LE(a.timings.accumulation_max_ns, a.timings.accumulation_cpu_ns);
-  EXPECT_LE(a.timings.binning_max_ns, a.timings.binning_cpu_ns);
+  obs::Registry registry;
+  traffic::SweepOptions opts;
+  opts.metrics = &registry;
+  traffic::sweep_windows(g, traffic::RateModel{}, 20000, 4,
+                         traffic::Quantity::kUndirectedDegree, 5, pool, opts);
+  for (const char* stage : {"sampling", "accumulation", "binning"}) {
+    const obs::Histogram& h =
+        registry.histogram(obs::names::kSweepStageDurationNs,
+                           {{"path", "fast"}, {"stage", stage}});
+    EXPECT_EQ(h.count(), 4u) << stage;
+    EXPECT_GT(h.sum(), 0u) << stage;
+  }
+  EXPECT_GT(registry.histogram(obs::names::kSweepDurationNs).sum(), 0u);
 }
 
 // Determinism under real parallelism: the same sweep on a 1-, 2- and
 // 4-thread pool must give the same result and leave the same counter and
 // gauge trail — apart from the pool-size gauge, which records the pool
-// itself — for packet draws, counts draws, and store replay.  Stage-
-// duration histograms are excluded: their values and which workers
-// participate are timing-dependent.
+// itself — for packet draws, counts draws, and store replay.  Duration
+// values are timing-dependent, so the histograms are held only to their
+// observation counts: one per stage per completed window, whichever
+// workers ran them.
 TEST(SweepDeterminism, IdenticalAcrossPoolSizes) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
@@ -214,6 +214,17 @@ TEST(SweepDeterminism, IdenticalAcrossPoolSizes) {
                                         kWindows, q, kSeed, pool, opts);
     }
     r.trail = registry.snapshot();
+    const std::uint64_t completed =
+        registry.counter(obs::names::kSweepWindows, {{"outcome", "completed"}})
+            .value();
+    std::size_t stage_series = 0;
+    for (const obs::HistogramSample& h : r.trail.histograms) {
+      if (h.name != obs::names::kSweepStageDurationNs) continue;
+      ++stage_series;
+      EXPECT_EQ(h.count, completed)
+          << path << " threads " << threads << " " << h.labels.back().second;
+    }
+    EXPECT_EQ(stage_series, 3u) << path << " threads " << threads;
     r.trail.histograms.clear();
     std::erase_if(r.trail.gauges, [](const obs::GaugeSample& s) {
       return s.name == obs::names::kSweepPoolThreads;
@@ -268,64 +279,6 @@ TEST(SweepFastPath, HonoursFailureBudget) {
       traffic::Quantity::kSourceFanOut, 42, pool, opts);
   EXPECT_EQ(sweep.failures.size(), 2u);
   EXPECT_EQ(sweep.windows, 6u);
-  EXPECT_FALSE(sweep.cancelled);
-}
-
-TEST(SweepFastPath, HonoursCancellation) {
-  Rng gen_rng(7);
-  const auto g = graph::erdos_renyi(gen_rng, 500, 0.01);
-  ThreadPool pool(2);
-  std::atomic<bool> cancel{true};  // cancelled before any window starts
-  traffic::SweepOptions opts;
-  opts.cancel = &cancel;
-  const auto sweep = traffic::sweep_windows(
-      g, traffic::RateModel{}, 1000, 6,
-      traffic::Quantity::kSourceFanOut, 42, pool, opts);
-  EXPECT_TRUE(sweep.cancelled);
-  EXPECT_EQ(sweep.windows, 0u);
-  EXPECT_EQ(sweep.windows_skipped, 6u);
-}
-
-TEST(SweepFastPath, HonoursTimeout) {
-  Rng gen_rng(7);
-  const auto g = graph::erdos_renyi(gen_rng, 500, 0.01);
-  ThreadPool pool(2);
-  traffic::SweepOptions opts;
-  opts.timeout = std::chrono::milliseconds(1);
-  // 64 windows × 500k packets cannot finish inside 1 ms; the deadline
-  // must stop new windows, leaving the rest skipped (not failed).
-  const auto sweep = traffic::sweep_windows(
-      g, traffic::RateModel{}, 500000, 64,
-      traffic::Quantity::kSourceFanOut, 42, pool, opts);
-  EXPECT_TRUE(sweep.cancelled);
-  EXPECT_GE(sweep.windows_skipped, 1u);
-  EXPECT_TRUE(sweep.failures.empty());
-  EXPECT_EQ(sweep.windows + sweep.windows_skipped, 64u);
-}
-
-TEST(SweepFastPath, HugeTimeoutDoesNotOverflowTheDeadline) {
-  // Regression: the deadline used to be computed unconditionally as
-  // now() + timeout, so a duration::max()-class budget overflowed the
-  // time_point (signed-overflow UB) and could wrap into the past,
-  // spuriously cancelling the sweep.  Oversized budgets must behave like
-  // "unlimited": every window completes.
-  Rng gen_rng(7);
-  const auto g = graph::erdos_renyi(gen_rng, 400, 0.02);
-  ThreadPool pool(2);
-  for (const auto timeout : {std::chrono::milliseconds::max(),
-                             std::chrono::milliseconds::max() / 2,
-                             std::chrono::duration_cast<
-                                 std::chrono::milliseconds>(
-                                 std::chrono::nanoseconds::max())}) {
-    traffic::SweepOptions opts;
-    opts.timeout = timeout;
-    const auto sweep = traffic::sweep_windows(
-        g, traffic::RateModel{}, 2000, 4,
-        traffic::Quantity::kUndirectedDegree, 9, pool, opts);
-    EXPECT_FALSE(sweep.cancelled) << timeout.count();
-    EXPECT_EQ(sweep.windows, 4u) << timeout.count();
-    EXPECT_EQ(sweep.windows_skipped, 0u) << timeout.count();
-  }
 }
 
 }  // namespace

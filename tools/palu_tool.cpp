@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -204,17 +205,28 @@ traffic::Quantity parse_quantity(const std::string& name) {
                         "' (see `palu_tool help`)");
 }
 
-void print_stage_timings(const traffic::SweepStageTimings& t) {
-  std::printf("stage cpu (summed over workers): sampling=%.1fms "
+// Prints the stage and wall times of every sweep this command ran, read
+// from the default registry: per-stage sums of
+// palu_sweep_stage_duration_ns (CPU time summed over workers) and the sum
+// of palu_sweep_duration_ns.  `produce` names the sampling stage.
+void print_stage_times(const char* produce = "sampling") {
+  std::map<std::string, std::uint64_t> stage_ns;
+  std::uint64_t wall_ns = 0;
+  for (const auto& h : obs::default_registry().snapshot().histograms) {
+    if (h.name == obs::names::kSweepDurationNs) wall_ns += h.sum;
+    if (h.name != obs::names::kSweepStageDurationNs) continue;
+    for (const auto& [key, value] : h.labels) {
+      if (key == "stage") stage_ns[value] += h.sum;
+    }
+  }
+  const auto ms = [](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1e6;
+  };
+  std::printf("stage cpu (summed over workers): %s=%.1fms "
               "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(t.sampling_cpu_ns) / 1e6,
-              static_cast<double>(t.accumulation_cpu_ns) / 1e6,
-              static_cast<double>(t.binning_cpu_ns) / 1e6);
-  std::printf("stage max (slowest worker):      sampling=%.1fms "
-              "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(t.sampling_max_ns) / 1e6,
-              static_cast<double>(t.accumulation_max_ns) / 1e6,
-              static_cast<double>(t.binning_max_ns) / 1e6);
+              produce, ms(stage_ns["sampling"]), ms(stage_ns["accumulation"]),
+              ms(stage_ns["binning"]));
+  std::printf("sweep wall time: %.1fms\n", ms(wall_ns));
 }
 
 // Fits the PALU constants on a sweep's merged histogram, so one
@@ -273,21 +285,7 @@ int sweep_expected(const cli::Args& args, const graph::Graph& graph,
               agg.unique_destinations, agg.max_link_packets);
   // The analytic stage times live in its {path="expected"} histograms;
   // the replicate sweep, if any, adds its own.
-  traffic::SweepStageTimings& t = bands.timings;
-  const auto fold = [](const char* stage, std::uint64_t& cpu,
-                       std::uint64_t& max) {
-    const std::uint64_t ns =
-        obs::default_registry()
-            .histogram(obs::names::kSweepStageDurationNs,
-                       {{"path", "expected"}, {"stage", stage}})
-            .sum();
-    cpu += ns;
-    max = std::max(max, ns);
-  };
-  fold("sampling", t.sampling_cpu_ns, t.sampling_max_ns);
-  fold("accumulation", t.accumulation_cpu_ns, t.accumulation_max_ns);
-  fold("binning", t.binning_cpu_ns, t.binning_max_ns);
-  print_stage_timings(t);
+  print_stage_times();
   return 0;
 }
 
@@ -350,7 +348,7 @@ int cmd_sweep(const cli::Args& args) {
               static_cast<unsigned long long>(sweep.max_value),
               static_cast<unsigned long long>(sweep.merged.total()),
               sweep.merged.support_size());
-  print_stage_timings(sweep.timings);
+  print_stage_times();
   print_palu_fit(sweep.merged);
   return 0;
 }
@@ -524,11 +522,7 @@ int cmd_replay(const cli::Args& args) {
               static_cast<unsigned long long>(sweep.max_value),
               static_cast<unsigned long long>(sweep.merged.total()),
               sweep.merged.support_size());
-  std::printf("stage cpu (summed over workers): read=%.1fms "
-              "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
+  print_stage_times("read");
   print_palu_fit(sweep.merged);
   return 0;
 }

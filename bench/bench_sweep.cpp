@@ -26,6 +26,7 @@
 //     "expected": {"points": [{"nvalid", "seconds_per_eval"}],
 //                  "ratios": [...],   // flat ⇒ analytic cost is N_V-free
 //                  "counts_sweep_seconds_over_expected_eval": X},
+//     "capture": {... same shape: the counts run teed into the store ...},
 //     "replay": {... same shape as fast/counts ...},
 //     "replay_store": {"windows", "records", "payload_bytes", "file_bytes",
 //                      "payload_bytes_per_record", "bytes_per_window",
@@ -37,9 +38,11 @@
 //
 // Each run records into its own obs::Registry, so the metrics block is
 // per-run (not cumulative across paths); its stage-duration histograms
-// are the run's stage times.  The counts path consumes RNG differently,
-// so it is held to distributional equivalence (tested in
-// sweep_counts_test) plus the exact mass check here, not byte identity.
+// are the run's stage times, and the capture and replay blocks carry
+// their store writer's and reader's palu_store_* series.  The counts
+// path consumes RNG differently, so it is held to distributional
+// equivalence (tested in sweep_counts_test) plus the exact mass check
+// here, not byte identity.
 //
 // Default config is the acceptance workload (64 windows × 1e6 packets);
 // `--smoke` shrinks it to seconds so ctest can keep the binary honest,
@@ -89,15 +92,26 @@ std::uint64_t sampling_stage_ns(obs::Registry& registry, const char* path) {
       .sum();
 }
 
+// A run's registry, serialized for its metrics block.
+std::string registry_json(const obs::Registry& registry) {
+  std::ostringstream metrics;
+  obs::write_json(metrics, registry.snapshot());
+  return std::move(metrics).str();
+}
+
+// `registry` receives the run's series; the capture run passes the one its
+// store writer already records into.  nullptr = a fresh one of its own.
 RunResult run_sweep(const graph::Graph& g, Count n_valid,
                     std::size_t windows, traffic::Quantity quantity,
                     std::uint64_t seed, ThreadPool& pool,
                     traffic::SynthesisMode synthesis,
-                    traffic::WindowCaptureSink* capture = nullptr) {
-  obs::Registry registry;
+                    traffic::WindowCaptureSink* capture = nullptr,
+                    obs::Registry* registry = nullptr) {
+  obs::Registry own;
+  obs::Registry& reg = registry != nullptr ? *registry : own;
   traffic::SweepOptions opts;
   opts.synthesis = synthesis;
-  opts.metrics = &registry;
+  opts.metrics = &reg;
   opts.capture = capture;
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep = traffic::sweep_windows(g, traffic::RateModel{}, n_valid,
@@ -109,23 +123,21 @@ RunResult run_sweep(const graph::Graph& g, Count n_valid,
       static_cast<double>(n_valid) * static_cast<double>(windows) /
       out.seconds;
   out.sampling_ns = sampling_stage_ns(
-      registry,
-      synthesis == traffic::SynthesisMode::kPacket ? "fast" : "counts");
+      reg, synthesis == traffic::SynthesisMode::kPacket ? "fast" : "counts");
   out.merged = std::move(sweep.merged);
-  std::ostringstream metrics;
-  obs::write_json(metrics, registry.snapshot());
-  out.metrics_json = std::move(metrics).str();
+  out.metrics_json = registry_json(reg);
   return out;
 }
 
 // Replay axis (PR 10): the same stage graph driven from a window store —
 // block read + varint decode replaces synthesis, so the per-window cost
 // is memory/IO bandwidth, not sampling.  The merged result must be
-// byte-identical to the capturing sweep.
-RunResult run_replay(store::WindowStoreReader& reader, std::size_t windows,
+// byte-identical to the capturing sweep.  `registry` is the one `reader`
+// records its palu_store_* read series into.
+RunResult run_replay(store::WindowStoreReader& reader,
+                     obs::Registry& registry, std::size_t windows,
                      Count n_valid, traffic::Quantity quantity,
                      ThreadPool& pool) {
-  obs::Registry registry;
   traffic::SweepOptions opts;
   opts.metrics = &registry;
   const auto t0 = std::chrono::steady_clock::now();
@@ -138,9 +150,7 @@ RunResult run_replay(store::WindowStoreReader& reader, std::size_t windows,
       out.seconds;
   out.sampling_ns = sampling_stage_ns(registry, "replay");
   out.merged = std::move(sweep.merged);
-  std::ostringstream metrics;
-  obs::write_json(metrics, registry.snapshot());
-  out.metrics_json = std::move(metrics).str();
+  out.metrics_json = registry_json(registry);
   return out;
 }
 
@@ -276,7 +286,8 @@ int main(int argc, char** argv) {
       obs::Registry registry;
       const auto t0 = std::chrono::steady_clock::now();
       const traffic::ExpectedWindow win = traffic::evaluate_expected_window(
-          net.graph, traffic::RateModel{}, nv, quantity, seed, &registry);
+          net.graph, traffic::RateModel{}, nv, quantity, seed, pool,
+          &registry);
       const double seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
@@ -319,17 +330,23 @@ int main(int argc, char** argv) {
   double replay_bytes_per_record = 0.0;
   const bool run_replay_axis = replay_only || !counts_only;
   if (run_replay_axis) {
+    // Each run's registry exists before its writer or reader, so the
+    // palu_store_* series land in that run's metrics block.
+    obs::Registry capture_registry;
     store::WriterOptions wopts;
     wopts.node_domain = net.graph.num_nodes();
     wopts.seed = seed;
+    wopts.metrics = &capture_registry;
     {
       store::WindowStoreWriter writer(store_dir, wopts);
       captured = run_sweep(net.graph, n_valid, windows, quantity, seed,
                            pool, traffic::SynthesisMode::kMultinomial,
-                           &writer);
+                           &writer, &capture_registry);
       writer.finish();
       wstats = writer.stats();
     }
+    // finish() writes the manifest and trailer: serialize after it.
+    captured.metrics_json = registry_json(capture_registry);
     if (wstats.records > 0) {
       replay_bytes_per_record = static_cast<double>(wstats.payload_bytes) /
                                 static_cast<double>(wstats.records);
@@ -342,8 +359,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(wstats.file_bytes),
                 replay_bytes_per_record);
 
-    store::WindowStoreReader reader(store_dir);
-    replay = run_replay(reader, windows, n_valid, quantity, pool);
+    obs::Registry replay_registry;
+    IngestOptions ropts;
+    ropts.metrics = &replay_registry;
+    store::WindowStoreReader reader(store_dir, ropts);
+    replay = run_replay(reader, replay_registry, windows, n_valid, quantity,
+                        pool);
     replay_identical =
         replay.merged.sorted() == captured.merged.sorted() &&
         replay.merged.total() == captured.merged.total();
@@ -419,6 +440,7 @@ int main(int argc, char** argv) {
     }
     out << "],\n    \"counts_sweep_seconds_over_expected_eval\": "
         << expected_speedup << "},\n";
+    write_run_json(out, "capture", captured);
     write_run_json(out, "replay", replay);
     out << "  \"replay_store\": {\"windows\": " << wstats.blocks
         << ", \"records\": " << wstats.records

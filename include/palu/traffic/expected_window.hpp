@@ -23,6 +23,15 @@
 // vectors — the analytic analogue of the sampling stage) and
 // evaluate(quantity) (marginal folding + reduction) so the sweep's stage
 // clock can attribute time without this file touching clocks.
+//
+// Both run on a ThreadPool.  Every pass — the visibility batches and
+// gathers of prepare(), the entity folds of evaluate(), the sums and the
+// link-candidate scan of aggregates() — cuts its entities into blocks of
+// a fixed size that depends on the entity count alone.  Each block folds
+// into its own bins, visibility sum and top candidates; the calling
+// thread reduces the blocks in block order.  The result is therefore
+// bit-identical at every pool size (it differs from a one-entity-at-a-
+// time fold only in summation order).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +39,7 @@
 
 #include "palu/common/types.hpp"
 #include "palu/math/binmass.hpp"
+#include "palu/parallel/thread_pool.hpp"
 #include "palu/stats/log_binning.hpp"
 #include "palu/traffic/quantities.hpp"
 #include "palu/traffic/stream.hpp"
@@ -77,13 +87,24 @@ struct ExpectedWindowOptions {
 /// must stay valid for the evaluator's lifetime (it aliases the
 /// generator); node ids are assumed compact (dense O(max id) node arrays,
 /// true for graph::Graph vertices).
+///
+/// prepare(), evaluate() and aggregates() fold on `pool`, which must
+/// outlive the evaluator, and block until their blocks finish.  Never call
+/// them from inside a task running on that same pool: the caller would
+/// wait on tasks queued behind its own, and once every worker waits that
+/// way the pool deadlocks.
 class ExpectedWindowEvaluator {
  public:
+  /// Entities (links, pairs, nodes or CSR slots) per block of every pooled
+  /// pass.  Results depend on this cut, never on the pool size.
+  static constexpr std::size_t kBlockSize = 2048;
+
   explicit ExpectedWindowEvaluator(PairSupportView support,
-                                   ExpectedWindowOptions opts = {});
+                                   ExpectedWindowOptions opts = {},
+                                   ThreadPool& pool = ThreadPool::global());
 
   /// Computes the per-link / per-pair visibility vectors for a window
-  /// size (one batched vexp/vlog1p pass, arming the
+  /// size (batched vexp/vlog1p blocks, arming the
   /// `theory.expected_window` failpoint).  Must be called before
   /// evaluate()/aggregates(); repeated calls switch window sizes.
   void prepare(Count n_valid);
@@ -98,28 +119,9 @@ class ExpectedWindowEvaluator {
   std::size_t num_links() const noexcept { return link_q_.size(); }
 
  private:
-  struct Candidate {
-    double mu = 0.0;
-    double sigma = 0.0;
-    double gamma3 = 0.0;  // skewness, for the Edgeworth location search
-    double upper = 0.0;   // hard support bound of the entity's value
-  };
-
-  void fold_binomial_entities(std::span<const double> probs,
-                              ExpectedWindow& out,
-                              std::vector<Candidate>& cands);
-  void fold_pb_entities(const std::vector<std::size_t>& offsets,
-                        const std::vector<double>& pis, ExpectedWindow& out,
-                        std::vector<Candidate>& cands);
-  void note_candidate(std::vector<Candidate>& cands, double mu, double s2,
-                      double m3, double upper) const;
-  Degree median_of_max(const std::vector<Candidate>& cands) const;
-  double sum_visibility(std::span<const double> masses);
-  void finish(ExpectedWindow& out, const std::vector<Candidate>& cands);
-
   PairSupportView support_;
   ExpectedWindowOptions opts_;
-  math::BinMassScratch scratch_;
+  ThreadPool& pool_;
 
   // Directed-link structure (built once): per-link rate mass and CSR
   // groupings by source node, destination node, and (for undirected
@@ -130,7 +132,6 @@ class ExpectedWindowEvaluator {
   std::vector<std::size_t> src_offsets_, src_links_;   // CSR node → links
   std::vector<std::size_t> dst_offsets_, dst_links_;   // CSR node → links
   std::vector<std::size_t> und_offsets_, und_pairs_;   // CSR node → pairs
-  std::size_t num_nodes_ = 0;
 
   // Per-prepared-window-size state.
   Count n_valid_ = 0;
@@ -142,7 +143,6 @@ class ExpectedWindowEvaluator {
   std::vector<double> und_pi_;    // pair_pi_ gathered in und_pairs_ order
   std::vector<double> src_pi_;    // link_pi_ gathered in src_links_ order
   std::vector<double> dst_pi_;    // link_pi_ gathered in dst_links_ order
-  std::vector<double> batch_;     // vexp/vlog1p staging
 };
 
 }  // namespace palu::traffic

@@ -161,12 +161,14 @@ WindowSweepResult sweep_windows(WindowSource& source,
 /// sampled ensemble converges to.  Records palu_sweep_* counters and the
 /// {path="expected"} stage histograms (prepare → sampling, evaluate →
 /// accumulation, 0 for binning: the evaluator emits binned mass) into
-/// `metrics` (nullptr = obs::default_registry()).  Throws on failure, including an armed
+/// `metrics` (nullptr = obs::default_registry()).  The evaluation folds on
+/// `pool` and is bit-identical at every pool size; it must not be called
+/// from a task running on `pool`.  Throws on failure, including an armed
 /// `theory.expected_window` failpoint.
 ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
                                         const RateModel& rates,
                                         Count n_valid, Quantity quantity,
-                                        std::uint64_t seed,
+                                        std::uint64_t seed, ThreadPool& pool,
                                         obs::Registry* metrics = nullptr);
 
 }  // namespace palu::traffic

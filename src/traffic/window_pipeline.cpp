@@ -333,7 +333,7 @@ WindowSweepResult sweep_windows(WindowSource& source,
 ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
                                         const RateModel& rates,
                                         Count n_valid, Quantity quantity,
-                                        std::uint64_t seed,
+                                        std::uint64_t seed, ThreadPool& pool,
                                         obs::Registry* metrics) {
   PALU_CHECK(n_valid >= 1,
              "evaluate_expected_window: need at least one packet");
@@ -351,7 +351,7 @@ ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
     // itself, so the analytic window has no binning stage and records 0.
     std::uint64_t prepare_ns = 0, evaluate_ns = 0;
     obs::TraceSpan prepare(prepare_ns);
-    ExpectedWindowEvaluator eval(gen.pair_support());
+    ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
     eval.prepare(n_valid);
     prepare.stop();
     obs::TraceSpan evaluate(evaluate_ns);

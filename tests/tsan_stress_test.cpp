@@ -7,7 +7,9 @@
 // sweeps sharing the process-global failpoint registry, and concurrent
 // sweeps recording into one obs::Registry — all at once —
 // so TSan can observe every cross-thread edge the pipeline claims is
-// synchronized.  Assertions here are consistency invariants (every
+// synchronized.  The analytic evaluator's block passes (disjoint slices
+// of shared vectors, per-block folds reduced after the join) run here on
+// a 4-thread pool too.  Assertions here are consistency invariants (every
 // window accounted for exactly once), not timing expectations: which
 // windows a stopped sweep skipped depends on the scheduler, and any
 // split must pass.
@@ -23,6 +25,8 @@
 #include "palu/obs/names.hpp"
 #include "palu/parallel/scratch_pool.hpp"
 #include "palu/parallel/thread_pool.hpp"
+#include "palu/traffic/expected_window.hpp"
+#include "palu/traffic/stream.hpp"
 #include "palu/traffic/window_pipeline.hpp"
 
 namespace palu {
@@ -267,6 +271,47 @@ TEST(TsanStress, ScratchPoolLeaseChurnAcrossPools) {
   for (auto& f : futs) f.get();
   EXPECT_GE(scratch.slots_created(), 1u);
   EXPECT_LE(scratch.slots_created(), 6u);  // bounded by max concurrency
+}
+
+TEST(TsanStress, ExpectedEvaluatorFoldsOnAFourThreadPool) {
+  // Every quantity at two window sizes, twice over on one evaluator per
+  // pool: prepare's visibility blocks and gathers, evaluate's folds and
+  // aggregates' sums all run on 4 workers, and each result must equal the
+  // 1-thread pool's.  8000 nodes span several blocks of every pass.
+  Rng rng(43);
+  const auto g = graph::barabasi_albert(rng, 8000, 2);
+  traffic::SyntheticTrafficGenerator gen(
+      g, traffic::make_edge_rates(g, traffic::RateModel{}, Rng(3).fork(0)),
+      Rng(0));
+  ThreadPool one(1);
+  ThreadPool four(4);
+  traffic::ExpectedWindowEvaluator serial(gen.pair_support(), {}, one);
+  traffic::ExpectedWindowEvaluator pooled(gen.pair_support(), {}, four);
+  for (int round = 0; round < 2; ++round) {
+    for (const Count n : {Count{20000}, Count{5000000}}) {
+      serial.prepare(n);
+      pooled.prepare(n);
+      for (const auto q : {traffic::Quantity::kSourcePackets,
+                           traffic::Quantity::kSourceFanOut,
+                           traffic::Quantity::kLinkPackets,
+                           traffic::Quantity::kDestinationFanIn,
+                           traffic::Quantity::kDestinationPackets,
+                           traffic::Quantity::kUndirectedDegree}) {
+        const auto want = serial.evaluate(q);
+        const auto got = pooled.evaluate(q);
+        EXPECT_EQ(got.bin_counts, want.bin_counts);
+        EXPECT_EQ(got.visible_entities, want.visible_entities);
+        EXPECT_EQ(got.max_value, want.max_value);
+        EXPECT_EQ(got.aggregates.unique_links, want.aggregates.unique_links);
+        EXPECT_EQ(got.aggregates.unique_sources,
+                  want.aggregates.unique_sources);
+        EXPECT_EQ(got.aggregates.unique_destinations,
+                  want.aggregates.unique_destinations);
+        EXPECT_EQ(got.aggregates.max_link_packets,
+                  want.aggregates.max_link_packets);
+      }
+    }
+  }
 }
 
 TEST(TsanStress, SubmitStormFromManyThreads) {

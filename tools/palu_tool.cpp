@@ -250,18 +250,18 @@ void print_palu_fit(const stats::DegreeHistogram& merged) {
 // `sweep --synthesis expected`: the analytic window instead of sampled
 // ones.  Its pooled CSV is the expected mass as one pseudo-window
 // (sigma = 0), or with --replicates R the ensemble of an R-window counts
-// sweep, for sampled sigma bands.
+// sweep, for sampled sigma bands.  One pool runs both.
 int sweep_expected(const cli::Args& args, const graph::Graph& graph,
                    const traffic::RateModel& rates, Count n_valid,
                    traffic::Quantity quantity, std::uint64_t seed,
                    std::size_t replicates) {
+  ThreadPool pool;
   const traffic::ExpectedWindow win = traffic::evaluate_expected_window(
-      graph, rates, n_valid, quantity, seed);
+      graph, rates, n_valid, quantity, seed, pool);
   traffic::WindowSweepResult bands;
   if (replicates > 0) {
     traffic::SweepOptions opts;
     opts.synthesis = traffic::SynthesisMode::kMultinomial;
-    ThreadPool pool;
     bands = traffic::sweep_windows(graph, rates, n_valid, replicates,
                                    quantity, seed, pool, opts);
   } else {

@@ -15,7 +15,8 @@
 //   {
 //     "bench": "sweep",
 //     "config": {"windows", "nvalid", "nodes", "edges", "quantity",
-//                "seed", "pool_threads", "nproc", "compiler"},
+//                "seed", "pool_threads", "nproc", "compiler",
+//                "build_type", "git_sha"},
 //     "fast":   {"seconds", "packets_per_sec",
 //                "metrics": {... obs registry snapshot for the run ...}},
 //     "counts": {... same shape ...},
@@ -32,13 +33,16 @@
 //                      "payload_bytes_per_record", "bytes_per_window",
 //                      "capture_seconds"},
 //     "speedup_synthesis_vs_replay_per_window": X,  // sampling-stage sums
+//                                           // (table builds are setup)
 //     "speedup_replay_vs_counts": X,   // whole-sweep wall ratio
 //     "replay_identical": true|false   // replay vs capture
 //   }
 //
 // Each run records into its own obs::Registry, so the metrics block is
 // per-run (not cumulative across paths); its stage-duration histograms
-// are the run's stage times, and the capture and replay blocks carry
+// are the run's stage times (one stage="setup" observation for the
+// sweep's table build, then one per window stage), and the capture and
+// replay blocks carry
 // their store writer's and reader's palu_store_* series.  The counts
 // path consumes RNG differently, so it is held to distributional
 // equivalence (tested in sweep_counts_test) plus the exact mass check
@@ -54,9 +58,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -83,6 +89,27 @@ constexpr const char* kCompiler = "gcc " __VERSION__;
 #else
 constexpr const char* kCompiler = "unknown";
 #endif
+
+// The commit the source tree is checked out at, or "none" when the tree
+// is not the top of a git work tree (an exported archive, say).
+std::string git_sha() {
+  const std::string cmd = std::string("git -C '") + PALU_SOURCE_DIR +
+                          "' rev-parse --show-toplevel HEAD 2>/dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "none";
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  std::istringstream lines(out);
+  std::string top, sha;
+  std::error_code ec;
+  if (status != 0 || !std::getline(lines, top) || !std::getline(lines, sha) ||
+      !std::filesystem::equivalent(top, PALU_SOURCE_DIR, ec)) {
+    return "none";
+  }
+  return sha;
+}
 
 // A run's sampling-stage CPU time, summed over its windows.
 std::uint64_t sampling_stage_ns(obs::Registry& registry, const char* path) {
@@ -371,11 +398,12 @@ int main(int argc, char** argv) {
     // The per-window acceptance ratio: what synthesis costs to produce a
     // window's records (the counts path's sampling stage) vs. what replay
     // pays instead (block read + checksum + decode, accounted in the same
-    // stage slot), both read from the runs' registries.  Accumulation
-    // and binning are shared verbatim by both paths, so this isolates the
-    // work the store actually replaces; the whole-sweep wall ratio is
-    // reported alongside it.  In --replay-only mode the capturing run is
-    // the synthesis baseline.
+    // stage slot), both read from the runs' registries; the counts run's
+    // one-off table build is its setup stage, in neither sum.
+    // Accumulation and binning are shared verbatim by both paths, so this
+    // isolates the work the store actually replaces; the whole-sweep wall
+    // ratio is reported alongside it.  In --replay-only mode the
+    // capturing run is the synthesis baseline.
     const auto& synth = replay_only ? captured : counts;
     replay_speedup =
         static_cast<double>(synth.sampling_ns) /
@@ -412,7 +440,8 @@ int main(int argc, char** argv) {
         << traffic::quantity_name(quantity) << "\", \"seed\": " << seed
         << ", \"pool_threads\": " << pool.size()
         << ", \"nproc\": " << std::thread::hardware_concurrency()
-        << ", \"compiler\": \"" << kCompiler << "\"},\n";
+        << ", \"compiler\": \"" << kCompiler << "\", \"build_type\": \""
+        << PALU_BUILD_TYPE << "\", \"git_sha\": \"" << git_sha() << "\"},\n";
     write_run_json(out, "fast", fast);
     write_run_json(out, "counts", counts);
     out << "  \"speedup_counts_vs_fast\": " << counts_vs_fast << ",\n";

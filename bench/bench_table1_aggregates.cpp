@@ -30,16 +30,19 @@ void print_table1() {
   std::printf("%-10s %-15s %-13s %-13s %-15s %-15s %-8s\n", "N_V",
               "valid_packets", "unique_links", "links_pred",
               "unique_sources", "unique_dests", "agree");
-  // A probe generator with the same rates predicts the unique-link
-  // scaling law Σ_e (1 − (1 − r_e)^{N_V}).
+  // The analytic window over the same rates predicts the unique-link
+  // scaling law Σ_cells (1 − (1 − q_cell)^{N_V}) over directed cells.
   Rng gen_rng(1);
   const graph::Graph g =
       graph::zeta_degree_core(gen_rng, 50000, 2.0, 5000);
   traffic::RateModel rates;
   rates.kind = traffic::RateModel::Kind::kPareto;
   rates.pareto_tail = 1.5;
-  traffic::SyntheticTrafficGenerator probe(g, rates, Rng(2));
+  traffic::ExpectedWindowEvaluator probe(
+      traffic::make_pair_support(g, traffic::make_edge_rates(g, rates,
+                                                             Rng(2))));
   for (const Count nv : {10000ull, 100000ull, 1000000ull}) {
+    probe.prepare(nv);
     const auto a = make_window(nv);
     const auto s = traffic::aggregates_summation(a);
     const auto m = traffic::aggregates_matrix(a);
@@ -47,7 +50,7 @@ void print_table1() {
                 static_cast<unsigned long long>(nv),
                 static_cast<unsigned long long>(s.valid_packets),
                 static_cast<unsigned long long>(s.unique_links),
-                probe.expected_unique_links(nv),
+                probe.aggregates().unique_links,
                 static_cast<unsigned long long>(s.unique_sources),
                 static_cast<unsigned long long>(s.unique_destinations),
                 s == m ? "yes" : "NO");

@@ -33,12 +33,15 @@ inline constexpr char kSweepFailpointTrips[] =
     "palu_sweep_failpoint_trips_total";
 /// Gauge: worker count of the pool driving the most recent sweep.
 inline constexpr char kSweepPoolThreads[] = "palu_sweep_pool_threads";
-/// Histogram{stage=sampling|accumulation|binning,
-/// path=fast|counts|replay|expected}: ns one window spent in each stage,
-/// measured by obs::TraceSpan.  One observation per stage per completed
-/// window, so a series' count is the windows its path completed and its
-/// sum is the stage's CPU time summed over workers.  Binning includes
-/// the capture tee; the analytic path records 0 for it.
+/// Histogram{stage=setup|sampling|accumulation|binning,
+/// path=fast|counts|replay|expected}: ns measured by obs::TraceSpan.
+/// stage=setup is one observation per sweep_windows or
+/// evaluate_expected_window call (replay has none): the rate draw and the
+/// network's tables, built once before any window.  The other stages
+/// record one observation per completed window, so such a series' count
+/// is the windows its path completed and its sum is the stage's CPU time
+/// summed over workers.  Binning includes the capture tee; the analytic
+/// path records 0 for it.
 inline constexpr char kSweepStageDurationNs[] =
     "palu_sweep_stage_duration_ns";
 /// Histogram: end-to-end wall ns per sweep_windows or

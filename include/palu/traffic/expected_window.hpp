@@ -19,10 +19,12 @@
 // math::vexp, and everything is O(E + V) per window size with no RNG —
 // one deterministic evaluation replaces a whole sampled ensemble.
 //
-// The evaluator is split into prepare(N_V) (per-window-size visibility
-// vectors — the analytic analogue of the sampling stage) and
-// evaluate(quantity) (marginal folding + reduction) so the sweep's stage
-// clock can attribute time without this file touching clocks.
+// The evaluator is split into its constructor (directed-link tables from
+// the network's PairSupport — part of the set-up stage), prepare(N_V)
+// (per-window-size visibility vectors — the analytic analogue of the
+// sampling stage) and evaluate(quantity) (marginal folding + reduction)
+// so the sweep's stage clock can attribute time without this file
+// touching clocks.
 //
 // Both run on a ThreadPool.  Every pass — the visibility batches and
 // gathers of prepare(), the entity folds of evaluate(), the sums and the
@@ -83,10 +85,11 @@ struct ExpectedWindowOptions {
   std::size_t max_candidates = 16;
 };
 
-/// Evaluates expected windows over one generator's pair support.  The view
-/// must stay valid for the evaluator's lifetime (it aliases the
-/// generator); node ids are assumed compact (dense O(max id) node arrays,
-/// true for graph::Graph vertices).
+/// Evaluates expected windows over one network's pair support.  The
+/// constructor builds its directed-link tables from the support and keeps
+/// a copy of the pair weights, so the support need not outlive it.  Node
+/// ids are assumed compact (dense O(max id) node arrays, true for
+/// graph::Graph vertices).
 ///
 /// prepare(), evaluate() and aggregates() fold on `pool`, which must
 /// outlive the evaluator, and block until their blocks finish.  Never call
@@ -99,7 +102,7 @@ class ExpectedWindowEvaluator {
   /// pass.  Results depend on this cut, never on the pool size.
   static constexpr std::size_t kBlockSize = 2048;
 
-  explicit ExpectedWindowEvaluator(PairSupportView support,
+  explicit ExpectedWindowEvaluator(const PairSupport& support,
                                    ExpectedWindowOptions opts = {},
                                    ThreadPool& pool = ThreadPool::global());
 
@@ -115,17 +118,17 @@ class ExpectedWindowEvaluator {
   /// Expected Table-I aggregates alone for the prepared window size.
   ExpectedAggregates aggregates();
 
-  std::size_t num_pairs() const noexcept { return support_.size(); }
+  std::size_t num_pairs() const noexcept { return pair_weight_.size(); }
   std::size_t num_links() const noexcept { return link_q_.size(); }
 
  private:
-  PairSupportView support_;
   ExpectedWindowOptions opts_;
   ThreadPool& pool_;
 
-  // Directed-link structure (built once): per-link rate mass and CSR
-  // groupings by source node, destination node, and (for undirected
-  // degree) by endpoint over non-self pairs.
+  // Directed-link structure (built once): per-pair and per-link rate mass
+  // and CSR groupings by source node, destination node, and (for
+  // undirected degree) by endpoint over non-self pairs.
+  std::vector<double> pair_weight_;     // the support's pair weights
   std::vector<double> link_q_;          // per directed link
   std::vector<double> node_src_mass_;   // Σ out-link q per node
   std::vector<double> node_dst_mass_;   // Σ in-link q per node

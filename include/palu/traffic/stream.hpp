@@ -7,10 +7,16 @@
 // aggregated into A_t.  Because a window sees an edge only if at least one
 // of its packets lands inside, growing N_V raises the PALU window
 // parameter p exactly as Section III describes.
+//
+// Windows randomly sample one fixed network, so the tables they draw from
+// — normalized rates, the alias sampler, the merged pair support and its
+// Multinomial sampler — belong to the network, not to a window or a
+// worker.  A generator holds them immutably and shares them with its
+// copies; each copy owns only its RNG and counts scratch (DESIGN.md §5e).
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,20 +47,39 @@ struct RateModel {
 std::vector<double> make_edge_rates(const graph::Graph& g,
                                     const RateModel& model, Rng rng);
 
-/// Read-only view of the merged unordered-pair support the count-space and
-/// expectation paths share: parallel edges and both orientations collapsed
-/// into one entry per pair, weights normalized (Σ weight = 1), and the
-/// pair's exact forward (u → v) mixture probability.  Spans alias the
-/// owning generator and are invalidated by its destruction or move.
-struct PairSupportView {
-  std::span<const NodeId> u;
-  std::span<const NodeId> v;
-  std::span<const double> weight;
-  std::span<const double> forward_prob;
+/// The merged unordered-pair support the count-space and expectation
+/// paths share: parallel edges and both orientations collapsed into one
+/// entry per pair (first-seen order, canonical orientation = the first-
+/// seen stored one), weights normalized (Σ weight = 1), and the pair's
+/// exact forward (u → v) mixture probability.  A property of the network
+/// and its rates, not of any window: built once and shared read-only.
+struct PairSupport {
+  std::vector<NodeId> u;
+  std::vector<NodeId> v;
+  std::vector<double> weight;
+  std::vector<double> forward_prob;
 
   std::size_t size() const noexcept { return u.size(); }
 };
 
+/// Builds the pair support of `underlying` under per-edge `rates` (one
+/// per edge, non-negative with positive sum, normalized here exactly as
+/// the generator normalizes them) — the same table
+/// SyntheticTrafficGenerator::pair_support() returns for those rates at
+/// the default forward_prob of 0.5, without building a generator or any
+/// sampler.
+PairSupport make_pair_support(const graph::Graph& underlying,
+                              std::vector<double> rates);
+
+/// A packet stream over one network.  The network's tables — edges,
+/// normalized rates, the alias sampler and, once something asks for them,
+/// the pair support and its Multinomial sampler — are immutable and held
+/// by shared pointer; an instance owns only its draw state (the RNG and
+/// the counts scratch).  A copy shares every table its source has built
+/// so far, so a sweep builds them once and hands each worker a copy.
+/// Const methods are safe to call concurrently.  A moved-from generator
+/// holds no tables: expected_edge_visibility throws on it, and it may
+/// otherwise only be assigned to or destroyed.
 class SyntheticTrafficGenerator {
  public:
   /// Builds a generator over `underlying`'s edges.  The graph must have at
@@ -65,7 +90,8 @@ class SyntheticTrafficGenerator {
                             double forward_prob = 0.5);
 
   /// Same, with precomputed per-edge rates (one per edge, non-negative
-  /// with positive sum); `rng` drives packet draws only.
+  /// with positive sum); `rng` drives packet draws only.  Builds the alias
+  /// sampler but not the pair support.
   SyntheticTrafficGenerator(const graph::Graph& underlying,
                             std::vector<double> rates, Rng rng,
                             double forward_prob = 0.5);
@@ -79,10 +105,10 @@ class SyntheticTrafficGenerator {
   /// amortizes call overhead and keeps the alias tables hot.
   void next_batch(std::span<Packet> out);
 
-  /// Replaces the packet RNG without rebuilding edges, rates, or the alias
-  /// sampler.  The stream then matches a freshly constructed generator
-  /// handed the same rng — the sweep fast path's way of reusing one
-  /// generator across windows with independent per-window streams.
+  /// Replaces the packet RNG without touching the tables.  The stream
+  /// then matches a freshly constructed generator handed the same rng —
+  /// the sweep's way of reusing one copy across windows with independent
+  /// per-window streams.
   void reseed(Rng rng) noexcept { rng_ = rng; }
 
   /// Count-space window synthesis: one whole window of `n_valid` packets
@@ -106,15 +132,19 @@ class SyntheticTrafficGenerator {
   /// cost stays flat as N_V grows instead of tracking the active-pair
   /// count.  Consumes the same RNG as next()/next_batch() but in a
   /// different order: a counts window is distributionally equivalent to
-  /// a packet window for the same seed, not byte-identical.
+  /// a packet window for the same seed, not byte-identical.  Builds the
+  /// counts tables on first use unless pair_support() already has.
   void next_window_counts(Count n_valid, std::vector<EdgePacketCounts>& out);
 
-  /// The merged-pair support in its fixed deterministic order (built
-  /// lazily, same structure next_window_counts samples from).  This is
+  /// The merged-pair support in its fixed deterministic order — the
+  /// table next_window_counts samples from.  The first call on a
+  /// generator (or on the source it was copied from) builds the counts
+  /// tables: this support (make_pair_support's merge) and its
+  /// Multinomial sampler; copies made afterwards share them.  This is
   /// what the analytic expectation path (traffic/expected_window.hpp)
   /// evaluates: per-pair visibilities 1 − (1 − weight)^{N_V} follow
   /// directly from the returned weights.
-  PairSupportView pair_support();
+  const PairSupport& pair_support();
 
   /// Aggregates the next `n_valid` packets into a window matrix A_t.
   SparseCountMatrix window(Count n_valid);
@@ -122,57 +152,40 @@ class SyntheticTrafficGenerator {
   /// Aggregates `count` consecutive windows of `n_valid` packets each.
   std::vector<SparseCountMatrix> windows(Count n_valid, std::size_t count);
 
-  std::size_t num_edges() const noexcept { return edges_.size(); }
+  std::size_t num_edges() const noexcept { return network_->edges.size(); }
 
   /// Per-edge rates normalized to sum 1 (compensated summation, so the
   /// heavy-tailed Pareto vectors of the default RateModel keep their
   /// small rates' mass), in edge order.
-  const std::vector<double>& rates() const noexcept { return rates_; }
+  const std::vector<double>& rates() const noexcept {
+    return network_->rates;
+  }
 
   /// Probability that a specific edge receives >= 1 packet in a window of
   /// n_valid packets: 1 − (1 − rate_e)^{n_valid}.  Averaged over edges this
-  /// is the effective PALU window parameter p for the window size.
-  /// Memoized per n_valid (forward_prob is fixed per generator): the O(E)
-  /// log1p/expm1 pass runs once per distinct window size, so sweep setup
-  /// and the Table-I benches stop paying it per call.  The memo makes
-  /// const calls non-reentrant: do not call concurrently on one instance.
-  /// Throws palu::InvalidArgument on a moved-from generator (empty rate
-  /// vector); a rate of exactly 1 (one edge holding all mass) and
-  /// n_valid == 0 are handled exactly instead of producing NaN.
+  /// is the effective PALU window parameter p for the window size: one
+  /// O(E) log1p/expm1 pass per call.  Throws palu::InvalidArgument on a
+  /// moved-from generator (it holds no tables); a rate of exactly 1 (one
+  /// edge holding all mass) and n_valid == 0 are handled exactly instead
+  /// of producing NaN.
   double expected_edge_visibility(Count n_valid) const;
 
-  /// Expected unique *directed* links in a window of n_valid packets (the
-  /// Table-I count: an edge active both ways contributes two (src, dst)
-  /// cells):  Σ_e [(1 − (1 − f·r_e)^{N}) + (1 − (1 − (1−f)·r_e)^{N})]
-  /// with f = forward_prob.  Memoized like expected_edge_visibility, with
-  /// the same empty-generator and boundary-rate guarantees.
-  double expected_unique_links(Count n_valid) const;
-
  private:
-  /// Count-space support: one entry per distinct unordered endpoint pair,
-  /// with parallel edges' weights merged and the pair's exact forward
-  /// (u → v) probability.  Built lazily on the first next_window_counts
-  /// call; packet-space users never pay for it.
-  struct CountsSupport {
-    rng::MultinomialSampler sampler;  // over merged pair weights
-    std::vector<NodeId> u, v;         // canonical orientation per pair
-    std::vector<double> weight;       // merged pair weights (sum 1)
-    std::vector<double> forward_prob; // P[packet on pair flows u → v]
-    std::vector<Count> counts;        // scratch: one multinomial draw
+  /// The network's packet-space tables, built by the constructor.
+  struct Network {
+    std::vector<graph::Edge> edges;
+    std::vector<double> rates;  // normalized to sum 1
+    rng::AliasSampler sampler;  // over rates
+    double forward_prob;
   };
-  void build_counts_support();
 
-  std::vector<graph::Edge> edges_;
-  std::vector<double> rates_;       // normalized to sum 1
-  std::optional<rng::AliasSampler> sampler_;
-  std::optional<CountsSupport> counts_support_;
+  std::shared_ptr<const Network> network_;
+  // The count-space tables, built together on the first pair_support()
+  // or next_window_counts call; packet-space users never pay for them.
+  std::shared_ptr<const PairSupport> pairs_;
+  std::shared_ptr<const rng::MultinomialSampler> pair_sampler_;
   Rng rng_;
-  double forward_prob_;
-  // Memo caches for the expected_* closed forms, keyed by n_valid (small
-  // linear-probe lists: sweeps query a handful of window sizes, many
-  // times each).
-  mutable std::vector<std::pair<Count, double>> visibility_memo_;
-  mutable std::vector<std::pair<Count, double>> unique_links_memo_;
+  std::vector<Count> counts_;  // scratch: one Multinomial draw
 };
 
 }  // namespace palu::traffic

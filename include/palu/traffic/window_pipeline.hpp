@@ -11,16 +11,21 @@
 // its window index back to the caller (SweepWindowError), and a failure
 // budget lets a sweep tolerate a bounded number of bad windows without
 // losing the rest.  Stage and wall times land in the sweep's metrics
-// registry (palu_sweep_stage_duration_ns, palu_sweep_duration_ns), one
-// stage observation per completed window.
+// registry (palu_sweep_stage_duration_ns, palu_sweep_duration_ns): one
+// stage="setup" observation per call, then one observation per stage per
+// completed window.
 //
 // Every sweep runs one stage graph (DESIGN.md §5g): a pool worker
 // produces window t — a packet draw, a count-space draw, or a store read
 // — into its leased WindowAccumulator, then bins it; the calling thread
 // reduces the windows in index order.  An optional capture sink tees each
-// accumulated window into a store.  Workers lease arena-reused scratch
-// (one cached generator reseeded per window, one accumulator, batch
-// buffers) from a ScratchPool, so no window rebuilds tables.
+// accumulated window into a store.  A synthetic sweep first builds one
+// generator — the rate draw and the network's tables, plus the pair
+// support and its Multinomial sampler for counts draws — and times that
+// as its setup.  Workers lease arena-reused scratch (a copy of that
+// generator, sharing its tables read-only and reseeded per window, one
+// accumulator, batch buffers) from a ScratchPool, so no window builds
+// tables.
 //
 // Count-space synthesis (SweepOptions::synthesis = kMultinomial) draws
 // each window whole as per-pair packet counts (Multinomial over edge
@@ -30,9 +35,11 @@
 // sweeps, not byte-identical (see DESIGN.md §5e).
 //
 // The analytic window (evaluate_expected_window) drops the RNG entirely:
-// one deterministic ExpectedWindowEvaluator pass produces the expected
-// pooled histogram and Table-I aggregates in closed form — O(num_edges)
-// once per window size, independent of N_V (DESIGN.md §5i).
+// it merges the network's pair support (make_pair_support, no generator
+// and no sampler) and one deterministic ExpectedWindowEvaluator pass
+// produces the expected pooled histogram and Table-I aggregates in closed
+// form — O(num_edges) once per window size, independent of N_V
+// (DESIGN.md §5i).
 #pragma once
 
 #include <cstdint>
@@ -158,10 +165,13 @@ WindowSweepResult sweep_windows(WindowSource& source,
 /// one N_V-packet window of `quantity`, evaluated in closed form over the
 /// rate draw a sweep with the same `seed` would use (Rng(seed).fork(0)).
 /// No window RNG and no window count: the result is what an infinite
-/// sampled ensemble converges to.  Records palu_sweep_* counters and the
-/// {path="expected"} stage histograms (prepare → sampling, evaluate →
-/// accumulation, 0 for binning: the evaluator emits binned mass) into
-/// `metrics` (nullptr = obs::default_registry()).  The evaluation folds on
+/// sampled ensemble converges to.  Builds the merged pair support with
+/// make_pair_support — no generator, alias table or Multinomial sampler.
+/// Records palu_sweep_* counters and the {path="expected"} stage
+/// histograms (rate draw, pair merge and evaluator construction → setup,
+/// prepare → sampling, evaluate → accumulation, 0 for binning: the
+/// evaluator emits binned mass) into `metrics` (nullptr =
+/// obs::default_registry()).  The evaluation folds on
 /// `pool` and is bit-identical at every pool size; it must not be called
 /// from a task running on `pool`.  Throws on failure, including an armed
 /// `theory.expected_window` failpoint.

@@ -7,6 +7,7 @@
 // inside a loop is the point rather than a hot-path bug.
 
 #include <bit>
+#include <string_view>
 
 #include "palu/common/error.hpp"
 #include "palu/obs/names.hpp"
@@ -226,11 +227,15 @@ void preregister_palu_metrics(Registry& r) {
   r.gauge(names::kSweepPoolThreads, {},
           "Worker count of the pool driving the most recent sweep");
   for (const char* path : {"fast", "counts", "replay", "expected"}) {
-    for (const char* stage : {"sampling", "accumulation", "binning"}) {
+    for (const char* stage : {"setup", "sampling", "accumulation", "binning"}) {
+      if (std::string_view(path) == "replay" &&
+          std::string_view(stage) == "setup") {
+        continue;  // replay builds no tables
+      }
       r.histogram(names::kSweepStageDurationNs,
                   {{"path", path}, {"stage", stage}},
-                  "Nanoseconds one completed window spent in each sweep "
-                  "stage");
+                  "Nanoseconds of one sweep call's set-up, or of one "
+                  "completed window's stage");
     }
   }
   r.histogram(names::kSweepDurationNs, {},

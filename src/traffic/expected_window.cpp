@@ -273,18 +273,18 @@ void build_csr(const std::vector<NodeId>& keys, std::size_t num_nodes,
 
 }  // namespace
 
-ExpectedWindowEvaluator::ExpectedWindowEvaluator(PairSupportView support,
+ExpectedWindowEvaluator::ExpectedWindowEvaluator(const PairSupport& support,
                                                  ExpectedWindowOptions opts,
                                                  ThreadPool& pool)
-    : support_(support), opts_(opts), pool_(pool) {
-  PALU_CHECK(support_.size() > 0,
+    : opts_(opts), pool_(pool), pair_weight_(support.weight) {
+  PALU_CHECK(support.size() > 0,
              "ExpectedWindowEvaluator: empty pair support");
   PALU_CHECK(opts_.max_candidates > 0,
              "ExpectedWindowEvaluator: max_candidates must be positive");
-  const std::size_t npairs = support_.size();
+  const std::size_t npairs = support.size();
   NodeId max_id = 0;
   for (std::size_t i = 0; i < npairs; ++i) {
-    max_id = std::max({max_id, support_.u[i], support_.v[i]});
+    max_id = std::max({max_id, support.u[i], support.v[i]});
   }
   const std::size_t num_nodes = static_cast<std::size_t>(max_id) + 1;
 
@@ -299,16 +299,16 @@ ExpectedWindowEvaluator::ExpectedWindowEvaluator(PairSupportView support,
   std::vector<NodeId> und_keys;  // endpoint incidences of non-self pairs
   std::vector<std::size_t> und_pair_of;
   for (std::size_t i = 0; i < npairs; ++i) {
-    const NodeId u = support_.u[i];
-    const NodeId v = support_.v[i];
-    const double w = support_.weight[i];
+    const NodeId u = support.u[i];
+    const NodeId v = support.v[i];
+    const double w = support.weight[i];
     if (u == v) {
       lsrc.push_back(u);
       ldst.push_back(u);
       link_q_.push_back(w);
       continue;
     }
-    const double f = support_.forward_prob[i];
+    const double f = support.forward_prob[i];
     lsrc.push_back(u);
     ldst.push_back(v);
     link_q_.push_back(w * f);
@@ -340,7 +340,7 @@ void ExpectedWindowEvaluator::prepare(Count n_valid) {
   prepared_ = true;
   aggregates_cached_ = false;
   link_pi_.resize(link_q_.size());
-  pair_pi_.resize(support_.size());
+  pair_pi_.resize(pair_weight_.size());
   if (n_valid == 0) {
     // Answered before the batch: 0·log1p(−1) would be NaN.
     std::fill(link_pi_.begin(), link_pi_.end(), 0.0);
@@ -353,7 +353,7 @@ void ExpectedWindowEvaluator::prepare(Count n_valid) {
       visibility(link_q.subspan(r.begin, r.size()), nd,
                  link_pi.subspan(r.begin, r.size()));
     });
-    const std::span<const double> weight = support_.weight;
+    const std::span<const double> weight(pair_weight_);
     const std::span<double> pair_pi(pair_pi_);
     for_each_block(pool_, weight.size(), [&](std::size_t, IndexRange r) {
       visibility(weight.subspan(r.begin, r.size()), nd,

@@ -55,20 +55,96 @@ std::uint64_t binomial_half(Rng& rng, std::uint64_t n) {
   return k + binomial_half_small(rng, n);
 }
 
-/// Linear-probe memo over (n_valid → value); sweeps and benches query a
-/// handful of distinct window sizes, so a flat list beats a map.  Bounded
-/// so a pathological caller cannot grow it without limit.
-constexpr std::size_t kMemoCap = 64;
-
-template <typename Compute>
-double memoized(std::vector<std::pair<Count, double>>& memo, Count n_valid,
-                Compute&& compute) {
-  for (const auto& [key, value] : memo) {
-    if (key == n_valid) return value;
+/// Validates a traffic law over `underlying` — at least one edge,
+/// forward_prob in [0, 1], one non-negative rate per edge with a positive
+/// sum — and returns the rates normalized to sum 1 with compensated
+/// summation.
+std::vector<double> normalized_rates(const graph::Graph& underlying,
+                                     std::vector<double> rates,
+                                     double forward_prob) {
+  PALU_CHECK(underlying.num_edges() > 0,
+             "edge rates: underlying graph has no edges");
+  PALU_CHECK(forward_prob >= 0.0 && forward_prob <= 1.0,
+             "edge rates: forward_prob out of [0, 1]");
+  PALU_CHECK(rates.size() == underlying.num_edges(),
+             "edge rates: one rate per edge required");
+  for (const double r : rates) {
+    PALU_CHECK(r >= 0.0, "edge rates: negative rate");
   }
-  const double value = compute();
-  if (memo.size() < kMemoCap) memo.emplace_back(n_valid, value);
-  return value;
+  const double total = compensated_sum(rates);
+  PALU_CHECK(total > 0.0, "edge rates: all rates zero");
+  for (double& r : rates) r /= total;
+  return rates;
+}
+
+/// Merges edges by unordered endpoint pair.  A Multinomial category per
+/// *pair* (weight = Σ rates of its parallel edges) is distributionally
+/// exact, and the direction split stays a single Binomial because every
+/// packet on the pair flows u → v with the same mixture probability
+///   P[u → v] = Σ_i rate_i · f_i / Σ_i rate_i,
+/// where f_i is forward_prob for edges stored (u, v) and 1 − forward_prob
+/// for edges stored (v, u).  Self-pairs route everything to forward.
+PairSupport merge_pairs(const std::vector<graph::Edge>& edges,
+                        const std::vector<double>& rates,
+                        double forward_prob) {
+  struct PairHash {
+    std::size_t operator()(const std::pair<NodeId, NodeId>& p) const {
+      std::uint64_t h = p.first * 0x9e3779b97f4a7c15ULL;
+      h ^= p.second + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h *= 0xff51afd7ed558ccdULL;
+      return static_cast<std::size_t>(h ^ (h >> 33));
+    }
+  };
+
+  PairSupport out;
+  // Each unordered pair's index into `out` (first-seen order).
+  std::unordered_map<std::pair<NodeId, NodeId>, std::size_t, PairHash> seen;
+  seen.reserve(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const double r = rates[i];
+    if (r <= 0.0) continue;  // zero-weight edges never emit packets
+    const graph::Edge& e = edges[i];
+    const auto key = e.u <= e.v ? std::make_pair(e.u, e.v)
+                                : std::make_pair(e.v, e.u);
+    const auto [it, inserted] = seen.try_emplace(key, out.size());
+    if (inserted) {
+      // Canonical orientation = the first-seen stored orientation, so the
+      // common duplicate-free case keeps the edge's natural (u, v).
+      out.u.push_back(e.u);
+      out.v.push_back(e.v);
+      out.weight.push_back(0.0);
+      out.forward_prob.push_back(0.0);  // Σ rate_i · f_i until divided below
+    }
+    const std::size_t slot = it->second;
+    out.weight[slot] += r;
+    if (e.u == e.v) {
+      out.forward_prob[slot] += r;  // self-pair: everything is forward
+    } else if (e.u == out.u[slot] && e.v == out.v[slot]) {
+      out.forward_prob[slot] += r * forward_prob;
+    } else {
+      out.forward_prob[slot] += r * (1.0 - forward_prob);
+    }
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    double& f = out.forward_prob[i];
+    f /= out.weight[i];  // > 0: only a positive rate opens a pair
+    // The single-edge-per-pair case is by far the most common; pin its
+    // forward probability to the exact ctor value so the popcount fast
+    // path for forward_prob == 0.5 engages.
+    if (out.u[i] != out.v[i] && std::abs(f - forward_prob) < 1e-15) {
+      f = forward_prob;
+    }
+  }
+  return out;
+}
+
+/// 1 − (1 − rate)^{n_valid}, safe at both domain edges.  rate ≥ 1 (one
+/// edge holding all normalized mass) would send log1p(−rate) to −inf and
+/// n_valid == 0 then multiplies it by 0 → NaN; the closed form's limits
+/// are 1 for any n ≥ 1 and 0 for n == 0, so answer those directly.
+double window_visibility(double rate, Count n_valid) {
+  if (rate >= 1.0) return n_valid >= 1 ? 1.0 : 0.0;
+  return -std::expm1(static_cast<double>(n_valid) * std::log1p(-rate));
 }
 
 }  // namespace
@@ -101,6 +177,15 @@ std::vector<double> make_edge_rates(const graph::Graph& g,
   return rates;
 }
 
+PairSupport make_pair_support(const graph::Graph& underlying,
+                              std::vector<double> rates) {
+  constexpr double kForwardProb = 0.5;  // the generator's default
+  return merge_pairs(
+      underlying.edges(),
+      normalized_rates(underlying, std::move(rates), kForwardProb),
+      kForwardProb);
+}
+
 SyntheticTrafficGenerator::SyntheticTrafficGenerator(
     const graph::Graph& underlying, const RateModel& rates, Rng rng,
     double forward_prob)
@@ -111,140 +196,57 @@ SyntheticTrafficGenerator::SyntheticTrafficGenerator(
 SyntheticTrafficGenerator::SyntheticTrafficGenerator(
     const graph::Graph& underlying, std::vector<double> rates, Rng rng,
     double forward_prob)
-    : edges_(underlying.edges()), rng_(rng), forward_prob_(forward_prob) {
-  PALU_CHECK(!edges_.empty(),
-             "SyntheticTrafficGenerator: underlying graph has no edges");
-  PALU_CHECK(forward_prob >= 0.0 && forward_prob <= 1.0,
-             "SyntheticTrafficGenerator: forward_prob out of [0, 1]");
-  PALU_CHECK(rates.size() == edges_.size(),
-             "SyntheticTrafficGenerator: one rate per edge required");
-  rates_ = std::move(rates);
-  for (const double r : rates_) {
-    PALU_CHECK(r >= 0.0, "SyntheticTrafficGenerator: negative rate");
-  }
-  const double total = compensated_sum(rates_);
-  PALU_CHECK(total > 0.0, "SyntheticTrafficGenerator: all rates zero");
-  for (double& r : rates_) r /= total;
-  sampler_.emplace(rates_);
+    : rng_(rng) {
+  std::vector<double> normalized =
+      normalized_rates(underlying, std::move(rates), forward_prob);
+  rng::AliasSampler sampler(normalized);
+  network_ = std::make_shared<const Network>(
+      Network{underlying.edges(), std::move(normalized), std::move(sampler),
+              forward_prob});
 }
 
 Packet SyntheticTrafficGenerator::next() {
-  const std::uint64_t e = (*sampler_)(rng_);
-  const graph::Edge& edge = edges_[e];
-  if (rng_.uniform() < forward_prob_) return Packet{edge.u, edge.v};
-  return Packet{edge.v, edge.u};
+  Packet p{};
+  next_batch(std::span<Packet>(&p, 1));
+  return p;
 }
 
 void SyntheticTrafficGenerator::next_batch(std::span<Packet> out) {
-  const rng::AliasSampler& sampler = *sampler_;
+  const Network& net = *network_;
   for (Packet& p : out) {
-    const std::uint64_t e = sampler(rng_);
-    const graph::Edge& edge = edges_[e];
-    p = rng_.uniform() < forward_prob_ ? Packet{edge.u, edge.v}
-                                       : Packet{edge.v, edge.u};
+    const graph::Edge& edge = net.edges[net.sampler(rng_)];
+    p = rng_.uniform() < net.forward_prob ? Packet{edge.u, edge.v}
+                                          : Packet{edge.v, edge.u};
   }
 }
 
-void SyntheticTrafficGenerator::build_counts_support() {
-  // Merge edges by unordered endpoint pair.  A Multinomial category per
-  // *pair* (weight = Σ rates of its parallel edges) is distributionally
-  // exact, and the direction split stays a single Binomial because every
-  // packet on the pair flows u → v with the same mixture probability
-  //   P[u → v] = Σ_i rate_i · f_i / Σ_i rate_i,
-  // where f_i is forward_prob for edges stored (u, v) and 1 − forward_prob
-  // for edges stored (v, u).  Self-pairs route everything to forward.
-  struct PairSlot {
-    std::size_t index;      // into the SoA below (first-seen order)
-    double forward_weight;  // Σ rate_i · f_i, same units as weight
-  };
-  struct PairHash {
-    std::size_t operator()(const std::pair<NodeId, NodeId>& p) const {
-      std::uint64_t h = p.first * 0x9e3779b97f4a7c15ULL;
-      h ^= p.second + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      h *= 0xff51afd7ed558ccdULL;
-      return static_cast<std::size_t>(h ^ (h >> 33));
-    }
-  };
-
-  std::vector<NodeId> u, v;
-  std::vector<double> weight;
-  std::unordered_map<std::pair<NodeId, NodeId>, PairSlot, PairHash> seen;
-  seen.reserve(edges_.size());
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const double r = rates_[i];
-    if (r <= 0.0) continue;  // zero-weight edges never emit packets
-    const graph::Edge& e = edges_[i];
-    const auto key = e.u <= e.v ? std::make_pair(e.u, e.v)
-                                : std::make_pair(e.v, e.u);
-    auto [it, inserted] = seen.try_emplace(key, PairSlot{u.size(), 0.0});
-    if (inserted) {
-      // Canonical orientation = the first-seen stored orientation, so the
-      // common duplicate-free case keeps the edge's natural (u, v).
-      u.push_back(e.u);
-      v.push_back(e.v);
-      weight.push_back(0.0);
-    }
-    const std::size_t slot = it->second.index;
-    weight[slot] += r;
-    if (e.u == e.v) {
-      it->second.forward_weight += r;  // self-pair: everything is forward
-    } else if (e.u == u[slot] && e.v == v[slot]) {
-      it->second.forward_weight += r * forward_prob_;
-    } else {
-      it->second.forward_weight += r * (1.0 - forward_prob_);
-    }
+const PairSupport& SyntheticTrafficGenerator::pair_support() {
+  // The sampler is assigned last, so it marks a completed build.
+  if (!pair_sampler_) {
+    const Network& net = *network_;
+    pairs_ = std::make_shared<const PairSupport>(
+        merge_pairs(net.edges, net.rates, net.forward_prob));
+    pair_sampler_ =
+        std::make_shared<const rng::MultinomialSampler>(pairs_->weight);
   }
-
-  std::vector<double> forward_prob(u.size());
-  for (const auto& [key, slot] : seen) {
-    (void)key;
-    forward_prob[slot.index] =
-        weight[slot.index] > 0.0 ? slot.forward_weight / weight[slot.index]
-                                 : 0.0;
-  }
-  // The single-edge-per-pair case is by far the most common; pin its
-  // forward probability to the exact ctor value so the popcount fast path
-  // for forward_prob == 0.5 engages.
-  if (!edges_.empty()) {
-    for (std::size_t i = 0; i < forward_prob.size(); ++i) {
-      if (u[i] != v[i] &&
-          std::abs(forward_prob[i] - forward_prob_) < 1e-15) {
-        forward_prob[i] = forward_prob_;
-      }
-    }
-  }
-
-  const std::size_t counts_size = weight.size();
-  counts_support_.emplace(CountsSupport{
-      rng::MultinomialSampler(weight), std::move(u), std::move(v),
-      std::move(weight), std::move(forward_prob),
-      std::vector<Count>(counts_size, 0)});
-}
-
-PairSupportView SyntheticTrafficGenerator::pair_support() {
-  if (!counts_support_) build_counts_support();
-  const CountsSupport& s = *counts_support_;
-  return PairSupportView{std::span<const NodeId>(s.u),
-                         std::span<const NodeId>(s.v),
-                         std::span<const double>(s.weight),
-                         std::span<const double>(s.forward_prob)};
+  return *pairs_;
 }
 
 void SyntheticTrafficGenerator::next_window_counts(
     Count n_valid, std::vector<EdgePacketCounts>& out) {
-  if (!counts_support_) build_counts_support();
+  const PairSupport& s = pair_support();
   PALU_FAILPOINT("traffic.window_counts");
-  CountsSupport& s = *counts_support_;
-  s.sampler(rng_, n_valid, std::span<Count>(s.counts));
+  counts_.resize(s.size());
+  (*pair_sampler_)(rng_, n_valid, std::span<Count>(counts_));
   // One record per merged pair, in the fixed support order, zero rows
   // included: every per-window pass here and downstream then runs over a
   // size that depends only on the graph, never on N_V or on how many
   // pairs happened to draw packets — the flat-cost half of the counts
   // path's O(E) contract (the other half is the sampler's dense-regime
   // sequential split).
-  out.resize(s.counts.size());
-  for (std::size_t i = 0; i < s.counts.size(); ++i) {
-    const Count c = s.counts[i];
+  out.resize(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const Count c = counts_[i];
     Count forward;
     if (c == 0) {
       forward = 0;
@@ -276,49 +278,19 @@ std::vector<SparseCountMatrix> SyntheticTrafficGenerator::windows(
   return out;
 }
 
-namespace {
-
-/// 1 − (1 − rate)^{n_valid}, safe at both domain edges.  rate ≥ 1 (one
-/// edge holding all normalized mass) would send log1p(−rate) to −inf and
-/// n_valid == 0 then multiplies it by 0 → NaN; the closed form's limits
-/// are 1 for any n ≥ 1 and 0 for n == 0, so answer those directly.
-double window_visibility(double rate, Count n_valid) {
-  if (rate >= 1.0) return n_valid >= 1 ? 1.0 : 0.0;
-  return -std::expm1(static_cast<double>(n_valid) * std::log1p(-rate));
-}
-
-}  // namespace
-
 double SyntheticTrafficGenerator::expected_edge_visibility(
     Count n_valid) const {
-  // A moved-from generator has an empty rate vector; 0/0 here would memoize
-  // NaN forever, so reject it loudly instead.
-  PALU_CHECK(!rates_.empty(),
+  // A moved-from generator holds no tables; answer with a typed error
+  // rather than a null dereference.
+  PALU_CHECK(network_ != nullptr,
              "expected_edge_visibility: generator has no rates (moved-from?)");
-  return memoized(visibility_memo_, n_valid, [&] {
-    double acc = 0.0;
-    for (double r : rates_) {
-      // P[edge seen] = 1 − (1 − r)^{N_V}.
-      acc += window_visibility(r, n_valid);
-    }
-    return acc / static_cast<double>(rates_.size());
-  });
-}
-
-double SyntheticTrafficGenerator::expected_unique_links(
-    Count n_valid) const {
-  PALU_CHECK(!rates_.empty(),
-             "expected_unique_links: generator has no rates (moved-from?)");
-  return memoized(unique_links_memo_, n_valid, [&] {
-    double acc = 0.0;
-    for (const double r : rates_) {
-      const double forward = forward_prob_ * r;
-      const double backward = (1.0 - forward_prob_) * r;
-      if (forward > 0.0) acc += window_visibility(forward, n_valid);
-      if (backward > 0.0) acc += window_visibility(backward, n_valid);
-    }
-    return acc;
-  });
+  const std::vector<double>& rates = network_->rates;
+  double acc = 0.0;
+  for (const double r : rates) {
+    // P[edge seen] = 1 − (1 − r)^{N_V}.
+    acc += window_visibility(r, n_valid);
+  }
+  return acc / static_cast<double>(rates.size());
 }
 
 }  // namespace palu::traffic

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "palu/common/failpoint.hpp"
@@ -21,8 +22,8 @@ namespace palu::traffic {
 
 namespace {
 
-/// Per-worker sweep scratch: one generator (edges + alias tables built
-/// once, reseeded per window; absent on replay sweeps, which have no
+/// Per-worker sweep scratch: a copy of the sweep's generator (sharing its
+/// tables, reseeded per window; absent on replay sweeps, which have no
 /// graph), one arena-reused accumulator, and the batch buffers of the
 /// producers.  Leased from a ScratchPool so whatever worker picks up a
 /// chunk reuses an existing arena instead of rebuilding per window.
@@ -43,9 +44,11 @@ enum class Producer { kPacketDraw, kCountsDraw, kStoreRead };
 /// Immutable per-sweep description shared by every window.
 struct SweepPlan {
   Producer producer;
-  WindowSource* source;  // kStoreRead only
-  Rng base;              // window t draws from base.fork(t + 1)
-  Count n_valid;         // draws only; a stored window carries its own
+  WindowSource* source;             // kStoreRead only
+  const graph::Graph* underlying;   // draws only
+  const RateModel* rates;           // draws only
+  Rng base;  // rates draw from base.fork(0), window t from base.fork(t + 1)
+  Count n_valid;  // draws only; a stored window carries its own
   Quantity quantity;
 };
 
@@ -73,6 +76,7 @@ struct SweepMetrics {
   obs::Counter& failpoint_trips;
   obs::Gauge& pool_threads;
   obs::Histogram& sweep_duration;
+  obs::Histogram* stage_setup;  // null on replay, which builds no tables
   obs::Histogram& stage_sampling;
   obs::Histogram& stage_accumulation;
   obs::Histogram& stage_binning;
@@ -88,6 +92,9 @@ struct SweepMetrics {
         failpoint_trips(r.counter(obs::names::kSweepFailpointTrips)),
         pool_threads(r.gauge(obs::names::kSweepPoolThreads)),
         sweep_duration(r.histogram(obs::names::kSweepDurationNs)),
+        stage_setup(std::string_view(path) == "replay"
+                        ? nullptr
+                        : &stage_histogram(r, path, "setup")),
         stage_sampling(stage_histogram(r, path, "sampling")),
         stage_accumulation(stage_histogram(r, path, "accumulation")),
         stage_binning(stage_histogram(r, path, "binning")) {}
@@ -178,20 +185,32 @@ stats::DegreeHistogram run_window(const SweepPlan& plan, std::size_t t,
   return h;
 }
 
-/// Shared sweep core: runs windows [0, num_windows) of `plan` on `pool`
-/// and reduces them in index order.  `underlying`/`shared_rates` build
-/// each worker's generator and are unused when the plan reads a store.
-WindowSweepResult sweep_impl(const SweepPlan& plan,
-                             const graph::Graph* underlying,
-                             const std::vector<double>& shared_rates,
-                             std::size_t num_windows, ThreadPool& pool,
-                             const SweepOptions& opts) {
+/// Shared sweep core: builds the network's tables once (draws only, as
+/// the sweep's one setup observation), runs windows [0, num_windows) of
+/// `plan` on `pool` and reduces them in index order.
+WindowSweepResult sweep_impl(const SweepPlan& plan, std::size_t num_windows,
+                             ThreadPool& pool, const SweepOptions& opts) {
   obs::Registry& registry =
       opts.metrics != nullptr ? *opts.metrics : obs::default_registry();
   SweepMetrics metrics(registry, path_label(plan.producer));
   metrics.runs.inc();
   metrics.pool_threads.set(static_cast<std::int64_t>(pool.size()));
   obs::TraceSpan sweep_span(metrics.sweep_duration);
+
+  // One shared traffic matrix: every window sees the same long-term
+  // per-edge rates; only the packet draws differ between windows.  The
+  // generator's tables (and, for counts draws, the pair support and its
+  // Multinomial sampler) are built here, before any window, and every
+  // scratch slot's copy shares them read-only.
+  std::optional<SyntheticTrafficGenerator> network;
+  if (plan.producer != Producer::kStoreRead) {
+    obs::TraceSpan setup(*metrics.stage_setup);
+    network.emplace(*plan.underlying,
+                    make_edge_rates(*plan.underlying, *plan.rates,
+                                    plan.base.fork(0)),
+                    Rng(0));
+    if (plan.producer == Producer::kCountsDraw) network->pair_support();
+  }
 
   // Per-window slots: at most one of histogram / error is set afterwards;
   // neither set means the window was skipped after a strict-mode failure.
@@ -208,15 +227,12 @@ WindowSweepResult sweep_impl(const SweepPlan& plan,
   std::atomic<bool> stop_new_windows{false};
   std::atomic<std::uint64_t> failpoint_trips{0};
 
-  // Per-worker scratch slots: each slot pays the edge copy and alias-table
-  // build once (the counts support adds itself lazily on a slot's first
-  // counts window) and is reseeded per window.  Replay slots hold only the
-  // accumulator arenas and byte/record buffers.
-  ScratchPool<SweepScratch> scratch([underlying, &shared_rates]() {
+  // Per-worker scratch slots: each holds a copy of the generator,
+  // reseeded per window.  Replay slots hold only the accumulator arenas
+  // and byte/record buffers.
+  ScratchPool<SweepScratch> scratch([&network]() {
     auto s = std::make_unique<SweepScratch>();
-    if (underlying != nullptr) {
-      s->gen.emplace(*underlying, shared_rates, Rng(0));
-    }
+    if (network) s->gen.emplace(*network);
     return s;
   });
 
@@ -294,17 +310,12 @@ WindowSweepResult sweep_windows(const graph::Graph& underlying,
                                 const SweepOptions& opts) {
   PALU_CHECK(n_valid >= 1, "sweep_windows: need at least one packet");
   PALU_CHECK(num_windows >= 1, "sweep_windows: need at least one window");
-  const Rng base(seed);
-  // One shared traffic matrix: every window sees the same long-term
-  // per-edge rates; only the packet draws differ between windows.
-  const std::vector<double> shared_rates =
-      make_edge_rates(underlying, rates, base.fork(0));
   const Producer producer = opts.synthesis == SynthesisMode::kMultinomial
                                 ? Producer::kCountsDraw
                                 : Producer::kPacketDraw;
-  const SweepPlan plan{producer, nullptr, base, n_valid, quantity};
-  return sweep_impl(plan, &underlying, shared_rates, num_windows, pool,
-                    opts);
+  const SweepPlan plan{producer, nullptr, &underlying, &rates,
+                       Rng(seed), n_valid, quantity};
+  return sweep_impl(plan, num_windows, pool, opts);
 }
 
 WindowSweepResult sweep_windows(const graph::Graph& underlying,
@@ -325,9 +336,9 @@ WindowSweepResult sweep_windows(WindowSource& source,
   PALU_CHECK(num_windows <= source.num_windows(),
              "sweep_windows: replay source holds fewer windows than "
              "requested");
-  const SweepPlan plan{Producer::kStoreRead, &source, Rng(0),
-                       /*n_valid=*/0, quantity};
-  return sweep_impl(plan, nullptr, {}, num_windows, pool, opts);
+  const SweepPlan plan{Producer::kStoreRead, &source, nullptr, nullptr,
+                       Rng(0), /*n_valid=*/0, quantity};
+  return sweep_impl(plan, num_windows, pool, opts);
 }
 
 ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
@@ -342,16 +353,21 @@ ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
   m.runs.inc();
   obs::TraceSpan span(m.sweep_duration);
   try {
-    SyntheticTrafficGenerator gen(
-        underlying, make_edge_rates(underlying, rates, Rng(seed).fork(0)),
-        Rng(0));
-    // Stage accounting maps onto the sampled paths' graph: the visibility
-    // pass (prepare) is the "sampling" analogue and the marginal folding
-    // (evaluate) is "accumulation".  The evaluator emits the binned mass
-    // itself, so the analytic window has no binning stage and records 0.
+    // Set-up: the rate draw, the merged pair support (the merge the
+    // generator uses; no generator and no sampler) and the evaluator's
+    // link tables.  Stage accounting then maps onto the sampled paths'
+    // graph: the visibility pass (prepare) is the "sampling" analogue
+    // and the marginal folding (evaluate) is "accumulation".  The
+    // evaluator emits the binned mass itself, so the analytic window has
+    // no binning stage and records 0.
+    obs::TraceSpan setup(*m.stage_setup);
+    ExpectedWindowEvaluator eval(
+        make_pair_support(underlying, make_edge_rates(underlying, rates,
+                                                      Rng(seed).fork(0))),
+        {}, pool);
+    setup.stop();
     std::uint64_t prepare_ns = 0, evaluate_ns = 0;
     obs::TraceSpan prepare(prepare_ns);
-    ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
     eval.prepare(n_valid);
     prepare.stop();
     obs::TraceSpan evaluate(evaluate_ns);

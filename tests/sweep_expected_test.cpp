@@ -103,14 +103,18 @@ TEST(SweepExpected, AggregatesMatchSampledTableI) {
                                         /*seed=*/23, pool)
           .aggregates;
 
-  // Closed-form cross-checks against the generator's own expectations,
-  // replaying the entry point's exact rate draw (Rng(seed).fork(0)).
+  // Closed-form cross-check, replaying the entry point's exact rate draw
+  // (Rng(seed).fork(0)): this graph has no parallel edges and no
+  // self-loops, so each edge owns two directed cells of half its rate.
   const auto edge_rates =
       traffic::make_edge_rates(g, traffic::RateModel{}, Rng(23).fork(0));
   traffic::SyntheticTrafficGenerator gen(g, edge_rates, Rng(1));
   EXPECT_DOUBLE_EQ(agg.valid_packets, static_cast<double>(kN));
-  EXPECT_NEAR(agg.unique_links, gen.expected_unique_links(kN),
-              1e-9 * gen.expected_unique_links(kN));
+  double per_edge_links = 0.0;
+  for (const double r : gen.rates()) {
+    per_edge_links += 2.0 * (1.0 - std::pow(1.0 - 0.5 * r, kN));
+  }
+  EXPECT_NEAR(agg.unique_links, per_edge_links, 1e-9 * per_edge_links);
 
   // Monte-Carlo cross-check of the node visibilities and the max: means
   // of sampled Table-I aggregates across windows.
@@ -226,14 +230,15 @@ TEST(SweepExpected, StageMetricsCarryExpectedPathLabel) {
         stage = value;
       }
     }
-    // One observation per evaluation; prepare (visibilities) and the
-    // marginal folding take measurable time.
+    // One observation per evaluation; set-up (rates, pair merge,
+    // evaluator tables), prepare (visibilities) and the marginal folding
+    // take measurable time.
     EXPECT_EQ(h.count, 1u) << stage;
     if (stage != "binning") {
       EXPECT_GT(h.sum, 0u) << stage;
     }
   }
-  EXPECT_EQ(stage_series, 3u);
+  EXPECT_EQ(stage_series, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -313,6 +318,74 @@ TEST(SweepExpected, IdenticalAcrossPoolSizes) {
       }
     }
   }
+}
+
+// The entry point builds its pair support through make_pair_support, not
+// through a generator; the evaluator it runs must see exactly the table a
+// generator over the same rate draw builds.
+TEST(SweepExpected, EntryPointMatchesEvaluatorOnGeneratorSupport) {
+  Rng gen_rng(37);
+  const graph::Graph generated = graph::erdos_renyi(gen_rng, 500, 0.02);
+  graph::Graph multigraph(4);
+  multigraph.add_edge(0, 1);
+  multigraph.add_edge(0, 1);  // parallel duplicate
+  multigraph.add_edge(1, 0);  // mirror orientation
+  multigraph.add_edge(2, 2);  // self-loop
+  multigraph.add_edge(2, 3);
+  constexpr std::uint64_t kSeed = 41;
+  ThreadPool pool(2);
+  const std::array<const graph::Graph*, 2> networks = {&generated,
+                                                       &multigraph};
+  for (const graph::Graph* g : networks) {
+    traffic::SyntheticTrafficGenerator gen(
+        *g,
+        traffic::make_edge_rates(*g, traffic::RateModel{},
+                                 Rng(kSeed).fork(0)),
+        Rng(0));
+    traffic::ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
+    for (const Count n : {Count{3}, Count{20000}, Count{10000000}}) {
+      eval.prepare(n);
+      for (const auto q : kEveryQuantity) {
+        expect_identical(eval.evaluate(q),
+                         traffic::evaluate_expected_window(
+                             *g, traffic::RateModel{}, n, q, kSeed, pool),
+                         window_context(q, n) + " nodes " +
+                             std::to_string(g->num_nodes()));
+      }
+    }
+  }
+}
+
+// Table-I unique links count (src, dst) cells: parallel edges and both
+// orientations of one pair share a cell per direction, and a self-loop is
+// one cell.  Directed cells here: 0→1 and 1→0 at mass 0.3 each, 2→2 at
+// 0.2, 2→3 and 3→2 at 0.1 each.
+TEST(SweepExpected, UniqueLinksCountDirectedCellsOnAMultigraph) {
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 1);
+  g.add_edge(1, 0);
+  g.add_edge(2, 2);
+  g.add_edge(2, 3);
+  traffic::SyntheticTrafficGenerator gen(g, std::vector<double>(5, 1.0),
+                                         Rng(3));
+  ThreadPool pool(1);
+  traffic::ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
+  eval.prepare(3);
+  const double at3 = eval.aggregates().unique_links;
+  // 2·(1 − 0.7³) + (1 − 0.8³) + 2·(1 − 0.9³) = 1.314 + 0.488 + 0.542.
+  EXPECT_NEAR(at3, 2.344, 1e-12);
+  eval.prepare(1000);
+  EXPECT_NEAR(eval.aggregates().unique_links, 5.0, 1e-12);
+  // Monte Carlo: E[nnz] of a 3-packet window.  nnz lies in [1, 3], so
+  // its σ is below 1 and 6 standard errors of the mean stay under 0.05.
+  constexpr int kWindows = 20000;
+  double nnz = 0.0;
+  for (int w = 0; w < kWindows; ++w) {
+    nnz += static_cast<double>(gen.window(3).nnz());
+  }
+  EXPECT_NEAR(nnz / kWindows, at3,
+              6.0 / std::sqrt(static_cast<double>(kWindows)));
 }
 
 // Neumaier-compensated sum: ~1 ulp of rounding at any term count, so a
@@ -482,7 +555,7 @@ void expect_relative(double got, double want, double rel,
 TEST(SweepExpected, MatchesSerialReferenceFold) {
   const auto g = blocked_graph();
   auto gen = blocked_generator(g);
-  const traffic::PairSupportView support = gen.pair_support();
+  const traffic::PairSupport& support = gen.pair_support();
   ThreadPool pool(4);
   traffic::ExpectedWindowEvaluator eval(support, {}, pool);
   expect_spans_blocks(g, eval);

@@ -169,8 +169,11 @@ TEST(SweepFastPath, StageTimingsArePopulated) {
 // gauge trail — apart from the pool-size gauge, which records the pool
 // itself — for packet draws, counts draws, and store replay.  Duration
 // values are timing-dependent, so the histograms are held only to their
-// observation counts: one per stage per completed window, whichever
-// workers ran them.
+// observation counts: one per window stage per completed window,
+// whichever workers ran them, plus exactly one set-up observation per
+// synthetic sweep — the network's tables are built once, before any
+// window, whatever the pool size — and none for replay, which builds no
+// tables.
 TEST(SweepDeterminism, IdenticalAcrossPoolSizes) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
@@ -217,14 +220,17 @@ TEST(SweepDeterminism, IdenticalAcrossPoolSizes) {
     const std::uint64_t completed =
         registry.counter(obs::names::kSweepWindows, {{"outcome", "completed"}})
             .value();
+    EXPECT_EQ(completed, kWindows) << path << " threads " << threads;
     std::size_t stage_series = 0;
     for (const obs::HistogramSample& h : r.trail.histograms) {
       if (h.name != obs::names::kSweepStageDurationNs) continue;
       ++stage_series;
-      EXPECT_EQ(h.count, completed)
-          << path << " threads " << threads << " " << h.labels.back().second;
+      const std::string& stage = h.labels.back().second;
+      EXPECT_EQ(h.count, stage == "setup" ? 1u : completed)
+          << path << " threads " << threads << " " << stage;
     }
-    EXPECT_EQ(stage_series, 3u) << path << " threads " << threads;
+    EXPECT_EQ(stage_series, path == "replay" ? 3u : 4u)
+        << path << " threads " << threads;
     r.trail.histograms.clear();
     std::erase_if(r.trail.gauges, [](const obs::GaugeSample& s) {
       return s.name == obs::names::kSweepPoolThreads;

@@ -241,7 +241,6 @@ TEST(Stream, VisibilityEdgeCases) {
   g.add_edge(0, 1);  // single edge → its rate carries all mass (rate == 1)
   SyntheticTrafficGenerator gen(g, RateModel{}, Rng(5));
   EXPECT_EQ(gen.expected_edge_visibility(0), 0.0);
-  EXPECT_EQ(gen.expected_unique_links(0), 0.0);
   // rate == 1.0: visibility is exactly 1 for any n ≥ 1, not NaN and not
   // merely close to 1 through expm1(n · (−inf)).
   EXPECT_EQ(gen.expected_edge_visibility(1), 1.0);
@@ -249,17 +248,65 @@ TEST(Stream, VisibilityEdgeCases) {
 }
 
 TEST(Stream, MovedFromGeneratorRejectsVisibilityQueries) {
-  // A moved-from generator holds an empty rate vector; 0/0 would memoize
-  // NaN forever, so the query must throw a typed error instead.
+  // A moved-from generator holds no tables, so the query must throw a
+  // typed error instead of dereferencing them.
   graph::Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   SyntheticTrafficGenerator gen(g, RateModel{}, Rng(7));
   SyntheticTrafficGenerator sink = std::move(gen);
   EXPECT_THROW(gen.expected_edge_visibility(100), palu::InvalidArgument);
-  EXPECT_THROW(gen.expected_unique_links(100), palu::InvalidArgument);
   // The move target still answers.
   EXPECT_GT(sink.expected_edge_visibility(100), 0.0);
+}
+
+TEST(Stream, CopiesShareTheTablesTheirSourceBuilt) {
+  Rng rng(53);
+  const auto g = graph::erdos_renyi(rng, 300, 0.03);
+  SyntheticTrafficGenerator gen(g, RateModel{}, Rng(59));
+  SyntheticTrafficGenerator early = gen;  // copied before the pair support
+  const PairSupport& support = gen.pair_support();
+  SyntheticTrafficGenerator late = gen;
+  // A copy made after pair_support() shares the source's table...
+  EXPECT_EQ(&late.pair_support(), &support);
+  // ...while an earlier copy builds its own, identical one on demand.
+  const PairSupport& own = early.pair_support();
+  EXPECT_NE(&own, &support);
+  EXPECT_EQ(own.u, support.u);
+  EXPECT_EQ(own.v, support.v);
+  EXPECT_EQ(own.weight, support.weight);
+  EXPECT_EQ(own.forward_prob, support.forward_prob);
+  // The rates table is shared from construction on.
+  EXPECT_EQ(&early.rates(), &gen.rates());
+  // make_pair_support merges the same rates into the same table.
+  const PairSupport made =
+      make_pair_support(g, make_edge_rates(g, RateModel{}, Rng(59)));
+  EXPECT_EQ(made.u, support.u);
+  EXPECT_EQ(made.v, support.v);
+  EXPECT_EQ(made.weight, support.weight);
+  EXPECT_EQ(made.forward_prob, support.forward_prob);
+}
+
+TEST(Stream, ReseededCopyMatchesFreshGenerator) {
+  Rng rng(61);
+  const auto g = graph::erdos_renyi(rng, 300, 0.03);
+  const auto rates = make_edge_rates(g, RateModel{}, Rng(67));
+  SyntheticTrafficGenerator source(g, rates, Rng(1));
+  std::vector<EdgePacketCounts> scratch;
+  source.next_window_counts(5000, scratch);  // builds the counts tables
+  SyntheticTrafficGenerator copy = source;
+  for (const std::uint64_t seed : {71u, 73u}) {
+    copy.reseed(Rng(seed));
+    SyntheticTrafficGenerator fresh(g, rates, Rng(seed));
+    std::vector<Packet> got(3000), want(3000);
+    copy.next_batch(got);
+    fresh.next_batch(want);
+    EXPECT_TRUE(got == want) << "seed " << seed;
+    std::vector<EdgePacketCounts> got_counts, want_counts;
+    copy.next_window_counts(20000, got_counts);
+    fresh.next_window_counts(20000, want_counts);
+    EXPECT_TRUE(got_counts == want_counts) << "seed " << seed;
+  }
 }
 
 TEST(Stream, DegreeProductRatesFavorHubs) {

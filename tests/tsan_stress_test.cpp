@@ -9,7 +9,8 @@
 // so TSan can observe every cross-thread edge the pipeline claims is
 // synchronized.  The analytic evaluator's block passes (disjoint slices
 // of shared vectors, per-block folds reduced after the join) run here on
-// a 4-thread pool too.  Assertions here are consistency invariants (every
+// a 4-thread pool too, and so do generator copies drawing from one set
+// of shared tables.  Assertions here are consistency invariants (every
 // window accounted for exactly once), not timing expectations: which
 // windows a stopped sweep skipped depends on the scheduler, and any
 // split must pass.
@@ -271,6 +272,49 @@ TEST(TsanStress, ScratchPoolLeaseChurnAcrossPools) {
   for (auto& f : futs) f.get();
   EXPECT_GE(scratch.slots_created(), 1u);
   EXPECT_LE(scratch.slots_created(), 6u);  // bounded by max concurrency
+}
+
+TEST(TsanStress, GeneratorCopiesDrawFromSharedTablesConcurrently) {
+  // One generator's tables (alias sampler, pair support, Multinomial
+  // sampler) shared read-only by 4 copies, each made, reseeded and drawn
+  // on its own thread — the sweep's scratch-slot pattern.  Every copy's
+  // packet batches and counts windows must equal the same draws made
+  // serially.
+  const auto g = stress_graph();
+  traffic::SyntheticTrafficGenerator source(
+      g, traffic::make_edge_rates(g, traffic::RateModel{}, Rng(5).fork(0)),
+      Rng(0));
+  source.pair_support();  // build the counts tables before any copy
+  constexpr std::size_t kCopies = 4;
+  constexpr int kRounds = 8;
+  struct Draws {
+    std::vector<std::vector<traffic::Packet>> batches;
+    std::vector<std::vector<traffic::EdgePacketCounts>> windows;
+  };
+  const auto draw = [&source](std::size_t k) {
+    traffic::SyntheticTrafficGenerator copy = source;
+    Draws d;
+    for (int round = 0; round < kRounds; ++round) {
+      copy.reseed(Rng(100 * k + static_cast<std::uint64_t>(round)));
+      d.batches.emplace_back(1024);
+      copy.next_batch(d.batches.back());
+      d.windows.emplace_back();
+      copy.next_window_counts(30000, d.windows.back());
+    }
+    return d;
+  };
+  std::vector<Draws> serial;
+  for (std::size_t k = 0; k < kCopies; ++k) serial.push_back(draw(k));
+  std::vector<Draws> concurrent(kCopies);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kCopies; ++k) {
+    threads.emplace_back([&concurrent, &draw, k]() { concurrent[k] = draw(k); });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t k = 0; k < kCopies; ++k) {
+    EXPECT_TRUE(concurrent[k].batches == serial[k].batches) << "copy " << k;
+    EXPECT_TRUE(concurrent[k].windows == serial[k].windows) << "copy " << k;
+  }
 }
 
 TEST(TsanStress, ExpectedEvaluatorFoldsOnAFourThreadPool) {

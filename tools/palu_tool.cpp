@@ -207,8 +207,9 @@ traffic::Quantity parse_quantity(const std::string& name) {
 
 // Prints the stage and wall times of every sweep this command ran, read
 // from the default registry: per-stage sums of
-// palu_sweep_stage_duration_ns (CPU time summed over workers) and the sum
-// of palu_sweep_duration_ns.  `produce` names the sampling stage.
+// palu_sweep_stage_duration_ns (CPU time summed over workers; setup is
+// the once-per-call table build, 0 for a replay) and the sum of
+// palu_sweep_duration_ns.  `produce` names the sampling stage.
 void print_stage_times(const char* produce = "sampling") {
   std::map<std::string, std::uint64_t> stage_ns;
   std::uint64_t wall_ns = 0;
@@ -222,10 +223,10 @@ void print_stage_times(const char* produce = "sampling") {
   const auto ms = [](std::uint64_t ns) {
     return static_cast<double>(ns) / 1e6;
   };
-  std::printf("stage cpu (summed over workers): %s=%.1fms "
+  std::printf("stage cpu (summed over workers): setup=%.1fms %s=%.1fms "
               "accumulation=%.1fms binning=%.1fms\n",
-              produce, ms(stage_ns["sampling"]), ms(stage_ns["accumulation"]),
-              ms(stage_ns["binning"]));
+              ms(stage_ns["setup"]), produce, ms(stage_ns["sampling"]),
+              ms(stage_ns["accumulation"]), ms(stage_ns["binning"]));
   std::printf("sweep wall time: %.1fms\n", ms(wall_ns));
 }
 

@@ -308,7 +308,8 @@ TEST(TsanStress, GeneratorCopiesDrawFromSharedTablesConcurrently) {
   std::vector<Draws> concurrent(kCopies);
   std::vector<std::thread> threads;
   for (std::size_t k = 0; k < kCopies; ++k) {
-    threads.emplace_back([&concurrent, &draw, k]() { concurrent[k] = draw(k); });
+    threads.emplace_back(
+        [&concurrent, &draw, k]() { concurrent[k] = draw(k); });
   }
   for (auto& t : threads) t.join();
   for (std::size_t k = 0; k < kCopies; ++k) {

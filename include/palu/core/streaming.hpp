@@ -16,6 +16,14 @@
 // The complete estimator state (lanes + horizon) is exposed for
 // checkpointing: restoring a StreamingState and replaying the same
 // windows reproduces the exact fits of an uninterrupted run.
+//
+// The two lanes share no state: each warm-starts only from its own
+// previous fit.  refit_window therefore fits the sliding lane as a task
+// on ThreadPool::global() while the calling thread fits the tumbling
+// lane, and the results are the bits a serial refit gives.  It blocks
+// until that task is done, so it must never run inside a task on the
+// global pool: once every worker waited that way the pool would
+// deadlock.
 #pragma once
 
 #include <deque>
@@ -101,7 +109,8 @@ class WindowedStreamingEstimator {
  public:
   explicit WindowedStreamingEstimator(StreamingOptions opts = {});
 
-  /// Folds one window histogram and refits both lanes.  When
+  /// Folds one window histogram and refits both lanes, the sliding lane
+  /// on ThreadPool::global() (see the file comment).  When
   /// `forced_error` is non-empty the window is treated as un-fittable
   /// (deadline overrun, injected fault): the histogram still enters the
   /// horizon — so a later restore replay stays consistent — but both
@@ -139,7 +148,7 @@ class WindowedStreamingEstimator {
 
  private:
   StreamingFitSnapshot fit_lane(const stats::DegreeHistogram& h,
-                                const StreamingFitSnapshot& previous);
+                                const StreamingFitSnapshot& previous) const;
   static StreamingFitSnapshot degrade(const StreamingFitSnapshot& previous,
                                       std::string_view why);
 

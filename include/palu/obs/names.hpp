@@ -94,9 +94,11 @@ inline constexpr char kServeWindowsStale[] =
 /// Counter: windows published from the previous fit after a deadline miss.
 inline constexpr char kServeDeadlineMisses[] =
     "palu_serve_fit_deadline_misses_total";
-/// Gauge: records currently queued between ingest and fit.
+/// Gauge: packets in the sealed windows queued between ingest and fit
+/// (N_V per window).
 inline constexpr char kServeQueueDepth[] = "palu_serve_queue_depth";
-/// Counter{policy=drop-oldest|drop-newest}: records shed by backpressure.
+/// Counter{policy=drop-oldest|drop-newest}: packets shed by backpressure,
+/// N_V per shed window.
 inline constexpr char kServeQueueDropped[] =
     "palu_serve_queue_dropped_total";
 /// Counter{stage=ingest|fit}: supervised stage restarts.

@@ -27,7 +27,8 @@ struct Checkpoint {
   /// Input-stream byte offset of the window boundary this state is
   /// consistent with; resuming seeks here.
   std::uint64_t input_offset = 0;
-  /// Packets consumed up to the boundary (diagnostics only).
+  /// Packets of the windows fitted up to the boundary, N_V each; shed
+  /// windows are not counted (diagnostics only).
   std::uint64_t packets_ingested = 0;
   /// Published window lines up to the boundary.
   std::uint64_t windows_published = 0;

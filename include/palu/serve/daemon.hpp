@@ -3,16 +3,26 @@
 // Three actors, two threads plus the caller:
 //
 //   ingest thread:  tails the input (file tail / pipe / stdin) through a
-//                   TraceTailReader and pushes TailRecords into the
-//                   bounded queue under the configured backpressure
-//                   policy.
-//   fit thread:     pops records into a WindowAccumulator; at every N_V
-//                   boundary it histograms the window, refits both lanes
-//                   of the WindowedStreamingEstimator (warm-started),
-//                   publishes one result line, and checkpoints.
+//                   TraceTailReader into the daemon's one
+//                   WindowAccumulator; at every N_V boundary it
+//                   histograms the window (and exports its pair counts
+//                   under --record), then pushes the sealed window into
+//                   the bounded queue under the backpressure policy.
+//   fit thread:     pops sealed windows and refits both lanes of the
+//                   WindowedStreamingEstimator (warm-started, the two
+//                   lanes concurrently), publishes one result line,
+//                   checkpoints, and appends the window's records.
 //   supervisor:     the caller's thread inside run() — polls for
 //                   signals, enforces the drain deadline, writes metrics
 //                   snapshots on an interval, and finalizes state.
+//
+// Only whole windows cross threads.  `queue_capacity` is a packet
+// budget: the queue holds max(1, queue_capacity / window_packets) sealed
+// windows, and a drop policy sheds one whole window, which publishes no
+// line (window= numbers fitted windows only, so it stays contiguous).
+// The queue depth gauge and the dropped counter count packets, N_V per
+// window.  The partial window is ingest-thread state, so an ingest
+// restart resumes it.
 //
 // Delivery is at-least-once across a crash: boundary() publishes a
 // window's line before it checkpoints, so a --restore publishes again
@@ -38,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "palu/core/streaming.hpp"
 #include "palu/io/tail.hpp"
@@ -90,13 +101,24 @@ class ServeDaemon {
                  const std::function<void()>& body);
   void interruptible_sleep_ms(double ms);
 
+  // What crosses from ingest to fit: one complete N_V-packet window.
+  struct SealedWindow {
+    stats::DegreeHistogram histogram;
+    /// Stream offset one past the window's last line.
+    std::uint64_t end_offset = 0;
+    /// The window's pair counts (--record only).
+    std::vector<traffic::EdgePacketCounts> records;
+  };
+
   void ingest_stage();
   void ingest_body();
   bool deliver(std::vector<io::TailRecord>& records);
+  bool seal_window(std::uint64_t end_offset);
+  void set_queue_depth();
 
   void fit_stage();
   void fit_body();
-  void boundary();
+  void boundary(const SealedWindow& window);
   void publish_line(std::size_t index, std::uint64_t offset,
                     const core::StreamingRefit& refit,
                     const char* degraded);
@@ -111,8 +133,7 @@ class ServeDaemon {
   ServeOptions opts_;
   obs::Registry& registry_;
   core::WindowedStreamingEstimator estimator_;
-  traffic::WindowAccumulator acc_;
-  BoundedRecordQueue queue_;
+  BoundedQueue<SealedWindow> queue_;
   std::unique_ptr<io::TraceTailReader> reader_;
 
   // Cross-thread coordination.
@@ -121,12 +142,16 @@ class ServeDaemon {
   std::atomic<bool> fit_done_{false};
   std::atomic<int> fatal_exit_{0};
   std::atomic<std::uint64_t> published_{0};
-  std::atomic<std::uint64_t> records_pushed_{0};
+  std::atomic<std::uint64_t> packets_read_{0};
+  /// Whether ingest exports each window's pair counts for the recorder.
+  std::atomic<bool> recording_{false};
+
+  // Ingest-thread state: the open window.  It survives an ingest
+  // restart, which re-reads from the reader's consumed offset.
+  traffic::WindowAccumulator acc_;
+  std::uint64_t window_fill_ = 0;
 
   // Fit-thread state (touched by run() only before start / after join).
-  std::uint64_t window_fill_ = 0;
-  std::uint64_t packets_total_ = 0;
-  std::uint64_t last_offset_ = 0;
   std::uint64_t last_boundary_offset_ = 0;
   std::uint64_t windows_since_checkpoint_ = 0;
   std::optional<core::StreamingRefit> last_published_;
@@ -135,9 +160,8 @@ class ServeDaemon {
 
   // Window recorder (--record): owned by the fit thread after start;
   // reset on the first append failure so recording can never take the
-  // daemon down.  The export buffer is fit-thread scratch.
+  // daemon down.
   std::unique_ptr<store::WindowStoreWriter> recorder_;
-  std::vector<traffic::EdgePacketCounts> record_buf_;
 
   // Metric handles, resolved once against the selected registry.
   obs::Counter& packets_counter_;

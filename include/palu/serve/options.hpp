@@ -24,8 +24,8 @@ namespace palu::serve {
 /// What the ingest stage does when the bounded queue is full.
 enum class BackpressurePolicy {
   kBlock,       ///< ingest waits for the fit stage (lossless, default)
-  kDropOldest,  ///< evict the oldest queued record to admit the new one
-  kDropNewest,  ///< discard the incoming record
+  kDropOldest,  ///< evict the oldest queued item to admit the new one
+  kDropNewest,  ///< discard the incoming item
 };
 
 /// "block" | "drop-oldest" | "drop-newest"; throws palu::InvalidArgument
@@ -60,7 +60,11 @@ struct ServeOptions {
   double fit_deadline_ms = 0.0;
 
   // --- queue ------------------------------------------------------------
+  /// Packet budget of the ingest → fit queue.  The queue holds sealed
+  /// windows, max(1, queue_capacity / window_packets) of them.
   std::size_t queue_capacity = 65536;
+  /// A full queue blocks ingest or sheds one whole sealed window, which
+  /// publishes no line.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
 
   // --- checkpoint / restore --------------------------------------------

@@ -10,7 +10,10 @@
 //
 //  * Seeded failpoints (palu/common/failpoint.hpp) that force
 //    ConvergenceError inside fits ("fit.palu_mle", "fit.nelder_mead")
-//    and sweep workers ("traffic.sweep_window").
+//    and sweep workers ("traffic.sweep_window").  The streaming
+//    estimator fits its two lanes concurrently, so a count-limited fit
+//    arming (fires > 0) hits the tumbling and sliding lanes of a window
+//    in unspecified order; arm without a limit to fail both.
 //
 // Header-only and test-oriented: nothing here is linked into the library
 // proper, and the umbrella header deliberately does not include it.

@@ -1,9 +1,11 @@
 #include "palu/core/streaming.hpp"
 
 #include <cmath>
+#include <future>
 #include <utility>
 
 #include "palu/common/error.hpp"
+#include "palu/parallel/thread_pool.hpp"
 #include "palu/stats/log_binning.hpp"
 
 namespace palu::core {
@@ -41,7 +43,7 @@ StreamingFitSnapshot WindowedStreamingEstimator::degrade(
 
 StreamingFitSnapshot WindowedStreamingEstimator::fit_lane(
     const stats::DegreeHistogram& h,
-    const StreamingFitSnapshot& previous) {
+    const StreamingFitSnapshot& previous) const {
   const bool warm = opts_.warm_start && previous.has_fit();
   const RobustPaluFit robust =
       warm ? robust_fit_palu_warm(h, previous.fit, opts_.fit, opts_.robust,
@@ -101,15 +103,31 @@ StreamingRefit WindowedStreamingEstimator::refit_window(
     return out;
   }
 
-  state_.window_lane = fit_lane(window, state_.window_lane);
-  if (horizon_.size() == 1) {
-    // One window in the horizon: the sliding lane is the tumbling lane.
-    state_.sliding_lane = state_.window_lane;
-  } else {
-    stats::DegreeHistogram merged;
-    for (const auto& h : horizon_) merged.merge(h);
-    state_.sliding_lane = fit_lane(merged, state_.sliding_lane);
+  // The lanes share no state (each warm-starts from its own previous
+  // fit), so the sliding lane is fitted on the pool while this thread
+  // fits the tumbling lane.  Neither lane is assigned until both fits
+  // are done, and the task is joined on every path: it reads horizon_
+  // and the previous sliding lane.  One window in the horizon: the
+  // sliding lane is the tumbling lane, and no task is submitted.
+  std::future<StreamingFitSnapshot> sliding;
+  if (horizon_.size() > 1) {
+    sliding = ThreadPool::global().submit([this] {
+      stats::DegreeHistogram merged;
+      for (const auto& h : horizon_) merged.merge(h);
+      return fit_lane(merged, state_.sliding_lane);
+    });
   }
+  StreamingFitSnapshot window_lane;
+  try {
+    window_lane = fit_lane(window, state_.window_lane);
+  } catch (...) {
+    if (sliding.valid()) sliding.wait();
+    throw;
+  }
+  StreamingFitSnapshot sliding_lane =
+      sliding.valid() ? sliding.get() : window_lane;
+  state_.window_lane = std::move(window_lane);
+  state_.sliding_lane = std::move(sliding_lane);
 
   out.fresh = state_.window_lane.freshness == FitFreshness::kFresh;
   if (out.fresh) {

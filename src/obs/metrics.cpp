@@ -289,10 +289,11 @@ void preregister_palu_metrics(Registry& r) {
   r.counter(names::kServeDeadlineMisses, {},
             "Windows served from the previous fit after a deadline miss");
   r.gauge(names::kServeQueueDepth, {},
-          "Records currently queued between ingest and fit");
+          "Packets in sealed windows queued between ingest and fit");
   for (const char* policy : {"drop-oldest", "drop-newest"}) {
     r.counter(names::kServeQueueDropped, {{"policy", policy}},
-              "Records shed by the queue backpressure policy");
+              "Packets of whole windows shed by the queue backpressure "
+              "policy");
   }
   for (const char* stage : {"ingest", "fit"}) {
     r.counter(names::kServeStageRestarts, {{"stage", stage}},

@@ -63,7 +63,9 @@ ServeDaemon::ServeDaemon(ServeOptions opts)
     : opts_(std::move(opts)),
       registry_(pick_registry(opts_)),
       estimator_(opts_.streaming),
-      queue_(opts_.queue_capacity, opts_.backpressure),
+      queue_(opts_.queue_capacity /
+                 std::max<std::uint64_t>(opts_.window_packets, 1),
+             opts_.backpressure),
       packets_counter_(registry_.counter(obs::names::kServePackets)),
       windows_counter_(registry_.counter(obs::names::kServeWindowsFitted)),
       stale_counter_(registry_.counter(obs::names::kServeWindowsStale)),
@@ -160,31 +162,53 @@ void ServeDaemon::run_stage(
 
 // ---------------------------------------------------------------- ingest
 
+void ServeDaemon::set_queue_depth() {
+  queue_depth_gauge_.set(
+      static_cast<std::int64_t>(queue_.depth() * opts_.window_packets));
+}
+
+bool ServeDaemon::seal_window(std::uint64_t end_offset) {
+  SealedWindow window;
+  window.histogram = acc_.histogram(opts_.quantity);
+  window.end_offset = end_offset;
+  if (recording_.load()) acc_.export_counts(window.records);
+  acc_.begin_window();
+  window_fill_ = 0;
+  // A shed window counts its N_V packets; drop-oldest admits this one
+  // and evicts the queue head instead.
+  switch (queue_.push(std::move(window))) {
+    case BoundedQueue<SealedWindow>::PushResult::kClosed:
+      return false;
+    case BoundedQueue<SealedWindow>::PushResult::kDroppedNewest:
+      drop_newest_counter_.inc(opts_.window_packets);
+      break;
+    case BoundedQueue<SealedWindow>::PushResult::kDroppedOldest:
+      drop_oldest_counter_.inc(opts_.window_packets);
+      break;
+    case BoundedQueue<SealedWindow>::PushResult::kOk:
+      break;
+  }
+  set_queue_depth();
+  return true;
+}
+
 bool ServeDaemon::deliver(std::vector<io::TailRecord>& records) {
-  // The ingest counters track *admissions*: a drop-newest record was
-  // never in the queue, and on kClosed only the prefix already delivered
-  // counts — anything else skews the restart progress meter.
-  std::uint64_t admitted = 0;
+  // Counts the packets that reached the accumulator (the ingest restart
+  // meter reads this count); a closed queue ends the stream.
+  std::uint64_t added = 0;
   bool open = true;
   for (const io::TailRecord& rec : records) {
-    const auto result = queue_.push(rec);
-    if (result == BoundedRecordQueue::PushResult::kClosed) {
+    acc_.add(rec.packet.src, rec.packet.dst);
+    ++added;
+    if (++window_fill_ == opts_.window_packets &&
+        !seal_window(rec.end_offset)) {
       open = false;
       break;
     }
-    if (result == BoundedRecordQueue::PushResult::kDroppedNewest) {
-      drop_newest_counter_.inc();  // discarded, not admitted
-      continue;
-    }
-    if (result == BoundedRecordQueue::PushResult::kDroppedOldest) {
-      drop_oldest_counter_.inc();  // admitted; the queue head was shed
-    }
-    ++admitted;
   }
-  packets_counter_.inc(admitted);
-  records_pushed_.fetch_add(admitted);
+  packets_counter_.inc(added);
+  packets_read_.fetch_add(added);
   records.clear();
-  queue_depth_gauge_.set(static_cast<std::int64_t>(queue_.depth()));
   return open;
 }
 
@@ -264,7 +288,7 @@ void ServeDaemon::ingest_body() {
 
 void ServeDaemon::ingest_stage() {
   run_stage("ingest", ingest_restarts_,
-            [this] { return records_pushed_.load(); },
+            [this] { return packets_read_.load(); },
             [this] { ingest_body(); });
   queue_.close();
   ingest_done_.store(true);
@@ -314,9 +338,7 @@ void ServeDaemon::publish_line(std::size_t index, std::uint64_t offset,
   out << line << '\n' << std::flush;
 }
 
-void ServeDaemon::boundary() {
-  stats::DegreeHistogram hist = acc_.histogram(opts_.quantity);
-
+void ServeDaemon::boundary(const SealedWindow& window) {
   // An armed serve.fit failpoint degrades this window instead of killing
   // the stage: the estimator records it like any un-fittable window.
   std::string forced;
@@ -330,7 +352,8 @@ void ServeDaemon::boundary() {
 
   const bool deadline_on = opts_.fit_deadline_ms > 0.0;
   const auto t0 = Clock::now();
-  core::StreamingRefit refit = estimator_.refit_window(hist, forced);
+  core::StreamingRefit refit =
+      estimator_.refit_window(window.histogram, forced);
   const bool deadline_miss =
       deadline_on && ms_since(t0) > opts_.fit_deadline_ms;
 
@@ -347,7 +370,8 @@ void ServeDaemon::boundary() {
   } else if (!refit.fresh) {
     degraded = "fit";
   }
-  publish_line(refit.window_index, last_offset_, *to_publish, degraded);
+  publish_line(refit.window_index, window.end_offset, *to_publish,
+               degraded);
   if (!deadline_miss) last_published_ = refit;
 
   published_.fetch_add(1);
@@ -356,7 +380,7 @@ void ServeDaemon::boundary() {
   staleness_gauge_.set(
       static_cast<std::int64_t>(estimator_.consecutive_stale()));
 
-  last_boundary_offset_ = last_offset_;
+  last_boundary_offset_ = window.end_offset;
   if (!opts_.checkpoint_path.empty()) {
     ++windows_since_checkpoint_;
     checkpoint_age_gauge_.set(
@@ -366,46 +390,36 @@ void ServeDaemon::boundary() {
     }
   }
 
-  // Archive the fitted window before begin_window() retires it.  A
-  // recording failure (disk full, armed io.capture_write failpoint)
-  // disables the recorder and keeps serving: recording is an output tee,
-  // never a reason to stop estimating.
+  // Archive the fitted window.  A recording failure (disk full, armed
+  // io.capture_write failpoint) disables the recorder and keeps serving:
+  // recording is an output tee, never a reason to stop estimating.
   if (recorder_ != nullptr) {
     try {
-      record_buf_.clear();
-      acc_.export_counts(record_buf_);
       recorder_->append(refit.window_index, opts_.window_packets,
-                        record_buf_);
+                        window.records);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "serve: recording disabled: %s\n", e.what());
       recorder_.reset();
+      recording_.store(false);
     }
   }
-
-  acc_.begin_window();
-  window_fill_ = 0;
 }
 
 void ServeDaemon::fit_body() {
-  io::TailRecord rec;
+  SealedWindow window;
   // A stop request does NOT end this loop: the drain contract
-  // (options.hpp drain_deadline_ms) is that records queued at
+  // (options.hpp drain_deadline_ms) is that windows queued at
   // SIGINT/SIGTERM are still fitted.  On stop the ingest stage exits and
   // close()s the queue, so pop() returns false once the backlog is
   // consumed; the supervisor's drain-deadline abort() bounds the drain.
   // Only a fatal abort skips straight out.
   while (fatal_exit_.load() == 0) {
-    if (!queue_.pop(rec)) return;  // stream drained or aborted
-    acc_.add(rec.packet.src, rec.packet.dst);
-    ++packets_total_;
-    ++window_fill_;
-    last_offset_ = rec.end_offset;
-    if (window_fill_ >= opts_.window_packets) {
-      boundary();
-      if (opts_.max_windows != 0 && published_.load() >= opts_.max_windows) {
-        stop_.store(true);
-        return;
-      }
+    if (!queue_.pop(window)) return;  // stream drained or aborted
+    set_queue_depth();
+    boundary(window);
+    if (opts_.max_windows != 0 && published_.load() >= opts_.max_windows) {
+      stop_.store(true);
+      return;
     }
   }
 }
@@ -421,7 +435,7 @@ void ServeDaemon::fit_stage() {
 Checkpoint ServeDaemon::make_checkpoint() const {
   Checkpoint ck;
   ck.input_offset = last_boundary_offset_;
-  ck.packets_ingested = packets_total_;
+  ck.packets_ingested = published_.load() * opts_.window_packets;
   ck.windows_published = published_.load();
   ck.window_packets = opts_.window_packets;
   ck.quantity = std::string(traffic::quantity_name(opts_.quantity));
@@ -460,8 +474,6 @@ void ServeDaemon::try_restore() {
     }
     resume_offset_ = ck.input_offset;
     last_boundary_offset_ = ck.input_offset;
-    last_offset_ = ck.input_offset;
-    packets_total_ = ck.packets_ingested;
     published_.store(ck.windows_published);
     estimator_.restore(std::move(ck.estimator));
     // The gauge normally updates at window boundaries; seed it from the
@@ -549,6 +561,7 @@ int ServeDaemon::run() {
     wopts.metrics = &registry_;
     recorder_ = std::make_unique<store::WindowStoreWriter>(
         opts_.record_path, wopts);
+    recording_.store(true);
   }
 
   std::thread ingest([this] { ingest_stage(); });

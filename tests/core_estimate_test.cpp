@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -12,9 +14,11 @@
 #include "palu/core/streaming.hpp"
 #include "palu/core/theory.hpp"
 #include "palu/fit/model_zoo.hpp"
+#include "palu/fit/zipf_mandelbrot.hpp"
 #include "palu/math/gamma.hpp"
 #include "palu/rng/distributions.hpp"
 #include "palu/stats/histogram.hpp"
+#include "palu/stats/log_binning.hpp"
 #include "palu/traffic/quantities.hpp"
 #include "palu/traffic/stream.hpp"
 #include "palu/traffic/window_accumulator.hpp"
@@ -251,6 +255,130 @@ TEST(ProfileFit, ServedLikelihoodAtLeastMomentFit) {
     const double at_moments =
         palu_profile_log_likelihood(dist, moments.alpha, moments.mu);
     EXPECT_GE(at_served, at_moments - 1e-9 * std::abs(at_moments));
+  }
+}
+
+// The streaming estimator's lanes, refitted one after the other the way
+// the estimator is specified: each lane warm-starts from its own
+// previous snapshot.  refit_window fits the two lanes concurrently; its
+// snapshots must be these bits.
+class SerialLanes {
+ public:
+  explicit SerialLanes(StreamingOptions opts) : opts_(std::move(opts)) {}
+
+  void refit(const stats::DegreeHistogram& h) {
+    horizon_.push_back(h);
+    while (horizon_.size() > opts_.sliding_horizon) horizon_.pop_front();
+    window_ = fit_lane(h, window_);
+    if (horizon_.size() == 1) {
+      sliding_ = window_;
+      return;
+    }
+    stats::DegreeHistogram merged;
+    for (const auto& w : horizon_) merged.merge(w);
+    sliding_ = fit_lane(merged, sliding_);
+  }
+  const StreamingFitSnapshot& window() const { return window_; }
+  const StreamingFitSnapshot& sliding() const { return sliding_; }
+
+ private:
+  StreamingFitSnapshot fit_lane(const stats::DegreeHistogram& h,
+                                const StreamingFitSnapshot& previous) const {
+    const bool warm = opts_.warm_start && previous.has_fit();
+    const RobustPaluFit robust =
+        warm ? robust_fit_palu_warm(h, previous.fit, opts_.fit, opts_.robust,
+                                    opts_.refine_max)
+             : robust_fit_palu(h, opts_.fit, opts_.robust, opts_.refine_max);
+    if (!robust.ok()) {
+      StreamingFitSnapshot out = previous;
+      if (out.freshness == FitFreshness::kFresh) {
+        out.freshness = FitFreshness::kStale;
+      }
+      out.error =
+          robust.error.empty() ? "fit failed on every stage" : robust.error;
+      return out;
+    }
+    StreamingFitSnapshot out;
+    out.fit = robust.fit;
+    out.stage = robust.stage;
+    out.freshness = FitFreshness::kFresh;
+    fit::ZmFitOptions zopts;
+    if (warm && previous.zm_valid && std::isfinite(previous.zm.alpha) &&
+        previous.zm.alpha > 0.0 && previous.zm.delta > -1.0) {
+      zopts.alpha_init = previous.zm.alpha;
+      zopts.delta_init = previous.zm.delta;
+    }
+    try {
+      out.zm = fit::fit_zipf_mandelbrot(stats::LogBinned::from_histogram(h),
+                                        h.max_degree(), zopts);
+      out.zm_valid = true;
+    } catch (const Error&) {
+      out.zm = previous.zm;
+      out.zm_valid = previous.zm_valid;
+    }
+    return out;
+  }
+
+  StreamingOptions opts_;
+  std::deque<stats::DegreeHistogram> horizon_;
+  StreamingFitSnapshot window_;
+  StreamingFitSnapshot sliding_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_lane(const StreamingFitSnapshot& got,
+                      const StreamingFitSnapshot& want) {
+  EXPECT_TRUE(same_bits(got.fit.alpha, want.fit.alpha));
+  EXPECT_TRUE(same_bits(got.fit.c, want.fit.c));
+  EXPECT_TRUE(same_bits(got.fit.mu, want.fit.mu));
+  EXPECT_TRUE(same_bits(got.fit.u, want.fit.u));
+  EXPECT_TRUE(same_bits(got.fit.l, want.fit.l));
+  EXPECT_EQ(got.stage, want.stage);
+  EXPECT_EQ(got.freshness, want.freshness);
+  EXPECT_TRUE(same_bits(got.zm.alpha, want.zm.alpha));
+  EXPECT_TRUE(same_bits(got.zm.delta, want.zm.delta));
+  EXPECT_EQ(got.zm_valid, want.zm_valid);
+  EXPECT_EQ(got.error, want.error);
+}
+
+TEST(WindowedStreamingEstimator, ConcurrentLanesMatchSerialRefitBitForBit) {
+  Rng rng(23);
+  const auto net = generate_underlying(
+      PaluParams::solve_hubs(6.0, 0.35, 0.2, 2.3, 1.0), 30000, rng);
+  traffic::SyntheticTrafficGenerator gen(
+      net.graph,
+      traffic::make_edge_rates(net.graph, traffic::RateModel{},
+                               Rng(23).fork(1)),
+      Rng(5));
+  std::vector<stats::DegreeHistogram> windows;
+  std::vector<traffic::Packet> packets(20000);
+  traffic::WindowAccumulator acc;
+  for (int w = 0; w < 9; ++w) {
+    gen.next_batch(packets);
+    acc.begin_window();
+    acc.add_packets(packets);
+    windows.push_back(acc.histogram(traffic::Quantity::kUndirectedDegree));
+  }
+
+  for (const std::size_t horizon : {std::size_t{1}, std::size_t{4}}) {
+    StreamingOptions opts;
+    opts.sliding_horizon = horizon;
+    WindowedStreamingEstimator served(opts);
+    SerialLanes serial(opts);
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      SCOPED_TRACE("horizon " + std::to_string(horizon) + ", window " +
+                   std::to_string(w));
+      const StreamingRefit refit = served.refit_window(windows[w]);
+      serial.refit(windows[w]);
+      ASSERT_TRUE(refit.fresh);
+      expect_same_lane(refit.window, serial.window());
+      expect_same_lane(refit.sliding, serial.sliding());
+      expect_same_lane(served.window_fit(), serial.window());
+      expect_same_lane(served.sliding_fit(), serial.sliding());
+    }
   }
 }
 

@@ -7,12 +7,14 @@
 // fixed seeds and temp files; no subprocesses, no signals.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -227,83 +229,108 @@ TEST_F(ServeTest, TailReaderResetAtDropsPartialLine) {
 
 // ------------------------------------------------------------- queue
 
+// The daemon queues sealed windows, which own their buffers, so the
+// queue tests run on a move-only payload: a copy anywhere in push or pop
+// would not compile.
+using Item = std::unique_ptr<std::uint64_t>;
+using ItemQueue = serve::BoundedQueue<Item>;
+
+Item item(std::uint64_t v) { return std::make_unique<std::uint64_t>(v); }
+
 TEST_F(ServeTest, QueueFifoThenCloseDrains) {
-  BoundedRecordQueue q(8, serve::BackpressurePolicy::kBlock);
+  ItemQueue q(8, serve::BackpressurePolicy::kBlock);
   for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(q.push({{1, 2}, i}), BoundedRecordQueue::PushResult::kOk);
+    EXPECT_EQ(q.push(item(i)), ItemQueue::PushResult::kOk);
   }
   q.close();
-  EXPECT_EQ(q.push({{9, 9}, 9}), BoundedRecordQueue::PushResult::kClosed);
-  TailRecord rec;
+  EXPECT_EQ(q.push(item(9)), ItemQueue::PushResult::kClosed);
+  Item out;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.pop(rec));
-    EXPECT_EQ(rec.end_offset, i);
+    ASSERT_TRUE(q.pop(out));
+    EXPECT_EQ(*out, i);
   }
-  EXPECT_FALSE(q.pop(rec));
+  EXPECT_FALSE(q.pop(out));
 }
 
 TEST_F(ServeTest, QueueDropNewestShedsIncoming) {
-  BoundedRecordQueue q(2, serve::BackpressurePolicy::kDropNewest);
-  EXPECT_EQ(q.push({{0, 0}, 0}), BoundedRecordQueue::PushResult::kOk);
-  EXPECT_EQ(q.push({{0, 0}, 1}), BoundedRecordQueue::PushResult::kOk);
-  EXPECT_EQ(q.push({{0, 0}, 2}),
-            BoundedRecordQueue::PushResult::kDroppedNewest);
+  ItemQueue q(2, serve::BackpressurePolicy::kDropNewest);
+  EXPECT_EQ(q.push(item(0)), ItemQueue::PushResult::kOk);
+  EXPECT_EQ(q.push(item(1)), ItemQueue::PushResult::kOk);
+  EXPECT_EQ(q.push(item(2)), ItemQueue::PushResult::kDroppedNewest);
   EXPECT_EQ(q.dropped(), 1u);
+  EXPECT_EQ(q.depth(), 2u);
   q.close();
-  TailRecord rec;
-  ASSERT_TRUE(q.pop(rec));
-  EXPECT_EQ(rec.end_offset, 0u);
-  ASSERT_TRUE(q.pop(rec));
-  EXPECT_EQ(rec.end_offset, 1u);
-  EXPECT_FALSE(q.pop(rec));
+  Item out;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(*out, 0u);
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(*out, 1u);
+  EXPECT_FALSE(q.pop(out));
 }
 
 TEST_F(ServeTest, QueueDropOldestEvictsHead) {
-  BoundedRecordQueue q(2, serve::BackpressurePolicy::kDropOldest);
-  q.push({{0, 0}, 0});
-  q.push({{0, 0}, 1});
-  EXPECT_EQ(q.push({{0, 0}, 2}),
-            BoundedRecordQueue::PushResult::kDroppedOldest);
+  ItemQueue q(2, serve::BackpressurePolicy::kDropOldest);
+  q.push(item(0));
+  q.push(item(1));
+  EXPECT_EQ(q.push(item(2)), ItemQueue::PushResult::kDroppedOldest);
   EXPECT_EQ(q.dropped(), 1u);
   q.close();
-  TailRecord rec;
-  ASSERT_TRUE(q.pop(rec));
-  EXPECT_EQ(rec.end_offset, 1u);
-  ASSERT_TRUE(q.pop(rec));
-  EXPECT_EQ(rec.end_offset, 2u);
+  Item out;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(*out, 1u);
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(*out, 2u);
 }
 
 TEST_F(ServeTest, QueueBlockPolicyWaitsForConsumer) {
-  BoundedRecordQueue q(1, serve::BackpressurePolicy::kBlock);
-  ASSERT_EQ(q.push({{0, 0}, 0}), BoundedRecordQueue::PushResult::kOk);
+  ItemQueue q(1, serve::BackpressurePolicy::kBlock);
+  ASSERT_EQ(q.push(item(0)), ItemQueue::PushResult::kOk);
   std::atomic<bool> second_admitted{false};
   std::thread producer([&] {
-    const auto r = q.push({{0, 0}, 1});  // blocks until the pop below
-    EXPECT_EQ(r, BoundedRecordQueue::PushResult::kOk);
+    const auto r = q.push(item(1));  // blocks until the pop below
+    EXPECT_EQ(r, ItemQueue::PushResult::kOk);
     second_admitted.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_admitted.load());
-  TailRecord rec;
-  ASSERT_TRUE(q.pop(rec));
-  EXPECT_EQ(rec.end_offset, 0u);
+  Item out;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(*out, 0u);
   producer.join();
   EXPECT_TRUE(second_admitted.load());
-  ASSERT_TRUE(q.pop(rec));
-  EXPECT_EQ(rec.end_offset, 1u);
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(*out, 1u);
 }
 
 TEST_F(ServeTest, QueueAbortUnblocksBothEnds) {
-  BoundedRecordQueue q(1, serve::BackpressurePolicy::kBlock);
-  q.push({{0, 0}, 0});
+  ItemQueue q(1, serve::BackpressurePolicy::kBlock);
+  q.push(item(0));
   std::thread producer([&] {
-    EXPECT_EQ(q.push({{0, 0}, 1}), BoundedRecordQueue::PushResult::kClosed);
+    EXPECT_EQ(q.push(item(1)), ItemQueue::PushResult::kClosed);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.abort();
   producer.join();
+  Item out;
+  EXPECT_FALSE(q.pop(out));  // aborted queues drop queued items too
+  EXPECT_EQ(out, nullptr);
+}
+
+// The per-record form perfbench's reference pipeline runs on.
+TEST_F(ServeTest, QueueCarriesTailRecords) {
+  BoundedRecordQueue q(2, serve::BackpressurePolicy::kDropNewest);
+  EXPECT_EQ(q.push({{1, 2}, 10}), BoundedRecordQueue::PushResult::kOk);
+  EXPECT_EQ(q.push({{3, 4}, 20}), BoundedRecordQueue::PushResult::kOk);
+  EXPECT_EQ(q.push({{5, 6}, 30}),
+            BoundedRecordQueue::PushResult::kDroppedNewest);
+  q.close();
   TailRecord rec;
-  EXPECT_FALSE(q.pop(rec));  // aborted queues drop queued records too
+  ASSERT_TRUE(q.pop(rec));
+  EXPECT_EQ(rec.packet, (traffic::Packet{1, 2}));
+  EXPECT_EQ(rec.end_offset, 10u);
+  ASSERT_TRUE(q.pop(rec));
+  EXPECT_EQ(rec.end_offset, 20u);
+  EXPECT_FALSE(q.pop(rec));
 }
 
 TEST_F(ServeTest, ParseBackpressureRoundTrips) {
@@ -1077,6 +1104,86 @@ TEST_F(ServeTest, DaemonStopWithQueuedWindowsDrainsThemAll) {
   EXPECT_EQ(saved.estimator.windows, 3u);
   std::remove(trace.c_str());
   std::remove(ck.c_str());
+}
+
+// Whole-window backpressure: with the fit stage pinned inside its first
+// publish and room for one sealed window in the queue, the ingest stage
+// seals the rest of the trace and a drop policy sheds whole windows.  A
+// shed window publishes no line, so window= stays contiguous; every
+// sealed window is either published or shed; the dropped counter counts
+// N_V packets per shed window.
+TEST_F(ServeTest, DaemonShedsWholeWindows) {
+  constexpr std::uint64_t kWindow = 1500;
+  constexpr std::uint64_t kSealed = 8;
+  const std::string text = to_trace_text(synth_packets(kWindow * kSealed, 67));
+  // End offset of each sealed window: one past its last line.
+  std::vector<std::uint64_t> ends;
+  std::uint64_t lines = 0;
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    if (text[at] == '\n' && ++lines % kWindow == 0) ends.push_back(at + 1);
+  }
+  ASSERT_EQ(ends.size(), kSealed);
+
+  for (const auto policy : {serve::BackpressurePolicy::kDropNewest,
+                            serve::BackpressurePolicy::kDropOldest}) {
+    const std::string name(serve::to_string(policy));
+    SCOPED_TRACE(name);
+    const std::string trace = temp_path("shed_" + name + ".trace");
+    write_file(trace, text);
+
+    GateBuf gate;
+    std::ostream gated_out(&gate);
+    obs::Registry registry;
+    serve::ServeOptions opts;
+    opts.input_path = trace;
+    opts.window_packets = kWindow;
+    opts.queue_capacity = kWindow;  // one sealed window
+    opts.backpressure = policy;
+    opts.metrics = &registry;
+    opts.out = &gated_out;
+    opts.install_signal_handlers = false;
+    serve::ServeDaemon daemon(std::move(opts));
+
+    std::thread runner([&] { EXPECT_EQ(daemon.run(), 0); });
+    // Wait (bounded) until the fit stage is pinned inside its first
+    // publish and the ingest stage has sealed every window.
+    auto& packets = registry.counter(obs::names::kServePackets);
+    for (int i = 0; i < 2000 && !(gate.blocked() &&
+                                  packets.value() >= kWindow * kSealed);
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(gate.blocked());
+    ASSERT_EQ(packets.value(), kWindow * kSealed);
+    gate.release();
+    runner.join();
+
+    const auto published = lines_of(gate.str());
+    const std::uint64_t dropped =
+        registry.counter(obs::names::kServeQueueDropped, {{"policy", name}})
+            .value();
+    ASSERT_EQ(dropped % kWindow, 0u);
+    const std::uint64_t shed = dropped / kWindow;
+    // One window pinned in its publish, at most one queued behind it.
+    EXPECT_GE(shed, kSealed - 2);
+    EXPECT_EQ(published.size() + shed, kSealed);
+    EXPECT_EQ(daemon.windows_published(), published.size());
+    for (std::size_t i = 0; i < published.size(); ++i) {
+      EXPECT_EQ(published[i].rfind("window=" + std::to_string(i) + " ", 0),
+                0u)
+          << published[i];
+    }
+    // drop-newest never evicts the first sealed window; drop-oldest never
+    // evicts the last.
+    ASSERT_FALSE(published.empty());
+    const bool newest = policy == serve::BackpressurePolicy::kDropNewest;
+    const std::string& kept = newest ? published.front() : published.back();
+    const std::uint64_t kept_end = newest ? ends.front() : ends.back();
+    EXPECT_NE(kept.find(" offset=" + std::to_string(kept_end) + " "),
+              std::string::npos)
+        << kept;
+    std::remove(trace.c_str());
+  }
 }
 
 TEST_F(ServeTest, DaemonWritesSnapshotFiles) {

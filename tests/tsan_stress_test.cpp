@@ -10,13 +10,19 @@
 // synchronized.  The analytic evaluator's block passes (disjoint slices
 // of shared vectors, per-block folds reduced after the join) run here on
 // a 4-thread pool too, and so do generator copies drawing from one set
-// of shared tables.  Assertions here are consistency invariants (every
+// of shared tables, and so does a serve daemon whose ingest thread hands
+// sealed windows to a fit thread that fits the two estimator lanes on
+// the global pool.  Assertions here are consistency invariants (every
 // window accounted for exactly once), not timing expectations: which
 // windows a stopped sweep skipped depends on the scheduler, and any
 // split must pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +32,7 @@
 #include "palu/obs/names.hpp"
 #include "palu/parallel/scratch_pool.hpp"
 #include "palu/parallel/thread_pool.hpp"
+#include "palu/serve/daemon.hpp"
 #include "palu/traffic/expected_window.hpp"
 #include "palu/traffic/stream.hpp"
 #include "palu/traffic/window_pipeline.hpp"
@@ -379,6 +386,51 @@ TEST(TsanStress, SubmitStormFromManyThreads) {
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(done.load(), 200);
+}
+
+TEST(TsanStress, ServeDaemonFitsLanesConcurrently) {
+  // A horizon-4 daemon: the ingest thread cuts and histograms windows and
+  // blocks on a one-window queue, while the fit thread fits the tumbling
+  // lane and a global-pool worker the sliding lane of every window.
+  constexpr std::uint64_t kWindow = 1500;
+  constexpr std::size_t kWindows = 8;
+  Rng grng(31);
+  const auto g = graph::barabasi_albert(grng, 400, 2);
+  traffic::SyntheticTrafficGenerator gen(g, traffic::RateModel{}, Rng(32));
+  std::vector<traffic::Packet> packets(kWindow * kWindows);
+  gen.next_batch(packets);
+  const std::string trace =
+      ::testing::TempDir() + "palu_tsan_serve_lanes.trace";
+  {
+    std::ofstream out(trace, std::ios::binary | std::ios::trunc);
+    for (const auto& p : packets) out << p.src << ' ' << p.dst << '\n';
+  }
+
+  obs::Registry registry;
+  std::ostringstream lines;
+  serve::ServeOptions opts;
+  opts.input_path = trace;
+  opts.window_packets = kWindow;
+  opts.queue_capacity = kWindow;
+  opts.streaming.sliding_horizon = 4;
+  opts.metrics = &registry;
+  opts.out = &lines;
+  opts.install_signal_handlers = false;
+  serve::ServeDaemon daemon(std::move(opts));
+  EXPECT_EQ(daemon.run(), 0);
+
+  EXPECT_EQ(daemon.windows_published(), kWindows);
+  EXPECT_EQ(daemon.estimator().windows_seen(), kWindows);
+  std::istringstream in(lines.str());
+  std::string line;
+  std::size_t n = 0;
+  while (std::getline(in, line)) {
+    EXPECT_EQ(line.rfind("window=" + std::to_string(n) + " ", 0), 0u);
+    EXPECT_NE(line.find("s_state=fresh"), std::string::npos) << line;
+    ++n;
+  }
+  EXPECT_EQ(n, kWindows);
+  std::remove(trace.c_str());
 }
 
 }  // namespace

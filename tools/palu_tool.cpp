@@ -754,7 +754,14 @@ int print_help() {
       "                                               SIGINT/SIGTERM drain;\n"
       "                                               --record DIR archives\n"
       "                                               every fitted window\n"
-      "                                               into a window store\n"
+      "                                               into a window store;\n"
+      "                                               --queue N is a packet\n"
+      "                                               budget rounded down to\n"
+      "                                               whole windows (at\n"
+      "                                               least one), and a\n"
+      "                                               drop policy sheds a\n"
+      "                                               whole window, which\n"
+      "                                               publishes no line\n"
       "  check-metrics --prom FILE                    validate a Prometheus\n"
       "                                               exposition file\n"
       "  help\n"

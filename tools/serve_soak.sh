@@ -10,13 +10,17 @@
 # backwards or skips), the final metrics snapshot round-trips through
 # the strict Prometheus validator, and the --record window store the
 # daemon wrote validates (sealed manifest, checksums, one block per
-# fitted window) under strict replay ingest.
+# fitted window) under strict replay ingest.  Extra arguments go to
+# serve: `--backpressure drop-oldest --queue 20000` makes the soak shed
+# whole windows, which must leave both checks intact.
 #
-# Usage: serve_soak.sh /path/to/palu_tool [duration_seconds]
+# Usage: serve_soak.sh /path/to/palu_tool [duration_seconds [serve flags...]]
 set -eu
 
 TOOL="$1"
 DURATION="${2:-30}"
+shift
+[ "$#" -gt 0 ] && shift
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
@@ -29,7 +33,7 @@ trap 'rm -rf "$DIR"' EXIT
 ) | PALU_FAILPOINT="serve.ingest:3:5,serve.fit:2:3,serve.checkpoint:2:4" \
     "$TOOL" serve --window 20000 --checkpoint "$DIR/ck.txt" \
         --snapshot "$DIR/snap.json" --snapshot-interval-ms 500 \
-        --record "$DIR/record.store" \
+        --record "$DIR/record.store" "$@" \
         > "$DIR/out.txt" 2> "$DIR/err.txt" &
 PID=$!
 

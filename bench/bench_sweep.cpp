@@ -295,9 +295,8 @@ int main(int argc, char** argv) {
       const RunResult r =
           run_sweep(net.graph, nv, scaling_windows, quantity, seed, pool,
                     traffic::SynthesisMode::kMultinomial);
-      per_window.push_back(
-          (r.seconds - static_cast<double>(r.setup_ns) * 1e-9) /
-          static_cast<double>(scaling_windows));
+      const double sampled = r.seconds - 1e-9 * static_cast<double>(r.setup_ns);
+      per_window.push_back(sampled / static_cast<double>(scaling_windows));
       std::printf("counts scaling: nvalid=%llu %.2fms/window\n",
                   static_cast<unsigned long long>(nv),
                   per_window.back() * 1e3);

@@ -29,10 +29,10 @@ template <class T>
 class BoundedQueue {
  public:
   enum class PushResult {
-    kOk,            ///< item admitted
-    kDroppedOldest, ///< admitted; the oldest queued item was evicted
-    kDroppedNewest, ///< item discarded
-    kClosed,        ///< queue closed or aborted; item discarded
+    kOk,             ///< item admitted
+    kDroppedOldest,  ///< admitted; the oldest queued item was evicted
+    kDroppedNewest,  ///< item discarded
+    kClosed,         ///< queue closed or aborted; item discarded
   };
 
   /// `capacity` items; 0 is taken as 1.

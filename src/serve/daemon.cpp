@@ -38,6 +38,13 @@ extern "C" void serve_signal_handler(int) {
   g_signal_stop.store(true);
 }
 
+// --queue is a packet budget; the queue holds whole sealed windows.  A
+// zero-packet window is rejected in the constructor body.
+std::size_t window_capacity(const ServeOptions& opts) {
+  const std::uint64_t window = std::max<std::uint64_t>(opts.window_packets, 1);
+  return opts.queue_capacity / window;
+}
+
 obs::Registry& pick_registry(const ServeOptions& opts) {
   return opts.metrics != nullptr ? *opts.metrics : obs::default_registry();
 }
@@ -63,9 +70,7 @@ ServeDaemon::ServeDaemon(ServeOptions opts)
     : opts_(std::move(opts)),
       registry_(pick_registry(opts_)),
       estimator_(opts_.streaming),
-      queue_(opts_.queue_capacity /
-                 std::max<std::uint64_t>(opts_.window_packets, 1),
-             opts_.backpressure),
+      queue_(window_capacity(opts_), opts_.backpressure),
       packets_counter_(registry_.counter(obs::names::kServePackets)),
       windows_counter_(registry_.counter(obs::names::kServeWindowsFitted)),
       stale_counter_(registry_.counter(obs::names::kServeWindowsStale)),
@@ -370,8 +375,7 @@ void ServeDaemon::boundary(const SealedWindow& window) {
   } else if (!refit.fresh) {
     degraded = "fit";
   }
-  publish_line(refit.window_index, window.end_offset, *to_publish,
-               degraded);
+  publish_line(refit.window_index, window.end_offset, *to_publish, degraded);
   if (!deadline_miss) last_published_ = refit;
 
   published_.fetch_add(1);

@@ -1148,9 +1148,10 @@ TEST_F(ServeTest, DaemonShedsWholeWindows) {
     // Wait (bounded) until the fit stage is pinned inside its first
     // publish and the ingest stage has sealed every window.
     auto& packets = registry.counter(obs::names::kServePackets);
-    for (int i = 0; i < 2000 && !(gate.blocked() &&
-                                  packets.value() >= kWindow * kSealed);
-         ++i) {
+    const auto ready = [&] {
+      return gate.blocked() && packets.value() >= kWindow * kSealed;
+    };
+    for (int i = 0; i < 2000 && !ready(); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     ASSERT_TRUE(gate.blocked());

@@ -149,7 +149,6 @@ class ServeDaemon {
   // Ingest-thread state: the open window.  It survives an ingest
   // restart, which re-reads from the reader's consumed offset.
   traffic::WindowAccumulator acc_;
-  std::uint64_t window_fill_ = 0;
 
   // Fit-thread state (touched by run() only before start / after join).
   std::uint64_t last_boundary_offset_ = 0;

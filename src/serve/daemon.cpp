@@ -178,7 +178,6 @@ bool ServeDaemon::seal_window(std::uint64_t end_offset) {
   window.end_offset = end_offset;
   if (recording_.load()) acc_.export_counts(window.records);
   acc_.begin_window();
-  window_fill_ = 0;
   // A shed window counts its N_V packets; drop-oldest admits this one
   // and evicts the queue head instead.
   switch (queue_.push(std::move(window))) {
@@ -205,7 +204,7 @@ bool ServeDaemon::deliver(std::vector<io::TailRecord>& records) {
   for (const io::TailRecord& rec : records) {
     acc_.add(rec.packet.src, rec.packet.dst);
     ++added;
-    if (++window_fill_ == opts_.window_packets &&
+    if (acc_.total() == opts_.window_packets &&
         !seal_window(rec.end_offset)) {
       open = false;
       break;

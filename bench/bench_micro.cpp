@@ -92,15 +92,43 @@ void BM_StreamWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamWindow)->Arg(10000)->Arg(100000);
 
+// Pooled least-squares ZM fit; d_max 320 is a serve window's regime.
 void BM_ZmFit(benchmark::State& state) {
-  const Degree dmax = 1u << 14;
+  const auto dmax = static_cast<Degree>(state.range(0));
   const fit::ZipfMandelbrot truth(2.1, 0.8, dmax);
   const auto target = truth.pooled();
   for (auto _ : state) {
     benchmark::DoNotOptimize(fit::fit_zipf_mandelbrot(target, dmax));
   }
 }
-BENCHMARK(BM_ZmFit);
+BENCHMARK(BM_ZmFit)->Arg(320)->Arg(1 << 14);
+
+// TraceTailReader over 64 KiB chunks of "src dst" text, ids below 150000.
+void BM_TraceTailFeed(benchmark::State& state) {
+  Rng rng(11);
+  std::string text;
+  constexpr std::size_t kLines = 200000;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    text += std::to_string(rng.uniform_index(150000)) + ' ' +
+            std::to_string(rng.uniform_index(150000)) + '\n';
+  }
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::vector<io::TailRecord> records;
+  records.reserve(kLines);
+  for (auto _ : state) {
+    io::TraceTailReader reader;
+    records.clear();
+    for (std::size_t at = 0; at < text.size(); at += kChunk) {
+      reader.feed(std::string_view(text).substr(at, kChunk), records);
+    }
+    benchmark::DoNotOptimize(records.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLines));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_TraceTailFeed);
 
 void BM_PaluFit(benchmark::State& state) {
   const auto params =

@@ -22,9 +22,11 @@
 //     "counts": {... same shape ...},
 //     "speedup_counts_vs_fast": counts pps / fast pps,
 //     "counts_mass_conserved": true|false,
-//     "scaling": {"windows", "points": [{"nvalid", "seconds_per_window"}],
+//     "scaling": {"windows", "repeats",
+//                 "points": [{"nvalid", "seconds_per_window"}],
 //                 "ratios": [per-decade cost growth of the counts path]},
-//                 // (sweep wall time less its setup stage, per window)
+//                 // (sweep wall time less its setup stage, per window;
+//                 // 8 windows per pool thread, median of the repeats)
 //     "expected": {"points": [{"nvalid", "seconds_per_eval"}],
 //                  "ratios": [...],   // flat ⇒ analytic cost is N_V-free
 //                  "counts_sweep_seconds_over_expected_eval": X},
@@ -56,6 +58,7 @@
 // expected smoke ctest), and `--replay-only` runs just the capture →
 // replay axis (the replay smoke ctest).  Exit code is non-zero on any
 // check failure.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -274,7 +277,10 @@ int main(int argc, char** argv) {
   const std::vector<Count> scaling_nvalid =
       smoke ? std::vector<Count>{10000, 100000}
             : std::vector<Count>{100000, 1000000, 10000000};
-  const std::size_t scaling_windows = smoke ? 4 : 8;
+  // Every point runs whole waves of windows on the pool, repeated: one
+  // short wave is too few windows to resolve a per-decade ratio.
+  const std::size_t scaling_windows = (smoke ? 1 : 8) * pool.size();
+  constexpr std::size_t kScalingRepeats = 3;
 
   RunResult counts;
   bool counts_sane = true;
@@ -290,16 +296,25 @@ int main(int argc, char** argv) {
     // Counts-path scaling axis: per-window cost vs. N_V (the whole point
     // of count-space synthesis is that this curve is nearly flat per
     // decade).  The sweep's one-off table build (its setup stage) is
-    // taken out of the wall time first, so it is not charged to windows.
+    // taken out of the wall time first, so it is not charged to windows;
+    // a point is the median of kScalingRepeats sweeps.
     for (const Count nv : scaling_nvalid) {
-      const RunResult r =
-          run_sweep(net.graph, nv, scaling_windows, quantity, seed, pool,
-                    traffic::SynthesisMode::kMultinomial);
-      const double sampled = r.seconds - 1e-9 * static_cast<double>(r.setup_ns);
-      per_window.push_back(sampled / static_cast<double>(scaling_windows));
-      std::printf("counts scaling: nvalid=%llu %.2fms/window\n",
+      std::vector<double> repeats;
+      for (std::size_t rep = 0; rep < kScalingRepeats; ++rep) {
+        const RunResult r =
+            run_sweep(net.graph, nv, scaling_windows, quantity, seed, pool,
+                      traffic::SynthesisMode::kMultinomial);
+        const double sampled =
+            r.seconds - 1e-9 * static_cast<double>(r.setup_ns);
+        repeats.push_back(sampled / static_cast<double>(scaling_windows));
+      }
+      std::sort(repeats.begin(), repeats.end());
+      per_window.push_back(repeats[kScalingRepeats / 2]);
+      std::printf("counts scaling: nvalid=%llu %.2fms/window "
+                  "(repeats %.2f..%.2f)\n",
                   static_cast<unsigned long long>(nv),
-                  per_window.back() * 1e3);
+                  per_window.back() * 1e3, repeats.front() * 1e3,
+                  repeats.back() * 1e3);
     }
     for (std::size_t i = 1; i < per_window.size(); ++i) {
       ratios.push_back(per_window[i] / per_window[i - 1]);
@@ -455,7 +470,7 @@ int main(int argc, char** argv) {
     out << "  \"counts_mass_conserved\": " << (mass_ok ? "true" : "false")
         << ",\n";
     out << "  \"scaling\": {\"windows\": " << scaling_windows
-        << ", \"points\": [";
+        << ", \"repeats\": " << kScalingRepeats << ", \"points\": [";
     for (std::size_t i = 0; i < scaling_nvalid.size(); ++i) {
       out << (i ? ", " : "") << "{\"nvalid\": " << scaling_nvalid[i]
           << ", \"seconds_per_window\": " << per_window[i] << "}";

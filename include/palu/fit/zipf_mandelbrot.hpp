@@ -43,8 +43,12 @@ class ZipfMandelbrot {
   /// Cumulative P(d) = Σ_{d'<=d} p(d'); clamps d to [1, dmax].
   double cdf(Degree d) const;
 
-  /// Pooled differential cumulative D(d_i) for bins i = 0..bin(dmax),
-  /// computed from exact partial sums (no per-degree loop).
+  /// Pooled differential cumulative D(d_i) = cdf(d_i) − cdf(d_{i−1}) for
+  /// bins i = 0..bin(dmax), with the same bits as those cdf() calls.  One
+  /// math::shifted_zeta_prefixes pass yields the partial sum at every bin
+  /// edge: each degree is summed once, up to dmax or, for larger dmax, up
+  /// to the last edge before the Euler–Maclaurin crossover (about
+  /// 4096 + 48 − δ), not once per bin.
   stats::LogBinned pooled() const;
 
   /// O(1)-per-draw sampler over the model's support (alias method built

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace palu::math {
 
@@ -19,14 +20,29 @@ double riemann_zeta(double s);
 /// Hurwitz zeta ζ(s, q) = Σ_{n≥0} (n+q)^{-s}, for s > 1, q > 0.
 double hurwitz_zeta(double s, double q);
 
+/// The one truncated-sum kernel: out[k] = Σ_{d=1}^{upper[k]} (d+q)^{-s}
+/// for non-decreasing bounds upper[0] >= 1, in one pass.  Terms are summed
+/// directly in ascending d.  Let d0 be the first d with d + q >= 48; a
+/// bound with upper[k] - d0 >= 4096 instead closes the terms from d0 on by
+/// Euler–Maclaurin (integral, end-point average, Bernoulli terms through
+/// B8) added to the direct sum up to d0 - 1.  One running sum serves every
+/// bound, so each out[k] has the bits of a one-bound call at upper[k]
+/// (`shifted_truncated_zeta` and `truncated_zeta` are those calls), and
+/// the pooled Zipf–Mandelbrot model gets every bin edge and its
+/// normalizer from one call.  Allocates nothing.  Requires q > -1 and
+/// out.size() == upper.size(); throws palu::InvalidArgument otherwise or
+/// when the bounds descend.
+void shifted_zeta_prefixes(double s, double q,
+                           std::span<const std::uint64_t> upper,
+                           std::span<double> out);
+
 /// Truncated zeta Σ_{d=1}^{dmax} d^{-s}; the generalized harmonic number
 /// H(dmax, s).  Valid for any real s when dmax is finite.
 double truncated_zeta(double s, std::uint64_t dmax);
 
 /// Σ_{d=1}^{dmax} (d+q)^{-s}: the normalizer of the modified Zipf–Mandelbrot
-/// model with offset q = δ.  Requires s > 0, q > -1, dmax >= 1.
-/// Computed as ζ(s, 1+q) − ζ(s, dmax+1+q) when s > 1 (exact tail
-/// cancellation); by Euler–Maclaurin partial summation otherwise.
+/// model with offset q = δ.  Requires s > 0, q > -1, dmax >= 1.  One bound
+/// of shifted_zeta_prefixes.
 double shifted_truncated_zeta(double s, double q, std::uint64_t dmax);
 
 /// Tail sum Σ_{n≥n0} n^{-s} = ζ(s, n0), convenience wrapper (s > 1, n0 ≥ 1).

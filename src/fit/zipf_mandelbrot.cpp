@@ -1,6 +1,7 @@
 #include "palu/fit/zipf_mandelbrot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +11,43 @@
 #include "palu/stats/histogram.hpp"
 
 namespace palu::fit {
+namespace {
+
+// The partial sums S_i = Σ_{d<=upper_i} (d+δ)^{-α} at the upper edges
+// upper_i = min(2^i, dmax) of pooled bins i = 0..bin_index(dmax), all from
+// one math::shifted_zeta_prefixes pass.  The last edge is dmax, so the
+// last sum is the model's normalizer.
+class EdgeSums {
+ public:
+  explicit EdgeSums(Degree dmax)
+      : bins_(stats::LogBinned::bin_index(dmax) + 1) {
+    for (std::uint32_t i = 0; i < bins_; ++i) {
+      upper_[i] = std::min(stats::LogBinned::bin_upper(i), dmax);
+    }
+  }
+
+  void evaluate(double alpha, double delta) {
+    math::shifted_zeta_prefixes(alpha, delta, {upper_.data(), bins_},
+                                {sum_.data(), bins_});
+  }
+
+  std::size_t bins() const { return bins_; }
+
+  /// D(d_i) = cdf(upper_i) − cdf(upper_{i−1}), each cdf computed as
+  /// ZipfMandelbrot::cdf does: S / normalizer.
+  double mass(std::size_t i) const {
+    const double normalizer = sum_[bins_ - 1];
+    const double c = sum_[i] / normalizer;
+    return i == 0 ? c : c - sum_[i - 1] / normalizer;
+  }
+
+ private:
+  std::size_t bins_;
+  std::array<Degree, stats::LogBinned::kMaxBins> upper_{};
+  std::array<double, stats::LogBinned::kMaxBins> sum_{};
+};
+
+}  // namespace
 
 ZipfMandelbrot::ZipfMandelbrot(double alpha, double delta, Degree dmax)
     : alpha_(alpha), delta_(delta), dmax_(dmax) {
@@ -50,14 +88,11 @@ rng::AliasSampler ZipfMandelbrot::sampler() const {
 }
 
 stats::LogBinned ZipfMandelbrot::pooled() const {
-  const std::uint32_t nbins = stats::LogBinned::bin_index(dmax_) + 1;
-  std::vector<double> mass(nbins, 0.0);
-  double prev_cdf = 0.0;
-  for (std::uint32_t i = 0; i < nbins; ++i) {
-    const Degree upper = std::min(stats::LogBinned::bin_upper(i), dmax_);
-    const double c = cdf(upper);
-    mass[i] = c - prev_cdf;
-    prev_cdf = c;
+  EdgeSums edges(dmax_);
+  edges.evaluate(alpha_, delta_);
+  std::vector<double> mass(edges.bins());
+  for (std::size_t i = 0; i < mass.size(); ++i) {
+    mass[i] = edges.mass(i);
   }
   return stats::LogBinned(std::move(mass));
 }
@@ -81,6 +116,9 @@ ZmFitResult fit_zipf_mandelbrot(const stats::LogBinned& target, Degree dmax,
   }
 
   // Parameters are unconstrained via α = exp(θ₀), δ = exp(θ₁) − 1 > −1.
+  // Each evaluation is the model's pooled() from one prefix pass, with
+  // no ZipfMandelbrot built: the edges and sums live across evaluations.
+  EdgeSums edges(dmax);
   const auto objective = [&](const std::vector<double>& theta) {
     const double alpha = std::exp(theta[0]);
     const double delta = std::expm1(theta[1]);
@@ -88,11 +126,10 @@ ZmFitResult fit_zipf_mandelbrot(const stats::LogBinned& target, Degree dmax,
         delta > 1e6) {
       return std::numeric_limits<double>::infinity();
     }
-    const ZipfMandelbrot model(alpha, delta, dmax);
-    const stats::LogBinned pooled = model.pooled();
+    edges.evaluate(alpha, delta);
     double sse = 0.0;
     for (std::size_t i = 0; i < target.num_bins(); ++i) {
-      const double m = i < pooled.num_bins() ? pooled[i] : 0.0;
+      const double m = i < edges.bins() ? edges.mass(i) : 0.0;
       const double r = target[i] - m;
       sse += weight[i] * r * r;
     }

@@ -38,6 +38,13 @@ const IngestReport& TraceTailReader::report() const noexcept {
 std::size_t TraceTailReader::consume_line(std::string_view line,
                                           std::vector<TailRecord>& out) {
   ++gate_->line_number;
+  traffic::Packet scanned{};
+  if (detail::scan_packet_line(line, scanned)) {
+    ++gate_->report.lines_read;
+    gate_->gate.kept();
+    out.push_back(TailRecord{scanned, consumed_});
+    return 1;
+  }
   const std::string_view body = detail::trim(line);
   if (body.empty() || body.front() == '#') return 0;
   ++gate_->report.lines_read;

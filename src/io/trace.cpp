@@ -74,10 +74,24 @@ EdgeListReadResult read_edge_list(std::istream& in,
   NodeId declared_nodes = 0;
   bool have_declaration = false;
   NodeId max_endpoint = 0;
+  const auto add_edge = [&](const traffic::Packet& p, std::size_t line_no,
+                            bool repaired) {
+    max_endpoint = std::max({max_endpoint, p.src, p.dst});
+    edges.push_back(graph::Edge{p.src, p.dst});
+    edge_lines.push_back(line_no);
+    edge_was_repaired.push_back(repaired);
+  };
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
+    traffic::Packet scanned{};
+    if (detail::scan_packet_line(line, scanned)) {
+      ++out.report.lines_read;
+      gate.kept();
+      add_edge(scanned, line_number, false);
+      continue;
+    }
     const std::string_view body = trim(line);
     if (body.empty()) continue;
     if (body.front() == '#') {
@@ -104,10 +118,8 @@ EdgeListReadResult read_edge_list(std::istream& in,
     const auto packet = gate.accept(
         line_number, detail::parse_packet_line(body), body, line);
     if (!packet) continue;
-    max_endpoint = std::max({max_endpoint, packet->src, packet->dst});
-    edges.push_back(graph::Edge{packet->src, packet->dst});
-    edge_lines.push_back(line_number);
-    edge_was_repaired.push_back(out.report.lines_repaired != repaired_before);
+    add_edge(*packet, line_number,
+             out.report.lines_repaired != repaired_before);
   }
   if (have_declaration) {
     // Endpoints past the declaration are data errors discovered late; the

@@ -59,35 +59,52 @@ double power_integral(double s, double a, double lo, double hi) {
   return (std::pow(xh, 1.0 - s) - std::pow(xl, 1.0 - s)) / (1.0 - s);
 }
 
-// Σ_{d=lo}^{hi} (d+a)^{-s} for arbitrary real s > 0 and a > -lo.
-// Direct summation below the crossover, Euler–Maclaurin above it.
-double power_sum_range(double s, double a, std::uint64_t lo,
-                       std::uint64_t hi) {
-  PALU_ASSERT(lo <= hi);
-  // Direct-sum until the argument is large enough for Euler–Maclaurin.
+}  // namespace
+
+void shifted_zeta_prefixes(double s, double q,
+                           std::span<const std::uint64_t> upper,
+                           std::span<double> out) {
+  PALU_CHECK(q > -1.0, "shifted_zeta_prefixes: requires q > -1");
+  PALU_CHECK(out.size() == upper.size(),
+             "shifted_zeta_prefixes: one output per bound");
+  // A bound hi is summed directly unless Euler–Maclaurin applies: d0 is
+  // the first d with d + q >= kEmStart, and when hi - d0 >= kDirectMax the
+  // terms from d0 to hi are closed by the integral, the end-point average
+  // and the Bernoulli corrections.  One running direct sum serves every
+  // bound: a direct bound reads it at hi, a closed bound starts from
+  // `head`, its value at d0 - 1.
   constexpr double kEmStart = 48.0;
   constexpr std::uint64_t kDirectMax = 4096;
-  double sum = 0.0;
-  std::uint64_t d = lo;
-  while (d <= hi &&
-         (static_cast<double>(d) + a < kEmStart || hi - d < kDirectMax)) {
-    sum += std::pow(static_cast<double>(d) + a, -s);
-    ++d;
+  std::uint64_t d0 = 1;
+  while (static_cast<double>(d0) + q < kEmStart) ++d0;
+  double sum = 0.0;   // Σ_{d'<d} (d'+q)^{-s}
+  double head = 0.0;  // Σ_{d'<d0} (d'+q)^{-s}, once d has reached d0
+  std::uint64_t d = 1;
+  std::uint64_t prev = 1;
+  for (std::size_t k = 0; k < upper.size(); ++k) {
+    const std::uint64_t hi = upper[k];
+    PALU_CHECK(hi >= prev, "shifted_zeta_prefixes: bounds must ascend from 1");
+    prev = hi;
+    const bool closed = d0 <= hi && hi - d0 >= kDirectMax;
+    const std::uint64_t last = closed ? d0 - 1 : hi;
+    for (; d <= last; ++d) {
+      if (d == d0) head = sum;
+      sum += std::pow(static_cast<double>(d) + q, -s);
+    }
+    if (d == d0) head = sum;
+    if (!closed) {
+      out[k] = sum;
+      continue;
+    }
+    const double lo = static_cast<double>(d0);
+    const double top = static_cast<double>(hi);
+    double v = head;
+    v += power_integral(s, q, lo, top);
+    v += 0.5 * (std::pow(lo + q, -s) + std::pow(top + q, -s));
+    v += em_bernoulli_terms(s, q, lo, top);
+    out[k] = v;
   }
-  if (d > hi) return sum;
-  // Euler–Maclaurin over [d, hi]:
-  //   Σ = ∫ + (f(d)+f(hi))/2 + Bernoulli corrections.
-  const double flo = std::pow(static_cast<double>(d) + a, -s);
-  const double fhi = std::pow(static_cast<double>(hi) + a, -s);
-  sum += power_integral(s, a, static_cast<double>(d),
-                        static_cast<double>(hi));
-  sum += 0.5 * (flo + fhi);
-  sum += em_bernoulli_terms(s, a, static_cast<double>(d),
-                            static_cast<double>(hi));
-  return sum;
 }
-
-}  // namespace
 
 double hurwitz_zeta(double s, double q) {
   PALU_CHECK(s > 1.0, "hurwitz_zeta: requires s > 1");
@@ -109,14 +126,18 @@ double riemann_zeta(double s) {
 
 double truncated_zeta(double s, std::uint64_t dmax) {
   PALU_CHECK(dmax >= 1, "truncated_zeta: requires dmax >= 1");
-  return power_sum_range(s, 0.0, 1, dmax);
+  double sum = 0.0;
+  shifted_zeta_prefixes(s, 0.0, {&dmax, 1}, {&sum, 1});
+  return sum;
 }
 
 double shifted_truncated_zeta(double s, double q, std::uint64_t dmax) {
   PALU_CHECK(s > 0.0, "shifted_truncated_zeta: requires s > 0");
   PALU_CHECK(q > -1.0, "shifted_truncated_zeta: requires q > -1");
   PALU_CHECK(dmax >= 1, "shifted_truncated_zeta: requires dmax >= 1");
-  return power_sum_range(s, q, 1, dmax);
+  double sum = 0.0;
+  shifted_zeta_prefixes(s, q, {&dmax, 1}, {&sum, 1});
+  return sum;
 }
 
 double zeta_tail(double s, std::uint64_t n0) {

@@ -2,7 +2,10 @@
 // MLE, and the modified Zipf–Mandelbrot model + fitter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "palu/rng/distributions.hpp"
 #include "palu/rng/xoshiro.hpp"
 #include "palu/stats/histogram.hpp"
+#include "palu/stats/log_binning.hpp"
 
 namespace palu::fit {
 namespace {
@@ -294,6 +298,32 @@ TEST(ZipfMandelbrot, PooledSumsToOne) {
   EXPECT_NEAR(pooled[0], zm.pmf(1), 1e-12);
 }
 
+TEST(ZipfMandelbrot, PooledEqualsPerBinCdfDifferencesBitForBit) {
+  // The one-pass pooled() against the per-bin cdf() calls it replaced,
+  // across the 4096-term Euler–Maclaurin crossover.
+  for (const Degree dmax : {4u, 306u, 4095u, 4096u, 4097u, 4143u, 4144u,
+                            4145u, 8192u, 100000u, 1000000u}) {
+    for (const double delta : {-0.999999, -0.5, 0.0, 0.5, 46.5, 47.0,
+                               1000.0}) {
+      for (const double alpha : {0.3, 1.0, 2.2, 3.3}) {
+        const ZipfMandelbrot zm(alpha, delta, dmax);
+        const auto pooled = zm.pooled();
+        ASSERT_EQ(pooled.num_bins(), stats::LogBinned::bin_index(dmax) + 1);
+        double prev = 0.0;
+        for (std::uint32_t i = 0; i < pooled.num_bins(); ++i) {
+          const double c =
+              zm.cdf(std::min(stats::LogBinned::bin_upper(i), dmax));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(pooled[i]),
+                    std::bit_cast<std::uint64_t>(c - prev))
+              << "dmax=" << dmax << " delta=" << delta
+              << " alpha=" << alpha << " bin=" << i;
+          prev = c;
+        }
+      }
+    }
+  }
+}
+
 TEST(ZipfMandelbrot, RejectsBadParameters) {
   EXPECT_THROW(ZipfMandelbrot(0.0, 0.5, 10), palu::InvalidArgument);
   EXPECT_THROW(ZipfMandelbrot(2.0, -1.0, 10), palu::InvalidArgument);
@@ -360,6 +390,32 @@ TEST(ZipfMandelbrot, SamplerMatchesPmf) {
                 6.0 * std::sqrt(expected))
         << "d=" << d;
   }
+}
+
+TEST(ZmFit, PinnedBitsAtServeAndMicrobenchScale) {
+  // (α, δ, objective) as the fitter returned them before the objective
+  // moved to one prefix pass per evaluation; the pass must not move a bit.
+  // A 306-degree window histogram (serve's d_max regime) ...
+  stats::DegreeHistogram h;
+  for (Degree d = 1; d <= 306; ++d) {
+    const auto c = static_cast<std::uint64_t>(
+        std::floor(2e4 * std::pow(static_cast<double>(d) + 0.4, -2.1)));
+    h.add(d, c + (d % 37 == 0 ? 2 : 0) + (d == 306 ? 1 : 0));
+  }
+  const auto window =
+      fit_zipf_mandelbrot(stats::LogBinned::from_histogram(h), 306);
+  EXPECT_EQ(window.alpha, 0x1.10b4eff648afdp+1);
+  EXPECT_EQ(window.delta, 0x1.b78c61eb05268p-2);
+  EXPECT_EQ(window.objective, 0x1.0b54e982063fdp-17);
+  EXPECT_TRUE(window.converged);
+  // ... and bench_micro's BM_ZmFit target at d_max 2^14.
+  const Degree dmax = 1u << 14;
+  const auto bm =
+      fit_zipf_mandelbrot(ZipfMandelbrot(2.1, 0.8, dmax).pooled(), dmax);
+  EXPECT_EQ(bm.alpha, 0x1.0cccdfc2e62bep+1);
+  EXPECT_EQ(bm.delta, 0x1.999a4c808eb1ep-1);
+  EXPECT_EQ(bm.objective, 0x1.0e9b2df3e56a5p-43);
+  EXPECT_TRUE(bm.converged);
 }
 
 TEST(ZmFit, RejectsTooFewBins) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "palu/common/error.hpp"
@@ -19,6 +22,7 @@
 #include "palu/math/vexp.hpp"
 #include "palu/math/zeta.hpp"
 #include "palu/rng/xoshiro.hpp"
+#include "palu/stats/log_binning.hpp"
 
 namespace palu {
 namespace {
@@ -214,6 +218,226 @@ TEST(ZetaIdentities, HurwitzRationalSplitting) {
                 1e-10 * std::pow(2.0, s) * math::riemann_zeta(s))
         << "s=" << s;
   }
+}
+
+// ------------------------------------------- truncated-sum prefix kernel
+
+// Σ_{d=lo}^{hi} (d+a)^{-s} exactly as math/zeta.cpp summed one bound before
+// the prefix kernel replaced it: the bit-for-bit reference for every prefix.
+namespace one_bound {
+
+double em_bernoulli_terms(double s, double a, double lo, double hi) {
+  const double xl = lo + a, xh = hi + a;
+  const double il = 1.0 / xl, ih = 1.0 / xh;
+  double dl = -s * std::pow(xl, -s - 1.0);
+  double dh = -s * std::pow(xh, -s - 1.0);
+  double sum = (dh - dl) / 12.0;
+  const double c1 = (s + 1.0) * (s + 2.0);
+  dl *= c1 * il * il;
+  dh *= c1 * ih * ih;
+  sum -= (dh - dl) / 720.0;
+  const double c2 = (s + 3.0) * (s + 4.0);
+  dl *= c2 * il * il;
+  dh *= c2 * ih * ih;
+  sum += (dh - dl) / 30240.0;
+  const double c3 = (s + 5.0) * (s + 6.0);
+  dl *= c3 * il * il;
+  dh *= c3 * ih * ih;
+  sum -= (dh - dl) / 1209600.0;
+  return sum;
+}
+
+double power_integral(double s, double a, double lo, double hi) {
+  const double xl = lo + a, xh = hi + a;
+  if (s == 1.0) return std::log(xh / xl);
+  return (std::pow(xh, 1.0 - s) - std::pow(xl, 1.0 - s)) / (1.0 - s);
+}
+
+double power_sum_range(double s, double a, std::uint64_t lo,
+                       std::uint64_t hi) {
+  constexpr double kEmStart = 48.0;
+  constexpr std::uint64_t kDirectMax = 4096;
+  double sum = 0.0;
+  std::uint64_t d = lo;
+  while (d <= hi &&
+         (static_cast<double>(d) + a < kEmStart || hi - d < kDirectMax)) {
+    sum += std::pow(static_cast<double>(d) + a, -s);
+    ++d;
+  }
+  if (d > hi) return sum;
+  const double flo = std::pow(static_cast<double>(d) + a, -s);
+  const double fhi = std::pow(static_cast<double>(hi) + a, -s);
+  sum += power_integral(s, a, static_cast<double>(d),
+                        static_cast<double>(hi));
+  sum += 0.5 * (flo + fhi);
+  sum += em_bernoulli_terms(s, a, static_cast<double>(d),
+                            static_cast<double>(hi));
+  return sum;
+}
+
+}  // namespace one_bound
+
+// Upper edges min(2^i, dmax) of the log bins of 1..dmax.
+std::vector<std::uint64_t> log_bin_uppers(std::uint64_t dmax) {
+  std::vector<std::uint64_t> uppers;
+  for (std::uint32_t i = 0; i <= stats::LogBinned::bin_index(dmax); ++i) {
+    uppers.push_back(std::min(stats::LogBinned::bin_upper(i), dmax));
+  }
+  return uppers;
+}
+
+// Straddles the 4096-term crossover (d0 + 4096 is 4144 at q = 0, 4096 at
+// q = 47, 4143 at q = 0.5) and both sides of d + q = 48.
+constexpr std::uint64_t kPrefixDmax[] = {4,    306,  4095,   4096,   4097, 4143,
+                                         4144, 4145, 8192, 100000, 1000000};
+constexpr double kPrefixQ[] = {-0.999999, -0.5, 0.0, 0.5, 46.5, 47.0, 1000.0};
+constexpr double kPrefixS[] = {0.3, 1.0, 2.2, 3.3};
+
+TEST(ZetaPrefixKernel, EveryLogBinUpperMatchesTheOneBoundSumBitForBit) {
+  std::size_t checked = 0;
+  for (const std::uint64_t dmax : kPrefixDmax) {
+    const auto uppers = log_bin_uppers(dmax);
+    std::vector<double> prefix(uppers.size());
+    for (const double q : kPrefixQ) {
+      for (const double s : kPrefixS) {
+        math::shifted_zeta_prefixes(s, q, uppers, prefix);
+        for (std::size_t k = 0; k < uppers.size(); ++k) {
+          const double want = one_bound::power_sum_range(s, q, 1, uppers[k]);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(prefix[k]),
+                    std::bit_cast<std::uint64_t>(want))
+              << "dmax=" << dmax << " q=" << q << " s=" << s
+              << " upper=" << uppers[k] << ": " << prefix[k] << " vs "
+              << want;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                        math::shifted_truncated_zeta(s, q, uppers[k])),
+                    std::bit_cast<std::uint64_t>(want));
+          if (q == 0.0) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                          math::truncated_zeta(s, uppers[k])),
+                      std::bit_cast<std::uint64_t>(want));
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 2000u);
+}
+
+TEST(ZetaPrefixKernel, RepeatedAndUnevenBoundsReadOneRunningSum) {
+  // Bounds on both sides of the crossover, repeated and out of bin order.
+  const std::vector<std::uint64_t> uppers = {1,    1,    47,    48,   49,
+                                             4143, 4144, 4144,  4145, 9000,
+                                             9001, 20000, 20000};
+  std::vector<double> prefix(uppers.size());
+  for (const double q : kPrefixQ) {
+    math::shifted_zeta_prefixes(1.7, q, uppers, prefix);
+    for (std::size_t k = 0; k < uppers.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(prefix[k]),
+                std::bit_cast<std::uint64_t>(
+                    one_bound::power_sum_range(1.7, q, 1, uppers[k])))
+          << "q=" << q << " upper=" << uppers[k];
+    }
+  }
+}
+
+TEST(ZetaPrefixKernel, RejectsBadBounds) {
+  std::vector<double> out(2);
+  const std::vector<std::uint64_t> descending = {10, 9};
+  const std::vector<std::uint64_t> zero = {0, 9};
+  const std::vector<std::uint64_t> good = {1, 9};
+  EXPECT_THROW(math::shifted_zeta_prefixes(2.0, 0.0, descending, out),
+               InvalidArgument);
+  EXPECT_THROW(math::shifted_zeta_prefixes(2.0, 0.0, zero, out),
+               InvalidArgument);
+  EXPECT_THROW(math::shifted_zeta_prefixes(2.0, -1.0, good, out),
+               InvalidArgument);
+  EXPECT_THROW(
+      math::shifted_zeta_prefixes(2.0, 0.0, good, std::span<double>(out).first(1)),
+      InvalidArgument);
+  math::shifted_zeta_prefixes(2.0, 0.0, {}, std::span<double>{});
+}
+
+// Σ_{d=1}^{n} (d+q)^{-s} in long double at every n in `ns` (ascending),
+// summed directly: shares no code or crossover with src/math.
+std::vector<long double> direct_prefixes_ld(long double s, long double q,
+                                            const std::vector<std::uint64_t>& ns) {
+  std::vector<long double> out;
+  long double sum = 0.0L;
+  std::uint64_t d = 1;
+  for (const std::uint64_t n : ns) {
+    for (; d <= n; ++d) {
+      sum += std::pow(static_cast<long double>(d) + q, -s);
+    }
+    out.push_back(sum);
+  }
+  return out;
+}
+
+// ζ(s, q) = Σ_{n>=0} (n+q)^{-s} in long double: 2000 direct terms, then
+// the Euler–Maclaurin tail at x0 = 2000 + q through the B6 term (its
+// truncation error is below 1e-25 of the sum on the grid below).
+long double hurwitz_reference(long double s, long double q) {
+  constexpr int kTerms = 2000;
+  long double head = 0.0L;
+  for (int n = kTerms - 1; n >= 0; --n) {
+    head += std::pow(static_cast<long double>(n) + q, -s);
+  }
+  const long double x0 = kTerms + q;
+  const long double f = std::pow(x0, -s);
+  long double tail = x0 * f / (s - 1.0L) + 0.5L * f;
+  tail += s * f / x0 / 12.0L;
+  tail -= s * (s + 1) * (s + 2) * f / (x0 * x0 * x0) / 720.0L;
+  tail += s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * f /
+          (x0 * x0 * x0 * x0 * x0) / 30240.0L;
+  return head + tail;
+}
+
+TEST(ZetaCrossCheck, ShiftedTruncatedZetaMatchesLongDoubleDirectSums) {
+  // Dense (s, q) grid; bounds on both sides of d + q = 48 and of the
+  // 4096-term Euler–Maclaurin crossover.
+  const std::vector<std::uint64_t> ns = {1,    2,    10,   47,   48,   49,
+                                         300,  1024, 4095, 4096, 4143, 4144,
+                                         4145, 4200, 8192};
+  double worst = 0.0;
+  for (int i = 0; i <= 16; ++i) {
+    const double s = 0.2 + 0.3 * i;  // 0.2 .. 5.0
+    for (const double q : {-0.999999, -0.9, -0.5, -0.1, 0.0, 0.05, 0.3, 0.5,
+                           1.0, 2.5, 7.0, 20.0, 46.5, 47.0, 47.5, 60.0}) {
+      const auto want =
+          direct_prefixes_ld(static_cast<long double>(s),
+                             static_cast<long double>(q), ns);
+      for (std::size_t k = 0; k < ns.size(); ++k) {
+        const double got = math::shifted_truncated_zeta(s, q, ns[k]);
+        const double rel = static_cast<double>(
+            std::fabs((static_cast<long double>(got) - want[k]) / want[k]));
+        worst = std::max(worst, rel);
+        EXPECT_LE(rel, 1e-13) << "s=" << s << " q=" << q << " n=" << ns[k];
+      }
+    }
+  }
+  char worst_text[32];
+  std::snprintf(worst_text, sizeof worst_text, "%.3g", worst);
+  RecordProperty("worst_relative_error", worst_text);
+}
+
+TEST(ZetaCrossCheck, HurwitzZetaMatchesLongDoubleReference) {
+  double worst = 0.0;
+  for (int i = 0; i <= 24; ++i) {
+    const double s = 1.05 + 0.2 * i;  // 1.05 .. 5.85
+    for (const double q : {0.001, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0, 1.5, 2.75,
+                           5.0, 10.0, 30.0, 47.0, 48.0, 49.5, 100.0, 1000.0}) {
+      const long double want = hurwitz_reference(s, q);
+      const double got = math::hurwitz_zeta(s, q);
+      const double rel = static_cast<double>(
+          std::fabs((static_cast<long double>(got) - want) / want));
+      worst = std::max(worst, rel);
+      EXPECT_LE(rel, 1e-13) << "s=" << s << " q=" << q;
+    }
+  }
+  char worst_text[32];
+  std::snprintf(worst_text, sizeof worst_text, "%.3g", worst);
+  RecordProperty("worst_relative_error", worst_text);
 }
 
 // --------------------------------------------------- optimizer battery

@@ -770,7 +770,8 @@ int print_help() {
       "                   JSON to FILE, Prometheus text to FILE with the\n"
       "                   extension replaced by .prom\n"
       "ingest options (analyze, census, zoo, graph-census, capture,\n"
-      "replay — for replay the budget covers torn-tail recovery):\n"
+      "serve, replay — for replay the budget covers torn-tail\n"
+      "recovery):\n"
       "  --on-error strict|skip|repair   malformed-line policy; strict\n"
       "                                  (default) aborts on the first bad\n"
       "                                  line, skip drops bad lines, repair\n"

@@ -352,16 +352,16 @@ TEST(ZetaPrefixKernel, RejectsBadBounds) {
                InvalidArgument);
   EXPECT_THROW(math::shifted_zeta_prefixes(2.0, -1.0, good, out),
                InvalidArgument);
-  EXPECT_THROW(
-      math::shifted_zeta_prefixes(2.0, 0.0, good, std::span<double>(out).first(1)),
-      InvalidArgument);
+  const std::span<double> short_out = std::span<double>(out).first(1);
+  EXPECT_THROW(math::shifted_zeta_prefixes(2.0, 0.0, good, short_out),
+               InvalidArgument);
   math::shifted_zeta_prefixes(2.0, 0.0, {}, std::span<double>{});
 }
 
 // Σ_{d=1}^{n} (d+q)^{-s} in long double at every n in `ns` (ascending),
 // summed directly: shares no code or crossover with src/math.
-std::vector<long double> direct_prefixes_ld(long double s, long double q,
-                                            const std::vector<std::uint64_t>& ns) {
+std::vector<long double> direct_prefixes_ld(
+    long double s, long double q, const std::vector<std::uint64_t>& ns) {
   std::vector<long double> out;
   long double sum = 0.0L;
   std::uint64_t d = 1;

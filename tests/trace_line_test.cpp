@@ -126,7 +126,8 @@ Run read(std::string_view text, const IngestOptions& opts) {
     ++run.budget;
     run.thrown = "trace_tail: error budget exhausted (" +
                  std::to_string(bad) + " bad lines > max_bad_lines=" +
-                 std::to_string(opts.max_bad_lines) + "); first error at line " +
+                 std::to_string(opts.max_bad_lines) +
+                 "); first error at line " +
                  std::to_string(rep.first_error->line_number) + ": " +
                  rep.first_error->message;
     return true;

@@ -6,6 +6,7 @@
 #include <deque>
 #include <numbers>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "palu/common/error.hpp"
@@ -470,6 +471,84 @@ TEST(EstimateMuPointwise, HigherVarianceThanMomentRatio) {
   const double mu_pw = estimate_mu_pointwise(dist, fit.c, fit.alpha);
   EXPECT_GT(fit.mu, 0.0);
   EXPECT_GT(mu_pw, 0.0);
+}
+
+// ------------------------------------------------------------ pinned bits
+
+// One 20000-packet window of the bench network's law, cut the way serve
+// cuts it: 11465 nodes, d_max 955.
+stats::DegreeHistogram pinned_window() {
+  Rng rng(17);
+  const auto net = generate_underlying(
+      PaluParams::solve_hubs(6.0, 0.35, 0.2, 2.3, 1.0), 20000, rng);
+  traffic::SyntheticTrafficGenerator gen(
+      net.graph,
+      traffic::make_edge_rates(net.graph, traffic::RateModel{},
+                               Rng(17).fork(1)),
+      Rng(5));
+  std::vector<traffic::Packet> packets(20000);
+  gen.next_batch(packets);
+  traffic::WindowAccumulator acc;
+  acc.begin_window();
+  for (const auto& p : packets) acc.add(p.src, p.dst);
+  return acc.histogram(traffic::Quantity::kUndirectedDegree);
+}
+
+// The pins below were captured while the staged pipeline's tail method,
+// regression weights, excess bounds, μ cap and adaptive tail were still
+// option fields, and the zoo's family list an option struct.  They are
+// constants now, fixed at the defaults every caller used, so no bit may
+// move.
+TEST(FitPalu, PinnedBitsOnOneWindow) {
+  const auto h = pinned_window();
+  ASSERT_EQ(h.total(), 11465u);
+  // μ̂ ≈ 3.4 reaches past d = 10, so the adaptive tail refits from 12.
+  const PaluFit moments = fit_palu(h);
+  EXPECT_EQ(moments.alpha, 0x1.3f784964c4acap+1);
+  EXPECT_EQ(moments.c, 0x1.64c77abf6eac5p-2);
+  EXPECT_EQ(moments.mu, 0x1.b6814ea638f61p+1);
+  EXPECT_EQ(moments.u, 0x1.00403ade27484p-8);
+  EXPECT_EQ(moments.l, 0x1.a522a2011e34p-8);
+  EXPECT_TRUE(moments.mu_identifiable);
+  PaluFitOptions tail16;
+  tail16.tail_min = 16;
+  const PaluFit pushed = fit_palu(h, tail16);
+  EXPECT_EQ(pushed.alpha, 0x1.44b77afb6bb6cp+1);
+  EXPECT_EQ(pushed.c, 0x1.a146a95a12e72p-2);
+  EXPECT_EQ(pushed.mu, 0x1.d0d8036c9dd5cp+1);
+  EXPECT_EQ(pushed.u, 0x1.610ddadb23271p-9);
+  EXPECT_EQ(pushed.l, 0.0);
+  EXPECT_EQ(estimate_mu_pointwise(
+                stats::EmpiricalDistribution::from_histogram(h), moments.c,
+                moments.alpha),
+            0x1.654a00d498e9fp+1);
+}
+
+TEST(ProfileFit, PinnedBitsOnOneWindow) {
+  const RobustPaluFit served = robust_fit_palu(pinned_window());
+  ASSERT_EQ(served.stage, fit::RobustStage::kMle);
+  EXPECT_EQ(served.fit.alpha, 0x1.4cc84da8c116p+1);
+  EXPECT_EQ(served.fit.c, 0x1.c595dae08fa64p-2);
+  EXPECT_EQ(served.fit.mu, 0x1.849e4583f6d2bp+1);
+  EXPECT_EQ(served.fit.u, 0x1.4a16566d9e489p-8);
+  EXPECT_EQ(served.fit.l, 0x1.c268d529423p-9);
+  EXPECT_TRUE(served.fit.mu_identifiable);
+}
+
+TEST(FitAllModels, PinnedRankingOnOneWindow) {
+  const std::vector<std::pair<std::string, double>> want = {
+      {"palu-mixture", 0x1.44d898c5cb464p+14},
+      {"zipf-mandelbrot", 0x1.48001684ce71ep+14},
+      {"zeta", 0x1.4800c0b42eb28p+14},
+      {"lognormal", 0x1.4807ac494e16dp+14},
+      {"powerlaw-cutoff", 0x1.4808c0b42eb9dp+14},
+      {"geometric", 0x1.a20e4d088fe79p+14}};
+  const auto ranking = fit::fit_all_models(pinned_window());
+  ASSERT_EQ(ranking.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(ranking[i].family, want[i].first);
+    EXPECT_EQ(ranking[i].aic, want[i].second) << want[i].first;
+  }
 }
 
 }  // namespace

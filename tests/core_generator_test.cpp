@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "palu/common/error.hpp"
 #include "palu/core/generator.hpp"
@@ -161,6 +162,24 @@ TEST(GenerateUnderlying, DmsGrowthRejectsShallowAlpha) {
   GeneratorOptions opts;
   opts.core_kind = CoreKind::kDmsGrowth;
   EXPECT_THROW(generate_underlying(p, 50000, rng, opts), InvalidArgument);
+}
+
+TEST(GenerateUnderlying, PinnedEdgeChecksum) {
+  // FNV-1a over every edge's endpoints, in order, captured while the
+  // edge-swap merge of the configuration core was still an option; it
+  // always runs now, as it did by default, so the network may not change.
+  Rng rng(11);
+  const auto net = generate_underlying(
+      PaluParams::solve_hubs(6.0, 0.35, 0.2, 2.3, 1.0), 20000, rng);
+  std::uint64_t checksum = 14695981039346656037ull;
+  for (const auto& e : net.graph.edges()) {
+    for (const std::uint64_t x : {std::uint64_t{e.u}, std::uint64_t{e.v}}) {
+      checksum = (checksum ^ x) * 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(net.graph.num_nodes(), 19950u);
+  EXPECT_EQ(net.graph.num_edges(), 20302u);
+  EXPECT_EQ(checksum, 0x8743e04baab6bf42ull);
 }
 
 TEST(GenerateUnderlying, TooSmallNThrows) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -14,6 +15,8 @@
 #include "palu/common/failpoint.hpp"
 #include "palu/common/result.hpp"
 #include "palu/core/estimate.hpp"
+#include "palu/core/generator.hpp"
+#include "palu/core/params.hpp"
 #include "palu/core/streaming.hpp"
 #include "palu/graph/generators.hpp"
 #include "palu/io/csv.hpp"
@@ -21,6 +24,9 @@
 #include "palu/math/gamma.hpp"
 #include "palu/stats/histogram.hpp"
 #include "palu/testing/fault_injection.hpp"
+#include "palu/traffic/quantities.hpp"
+#include "palu/traffic/stream.hpp"
+#include "palu/traffic/window_accumulator.hpp"
 #include "palu/traffic/window_pipeline.hpp"
 
 namespace palu {
@@ -45,6 +51,11 @@ io::TraceReadResult read_with(const std::string& text, ErrorPolicy policy,
   opts.policy = policy;
   opts.max_bad_lines = budget;
   return io::read_trace(in, opts);
+}
+
+// Bit-for-bit equality (unlike ==, tells -0 from 0 and matches NaNs).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 // ------------------------------------------------------------ corruptor
@@ -324,6 +335,62 @@ TEST(FaultInjection, ProfileAndMomentFailureLeavesLaneStale) {
   EXPECT_EQ(second.window.fit.alpha, first.window.fit.alpha);
   EXPECT_FALSE(second.window.error.empty());
   EXPECT_EQ(est.consecutive_stale(), 1u);
+}
+
+TEST(FaultInjection, ZmFailureKeepsPreviousZmBesideFreshPaluFit) {
+  // Two serve-sized windows of one network.
+  Rng rng(17);
+  const auto net = core::generate_underlying(
+      core::PaluParams::solve_hubs(6.0, 0.35, 0.2, 2.3, 1.0), 20000, rng);
+  traffic::SyntheticTrafficGenerator gen(
+      net.graph,
+      traffic::make_edge_rates(net.graph, traffic::RateModel{},
+                               Rng(17).fork(1)),
+      Rng(5));
+  std::vector<traffic::Packet> packets(20000);
+  traffic::WindowAccumulator acc;
+  std::vector<stats::DegreeHistogram> windows;
+  for (int w = 0; w < 2; ++w) {
+    gen.next_batch(packets);
+    acc.begin_window();
+    acc.add_packets(packets);
+    windows.push_back(acc.histogram(traffic::Quantity::kUndirectedDegree));
+  }
+  // Horizon 1 fits one lane on the calling thread, so the failpoint's
+  // hits come in a fixed order.
+  core::StreamingOptions opts;
+  opts.sliding_horizon = 1;
+  core::WindowedStreamingEstimator clean(opts);
+  clean.refit_window(windows[0]);
+  const core::StreamingRefit want = clean.refit_window(windows[1]);
+
+  core::WindowedStreamingEstimator est(opts);
+  const core::StreamingRefit first = est.refit_window(windows[0]);
+  ASSERT_TRUE(first.window.zm_valid);
+  ASSERT_NE(want.window.zm.alpha, first.window.zm.alpha);
+  testing::FailpointGuard guard;
+  // Window 1's first Nelder–Mead run is the profile fit's polish; the
+  // second is the ZM companion fit, which fails.
+  testing::force_nelder_mead_divergence(1, 1);
+  const core::StreamingRefit got = est.refit_window(windows[1]);
+  EXPECT_EQ(failpoints::hit_count("fit.nelder_mead"), 2);
+  ASSERT_TRUE(got.fresh);
+  for (const core::StreamingFitSnapshot* lane : {&got.window, &got.sliding}) {
+    // Fresh PALU fields, the bits of an unfaulted refit ...
+    EXPECT_EQ(lane->stage, fit::RobustStage::kMle);
+    EXPECT_EQ(lane->freshness, core::FitFreshness::kFresh);
+    EXPECT_TRUE(same_bits(lane->fit.alpha, want.window.fit.alpha));
+    EXPECT_TRUE(same_bits(lane->fit.c, want.window.fit.c));
+    EXPECT_TRUE(same_bits(lane->fit.mu, want.window.fit.mu));
+    EXPECT_TRUE(same_bits(lane->fit.u, want.window.fit.u));
+    EXPECT_TRUE(same_bits(lane->fit.l, want.window.fit.l));
+    EXPECT_TRUE(lane->error.empty());
+    // ... beside the previous window's ZM fit, kept whole.
+    EXPECT_TRUE(lane->zm_valid);
+    EXPECT_TRUE(same_bits(lane->zm.alpha, first.window.zm.alpha));
+    EXPECT_TRUE(same_bits(lane->zm.delta, first.window.zm.delta));
+    EXPECT_TRUE(same_bits(lane->zm.objective, first.window.zm.objective));
+  }
 }
 
 TEST(FaultInjection, UnfittableHistogramDegradesInsteadOfThrowing) {

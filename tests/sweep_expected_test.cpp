@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "palu/core/generator.hpp"
+#include "palu/core/params.hpp"
 #include "palu/graph/generators.hpp"
 #include "palu/graph/graph.hpp"
 #include "palu/math/binmass.hpp"
@@ -666,6 +668,32 @@ TEST(SweepExpected, MatchesSerialReferenceFold) {
           << context;
     }
   }
+}
+
+TEST(SweepExpected, PinnedLeadingBinsOnTheBenchLaw) {
+  // The undirected-degree mass of one 200000-packet window over a
+  // 20000-node network of the bench law, captured while the evaluator's
+  // folding thresholds and candidate count were still options; they are
+  // constants at the defaults every caller used, so no bit may move.
+  Rng rng(17);
+  const auto net = core::generate_underlying(
+      core::PaluParams::solve_hubs(6.0, 0.35, 0.2, 2.3, 1.0), 20000, rng);
+  traffic::ExpectedWindowEvaluator eval(traffic::make_pair_support(
+      net.graph, traffic::make_edge_rates(net.graph, traffic::RateModel{},
+                                          Rng(17).fork(1))));
+  eval.prepare(200000);
+  const auto w = eval.evaluate(traffic::Quantity::kUndirectedDegree);
+  const std::array<double, 8> leading = {
+      0x1.8ffb8e732cf9ap-1, 0x1.472bd104294f7p-4, 0x1.df86bc24acddfp-5,
+      0x1.cced90e5623a4p-5, 0x1.30974f90cd56bp-6, 0x1.c89e9c7b7a24bp-9,
+      0x1.6c04bacdd4ff1p-10, 0x1.e9bc5114e8395p-12};
+  ASSERT_EQ(w.mass.num_bins(), 12u);
+  for (std::size_t i = 0; i < leading.size(); ++i) {
+    EXPECT_EQ(w.mass[i], leading[i]) << "bin " << i;
+  }
+  EXPECT_EQ(w.visible_entities, 0x1.35fcfa50e2583p+14);
+  EXPECT_EQ(w.max_value, 1887u);
+  EXPECT_EQ(eval.evaluate(traffic::Quantity::kLinkPackets).max_value, 669u);
 }
 
 }  // namespace

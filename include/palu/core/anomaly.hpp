@@ -29,7 +29,6 @@ struct AnomalyScore {
 
 struct AnomalyOptions {
   double p_threshold = 1e-4;   // KS p-value below this flags the window
-  PaluFitOptions fit;          // estimator settings for μ extraction
 };
 
 class WindowAnomalyDetector {

@@ -26,7 +26,11 @@ enum class LeafAttachment {
 /// How the preferential-attachment core is realized.
 enum class CoreKind {
   /// iid zeta(α) degrees wired by an erased configuration model — matches
-  /// the paper's d^{−α}/ζ(α) degree law exactly for any α > 1.
+  /// the paper's d^{−α}/ζ(α) degree law exactly for any α > 1.  Its
+  /// fragments are then merged into one component by degree-preserving
+  /// edge swaps, matching the connectedness of a true preferential-
+  /// attachment core: left alone, iid-degree pairs would form spurious
+  /// "unattached links" inside the core.
   kZetaConfiguration,
   /// Dorogovtsev–Mendes–Samukhin growth (attachment ∝ degree + a) with a
   /// chosen so the asymptotic exponent is α: a genuine growth process,
@@ -42,12 +46,6 @@ struct GeneratorOptions {
   /// Edges brought by each newcomer (kDmsGrowth only).
   NodeId dms_edges_per_node = 2;
   LeafAttachment leaf_attachment = LeafAttachment::kPreferential;
-  /// Merge configuration-model fragments into one component by
-  /// degree-preserving edge swaps, matching the connectedness of a true
-  /// preferential-attachment core.  Without this, iid-degree pairs form
-  /// spurious "unattached links" inside the core.  (kZetaConfiguration
-  /// only; grown cores are connected already.)
-  bool connect_core = true;
 };
 
 /// A generated underlying network with its class layout.

@@ -4,9 +4,10 @@
 // than the Zipf–Mandelbrot distribution" (Section VII).  This module makes
 // that question answerable: a family of discrete candidate models over
 // d = 1..dmax — pure zeta, modified Zipf–Mandelbrot, power law with
-// exponential cutoff, discrete lognormal, geometric — each fit by maximum
-// likelihood, compared by AIC and by Vuong's likelihood-ratio test (the
-// comparison CSN recommend for empirical power laws).
+// exponential cutoff, discrete lognormal, geometric, and the paper's own
+// simplified PALU law — each fit by maximum likelihood, compared by AIC
+// and by Vuong's likelihood-ratio test (the comparison CSN recommend for
+// empirical power laws).
 #pragma once
 
 #include <memory>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "palu/common/types.hpp"
-#include "palu/parallel/thread_pool.hpp"
 #include "palu/stats/distribution.hpp"
 #include "palu/stats/histogram.hpp"
 
@@ -52,23 +52,15 @@ class DiscreteModel {
   double bic(const stats::DegreeHistogram& h) const;
 };
 
-/// Which families fit_all_models should include.
-struct ModelZooOptions {
-  bool zeta = true;            // p ∝ d^{-α}
-  bool zipf_mandelbrot = true; // p ∝ (d+δ)^{-α}
-  bool powerlaw_cutoff = true; // p ∝ d^{-α}·e^{-β d}
-  bool lognormal = true;       // p ∝ exp(−(ln d − m)²/2s²)/d
-  bool geometric = true;       // p ∝ q^{d}
-  /// The paper's own simplified law as a 4-parameter mixture density:
-  /// w₁·1{d=1} (leaves + one-leaf hubs) + w₂·zeta(α) (core) +
-  /// w₃·Po(μ | d ≥ 2) (star hubs).  Lets the zoo ask whether PALU itself
-  /// beats the empirical Zipf–Mandelbrot on streaming data.
-  bool palu_mixture = true;
-};
-
 /// MLE fit of one family to a histogram over d = 1..dmax (dmax defaults to
 /// the histogram max).  Throws palu::DataError on empty data and
-/// palu::ConvergenceError when the optimizer fails.
+/// palu::ConvergenceError when the optimizer fails.  The families: zeta
+/// p ∝ d^{-α}; Zipf–Mandelbrot p ∝ (d+δ)^{-α}; power law with cutoff
+/// p ∝ d^{-α}·e^{-β d}; lognormal p ∝ exp(−(ln d − m)²/2s²)/d; geometric
+/// p ∝ q^{d}; and the paper's own simplified law as a 4-parameter mixture
+/// density w₁·1{d=1} (leaves + one-leaf hubs) + w₂·zeta(α) (core) +
+/// w₃·Po(μ | d ≥ 2) (star hubs), which lets the zoo ask whether PALU
+/// itself beats the empirical Zipf–Mandelbrot on streaming data.
 std::unique_ptr<DiscreteModel> fit_zeta_model(
     const stats::DegreeHistogram& h, Degree dmax = 0);
 std::unique_ptr<DiscreteModel> fit_zipf_mandelbrot_model(
@@ -93,16 +85,10 @@ struct ModelComparison {
   double delta_bic = 0.0;  // bic − best bic
 };
 
-/// Fits every enabled family and ranks by AIC (best first).
+/// Fits every family above, in the order declared, and ranks them by AIC
+/// (best first).
 std::vector<ModelComparison> fit_all_models(
-    const stats::DegreeHistogram& h, Degree dmax = 0,
-    const ModelZooOptions& opts = {});
-
-/// Same ranking with the per-family fits running concurrently on `pool`
-/// (families are independent optimizations).
-std::vector<ModelComparison> fit_all_models_parallel(
-    const stats::DegreeHistogram& h, ThreadPool& pool, Degree dmax = 0,
-    const ModelZooOptions& opts = {});
+    const stats::DegreeHistogram& h, Degree dmax = 0);
 
 /// Vuong's non-nested likelihood-ratio test between two fitted models.
 /// Positive `statistic` favors `a`; |statistic| > ~2 is conventionally

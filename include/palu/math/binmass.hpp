@@ -72,13 +72,9 @@ double poisson_binomial_log2_bins(std::span<const double> probs,
                                   BinMassScratch& scratch,
                                   const BinMassOptions& opts = {});
 
-/// P[X ≤ m] for X ~ Binomial(n, p) through the same normal/saddlepoint
-/// ladder (no exact tier); exposed for the expected-maximum search and the
-/// DP-vs-saddlepoint cross-check tests.
-double binomial_cdf_approx(std::uint64_t n, double p, double m,
-                           const BinMassOptions& opts = {});
-
-/// P[X ≤ m] for X ~ PoissonBinomial(probs), same ladder as above.
+/// P[X ≤ m] for X ~ PoissonBinomial(probs) through the normal/saddlepoint
+/// ladder alone (no exact tier); exposed for the DP-vs-saddlepoint
+/// cross-check tests.
 double poisson_binomial_cdf_approx(std::span<const double> probs, double m,
                                    const BinMassOptions& opts = {});
 

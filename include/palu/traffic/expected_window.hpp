@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "palu/common/types.hpp"
-#include "palu/math/binmass.hpp"
 #include "palu/parallel/thread_pool.hpp"
 #include "palu/stats/log_binning.hpp"
 #include "palu/traffic/quantities.hpp"
@@ -78,13 +77,6 @@ struct ExpectedWindow {
   ExpectedAggregates aggregates;
 };
 
-struct ExpectedWindowOptions {
-  /// Approximation thresholds of the marginal-folding ladder.
-  math::BinMassOptions binmass;
-  /// Entities tracked for the median-of-max searches.
-  std::size_t max_candidates = 16;
-};
-
 /// Evaluates expected windows over one network's pair support.  The
 /// constructor builds its directed-link tables from the support and keeps
 /// a copy of the pair weights, so the support need not outlive it.  Node
@@ -101,9 +93,10 @@ class ExpectedWindowEvaluator {
   /// Entities (links, pairs, nodes or CSR slots) per block of every pooled
   /// pass.  Results depend on this cut, never on the pool size.
   static constexpr std::size_t kBlockSize = 2048;
+  /// Entities tracked for the median-of-max searches.
+  static constexpr std::size_t kMaxCandidates = 16;
 
   explicit ExpectedWindowEvaluator(const PairSupport& support,
-                                   ExpectedWindowOptions opts = {},
                                    ThreadPool& pool = ThreadPool::global());
 
   /// Computes the per-link / per-pair visibility vectors for a window
@@ -122,7 +115,6 @@ class ExpectedWindowEvaluator {
   std::size_t num_links() const noexcept { return link_q_.size(); }
 
  private:
-  ExpectedWindowOptions opts_;
   ThreadPool& pool_;
 
   // Directed-link structure (built once): per-pair and per-link rate mass

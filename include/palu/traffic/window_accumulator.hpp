@@ -1,6 +1,8 @@
-// Flat per-window accumulator: the sweep fast path's replacement for
-// building a fresh SparseCountMatrix (and its unordered_map marginals)
-// every window.
+// Flat per-window accumulator: the one window accumulator of the
+// library.  Every sweep (packet draws, count-space draws and store
+// replay), serve's ingest thread, `analyze` and `capture` cut their
+// windows into it; only `census`, which needs the window's graph, still
+// builds a SparseCountMatrix.
 //
 // Two arena-reused open-addressing tables back the accumulator: a cell
 // table over (src, dst) packet counts and a node table for per-endpoint

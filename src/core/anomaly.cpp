@@ -24,7 +24,7 @@ AnomalyScore WindowAnomalyDetector::score(
   // Baseline fit: cache while the baseline is unchanged.
   if (!baseline_fit_ || baseline_total_at_fit_ != baseline_.total()) {
     try {
-      baseline_fit_ = fit_palu(baseline_, opts_.fit);
+      baseline_fit_ = fit_palu(baseline_);
       baseline_total_at_fit_ = baseline_.total();
     } catch (const DataError&) {
       baseline_fit_.reset();
@@ -35,7 +35,7 @@ AnomalyScore WindowAnomalyDetector::score(
         baseline_fit_->mu_identifiable ? baseline_fit_->mu : 0.0;
   }
   try {
-    const auto window_fit = fit_palu(window, opts_.fit);
+    const auto window_fit = fit_palu(window);
     out.mu_window = window_fit.mu_identifiable ? window_fit.mu : 0.0;
   } catch (const DataError&) {
     out.mu_window = 0.0;

@@ -51,37 +51,16 @@ double PaluFit::predicted_share(Degree d) const {
 }
 
 namespace {
-PaluFit fit_palu_single_pass(const stats::EmpiricalDistribution& dist,
-                             const PaluFitOptions& opts);
-}  // namespace
 
-PaluFit fit_palu(const stats::EmpiricalDistribution& dist,
-                 const PaluFitOptions& opts) {
-  PaluFitOptions pass_opts = opts;
-  PaluFit fit = fit_palu_single_pass(dist, pass_opts);
-  if (!opts.adaptive_tail) return fit;
-  // If the bump reaches past the tail start, (c, α) were fit on
-  // contaminated data; push the tail start beyond the bump and refit
-  // (at most twice — the bump estimate stabilizes quickly).
-  for (int pass = 0; pass < 2; ++pass) {
-    if (!fit.mu_identifiable) break;
-    const auto needed = static_cast<Degree>(
-        std::ceil(fit.mu + 4.0 * std::sqrt(fit.mu) + 1.0));
-    if (needed <= pass_opts.tail_min) break;
-    pass_opts.tail_min = std::min<Degree>(needed, 512);
-    try {
-      fit = fit_palu_single_pass(dist, pass_opts);
-    } catch (const DataError&) {
-      break;  // pushed tail has too few points: keep the previous pass
-    }
-  }
-  return fit;
-}
+// Step (b)'s upper degree bound (see the header comment).
+constexpr Degree kExcessMax = 64;
+// Below this excess mass the bump is treated as absent (μ, u = 0).
+constexpr double kMinExcessMass = 1e-5;
 
-namespace {
+// One pass of (a)–(c) from a fixed tail start.
 PaluFit fit_palu_single_pass(const stats::EmpiricalDistribution& dist,
-                             const PaluFitOptions& opts) {
-  PALU_CHECK(opts.tail_min >= 2, "fit_palu: tail_min must be >= 2");
+                             Degree tail_min) {
+  PALU_CHECK(tail_min >= 2, "fit_palu: tail_min must be >= 2");
   const auto& support = dist.support();
   const auto& pmf = dist.pmf();
 
@@ -90,12 +69,12 @@ PaluFit fit_palu_single_pass(const stats::EmpiricalDistribution& dist,
   double tail_mass = 0.0;
   stats::DegreeHistogram tail_hist;
   for (std::size_t i = 0; i < support.size(); ++i) {
-    if (support[i] < opts.tail_min) continue;
+    if (support[i] < tail_min) continue;
     const double count =
         pmf[i] * static_cast<double>(dist.sample_size());
     x.push_back(std::log(static_cast<double>(support[i])));
     y.push_back(std::log(pmf[i]));
-    w.push_back(opts.weight_by_count ? count : 1.0);
+    w.push_back(count);
     tail_mass += pmf[i];
     tail_hist.add(support[i],
                   std::max<Count>(1, static_cast<Count>(
@@ -105,49 +84,38 @@ PaluFit fit_palu_single_pass(const stats::EmpiricalDistribution& dist,
     throw DataError(
         "fit_palu: fewer than 3 support points at/above tail_min");
   }
-  // Regression runs either way: it supplies the r² diagnostic, and the
-  // paper-fidelity mode uses its coefficients directly.
+  // The paper's regression supplies only the r² diagnostic.
   const fit::LinearFit tail = fit::weighted_linear_regression(x, y, w);
 
   PaluFit out;
-  if (opts.tail_method == TailMethod::kRegression) {
-    out.alpha = -tail.slope;
-    out.c = std::exp(tail.intercept);
-  } else {
-    const fit::PowerLawFit mle =
-        fit::fit_power_law_fixed_xmin(tail_hist, opts.tail_min);
-    out.alpha = mle.alpha;
-    // c·ζ(α, tail_min) must equal the empirical tail mass.
-    out.c = tail_mass /
-            math::hurwitz_zeta(out.alpha,
-                               static_cast<double>(opts.tail_min));
-  }
+  const fit::PowerLawFit mle =
+      fit::fit_power_law_fixed_xmin(tail_hist, tail_min);
+  out.alpha = mle.alpha;
+  // c·ζ(α, tail_min) must equal the empirical tail mass.
+  out.c = tail_mass /
+          math::hurwitz_zeta(out.alpha, static_cast<double>(tail_min));
   out.tail_r_squared = tail.r_squared;
   out.tail_points = x.size();
 
-  // --- (b) excess moments over 2 <= d <= excess_max.
-  const Degree excess_cap =
-      opts.excess_max > 0 ? opts.excess_max : ~Degree{0};
+  // --- (b) excess moments over 2 <= d <= kExcessMax.
   double mass = 0.0;       // Σ e(d)
   double first_moment = 0.0;  // Σ d·e(d)
   for (std::size_t i = 0; i < support.size(); ++i) {
     const Degree d = support[i];
-    if (d < 2 || d > excess_cap) continue;
-    double excess =
+    if (d < 2 || d > kExcessMax) continue;
+    const double excess =
         pmf[i] - out.c * std::pow(static_cast<double>(d), -out.alpha);
-    if (excess < 0.0) {
-      if (opts.clip_negative_excess) continue;
-    }
+    if (excess < 0.0) continue;
     mass += excess;
     first_moment += static_cast<double>(d) * excess;
   }
   out.excess_mass = mass;
-  out.mu_identifiable = mass >= opts.min_excess_mass && first_moment > 0.0;
+  out.mu_identifiable = mass >= kMinExcessMass && first_moment > 0.0;
   if (out.mu_identifiable) {
     out.moment_ratio = first_moment / mass;
     if (out.moment_ratio > 2.0) {
       out.mu = math::invert_lambda_moment_ratio(out.moment_ratio);
-      if (out.mu > opts.mu_cap) {
+      if (out.mu > kMuCap) {
         out.mu = 0.0;
         out.mu_identifiable = false;
       }
@@ -168,30 +136,35 @@ PaluFit fit_palu_single_pass(const stats::EmpiricalDistribution& dist,
   out.l = std::max(0.0, p1 - out.c - out.predicted_star_degree_one());
   return out;
 }
+
+// The staged pipeline with its adaptive tail start.
+PaluFit fit_moments(const stats::EmpiricalDistribution& dist,
+                    Degree tail_min) {
+  PaluFit fit = fit_palu_single_pass(dist, tail_min);
+  // If the bump reaches past the tail start, (c, α) were fit on
+  // contaminated data; push the tail start beyond the bump and refit
+  // (at most twice — the bump estimate stabilizes quickly).
+  for (int pass = 0; pass < 2; ++pass) {
+    if (!fit.mu_identifiable) break;
+    const auto needed = static_cast<Degree>(
+        std::ceil(fit.mu + 4.0 * std::sqrt(fit.mu) + 1.0));
+    if (needed <= tail_min) break;
+    tail_min = std::min<Degree>(needed, 512);
+    try {
+      fit = fit_palu_single_pass(dist, tail_min);
+    } catch (const DataError&) {
+      break;  // pushed tail has too few points: keep the previous pass
+    }
+  }
+  return fit;
+}
+
 }  // namespace
 
 PaluFit fit_palu(const stats::DegreeHistogram& h,
                  const PaluFitOptions& opts) {
-  return fit_palu(stats::EmpiricalDistribution::from_histogram(h), opts);
-}
-
-PaluFitCi bootstrap_palu_fit(const stats::DegreeHistogram& h, Rng& rng,
-                             ThreadPool& pool,
-                             const fit::BootstrapOptions& boot_opts,
-                             const PaluFitOptions& fit_opts) {
-  const auto statistic = [&fit_opts](const stats::DegreeHistogram& sample) {
-    const PaluFit f = fit_palu(sample, fit_opts);
-    return std::vector<double>{f.alpha, f.c, f.mu, f.u, f.l};
-  };
-  const auto results =
-      fit::bootstrap_ci_multi(h, statistic, rng, pool, boot_opts);
-  PaluFitCi out;
-  out.alpha = results[0];
-  out.c = results[1];
-  out.mu = results[2];
-  out.u = results[3];
-  out.l = results[4];
-  return out;
+  return fit_moments(stats::EmpiricalDistribution::from_histogram(h),
+                     opts.tail_min);
 }
 
 namespace {
@@ -211,7 +184,7 @@ constexpr double kAlphaMax = 30.0;
 // finite however little of the bump the data pin down.
 constexpr double kMuFloor = 0.05;
 // The coarse grid: 13 log-spaced α in [1.1, 6] by 15 log-spaced μ in
-// [kMuFloor, mu_cap].
+// [kMuFloor, kMuCap].
 constexpr int kGridAlpha = 13;
 constexpr int kGridMu = 15;
 constexpr double kGridAlphaLo = 1.1;
@@ -434,7 +407,7 @@ struct ProfileFit {
 // the polish (the moment fit, the warm start); the grid optimum is always
 // one.  Throws palu::DataError when the window cannot be fitted.
 ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
-                       const PaluFitOptions& opts, Degree refine_max,
+                       Degree refine_max,
                        const std::vector<const PaluFit*>& starts) {
   PALU_FAILPOINT("fit.palu_mle");
   const ProfileLikelihood profile(dist, refine_max);
@@ -448,7 +421,6 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
 
   // Coarse grid in (ln α, ln μ); each component is evaluated once per
   // row or column.
-  const double mu_cap = std::max(opts.mu_cap, 2.0 * kMuFloor);
   std::vector<double> log_alpha(kGridAlpha);
   std::vector<double> log_mu(kGridMu);
   std::vector<Component> cores;
@@ -459,7 +431,7 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
     cores.push_back(profile.zeta(alpha));
   }
   for (int j = 0; j < kGridMu; ++j) {
-    const double mu = log_spaced(kMuFloor, mu_cap, j, kGridMu);
+    const double mu = log_spaced(kMuFloor, kMuCap, j, kGridMu);
     log_mu[static_cast<std::size_t>(j)] = std::log(mu);
     stars.push_back(profile.star(mu));
   }
@@ -534,7 +506,7 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
   for (const PaluFit* start : starts) {
     if (!std::isfinite(start->alpha) || !std::isfinite(start->mu)) continue;
     const double alpha = std::clamp(start->alpha, kAlphaMin, kAlphaMax);
-    const double mu = std::clamp(start->mu, kMuFloor, mu_cap);
+    const double mu = std::clamp(start->mu, kMuFloor, kMuCap);
     const double ll = profile.at(alpha, mu).log_lik;
     if (ll > best) {
       best = ll;
@@ -550,7 +522,7 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
   // box is checked in log space, where the starts were clamped.
   const double n2 = profile.observations();
   const double box[4] = {std::log(kAlphaMin), std::log(kAlphaMax),
-                         std::log(kMuFloor), std::log(mu_cap)};
+                         std::log(kMuFloor), std::log(kMuCap)};
   const auto objective = [&](const std::vector<double>& x) {
     if (!(x[0] >= box[0] && x[0] <= box[1] && x[1] >= box[2] &&
           x[1] <= box[3])) {
@@ -581,7 +553,7 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
   } else {
     f.u = profile.p2() * (1.0 - w) / math::expm1_minus_x(f.mu);
     f.mu_identifiable = f.mu > kMuFloor * (1.0 + kOnBound) &&
-                        f.mu < mu_cap * (1.0 - kOnBound);
+                        f.mu < kMuCap * (1.0 - kOnBound);
   }
   f.c = profile.p2() * w * core.one_ratio;
   // The weight interval keeps this >= 0 up to rounding; only the no-bump
@@ -610,7 +582,7 @@ RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
   };
 
   // The staged moment pipeline, retried with relaxed tail starts when the
-  // tail is too thin to regress (degenerate windows).
+  // tail is too thin to fit (degenerate windows).
   PaluFit moments;
   bool have_moments = false;
   std::string moments_error;
@@ -620,11 +592,9 @@ RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
   }
   obs::Counter& base_retries = registry.counter(obs::names::kFitBaseRetries);
   for (std::size_t k = 0; k < tails.size() && !have_moments; ++k) {
-    PaluFitOptions attempt = fit_opts;
-    attempt.tail_min = tails[k];
     if (k > 0) base_retries.inc();
     try {
-      moments = fit_palu(dist, attempt);
+      moments = fit_moments(dist, tails[k]);
       have_moments = true;
     } catch (const Error& e) {
       moments_error = e.what();
@@ -640,7 +610,7 @@ RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
   std::string mle_error;
   int evaluations = 0;
   try {
-    ProfileFit pf = fit_profile(dist, fit_opts, refine_max, starts);
+    ProfileFit pf = fit_profile(dist, refine_max, starts);
     evaluations = pf.evaluations;
     if (have_moments) {
       // Keep the staged pipeline's diagnostics (see PaluFit).
@@ -698,29 +668,12 @@ RobustPaluFit robust_fit_palu_from_histogram(
 
 }  // namespace
 
-RobustPaluFit robust_fit_palu(const stats::EmpiricalDistribution& dist,
-                              const PaluFitOptions& fit_opts,
-                              const fit::RobustFitOptions& robust_opts,
-                              Degree refine_max) {
-  return robust_fit_palu_impl(dist, fit_opts, robust_opts, refine_max,
-                              nullptr);
-}
-
 RobustPaluFit robust_fit_palu(const stats::DegreeHistogram& h,
                               const PaluFitOptions& fit_opts,
                               const fit::RobustFitOptions& robust_opts,
                               Degree refine_max) {
   return robust_fit_palu_from_histogram(h, fit_opts, robust_opts,
                                         refine_max, nullptr);
-}
-
-RobustPaluFit robust_fit_palu_warm(const stats::EmpiricalDistribution& dist,
-                                   const PaluFit& warm,
-                                   const PaluFitOptions& fit_opts,
-                                   const fit::RobustFitOptions& robust_opts,
-                                   Degree refine_max) {
-  return robust_fit_palu_impl(dist, fit_opts, robust_opts, refine_max,
-                              &warm);
 }
 
 RobustPaluFit robust_fit_palu_warm(const stats::DegreeHistogram& h,
@@ -742,18 +695,15 @@ double palu_profile_log_likelihood(const stats::EmpiricalDistribution& dist,
 }
 
 double estimate_mu_pointwise(const stats::EmpiricalDistribution& dist,
-                             double c, double alpha,
-                             const PaluFitOptions& opts) {
+                             double c, double alpha) {
   const auto& support = dist.support();
   const auto& pmf = dist.pmf();
-  const Degree excess_cap =
-      opts.excess_max > 0 ? opts.excess_max : ~Degree{0};
   // Point-wise estimates from consecutive excess ratios:
   //   e(d+1)/e(d) = μ/(d+1)  =>  μ̂_d = (d+1)·e(d+1)/e(d).
   std::vector<std::pair<double, double>> estimates;  // (μ̂, weight)
   for (std::size_t i = 0; i + 1 < support.size(); ++i) {
     const Degree d = support[i];
-    if (d < 2 || support[i + 1] != d + 1 || d + 1 > excess_cap) continue;
+    if (d < 2 || support[i + 1] != d + 1 || d + 1 > kExcessMax) continue;
     const double e0 =
         pmf[i] - c * std::pow(static_cast<double>(d), -alpha);
     const double e1 =

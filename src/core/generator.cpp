@@ -36,10 +36,8 @@ UnderlyingNetwork generate_underlying(const PaluParams& params, NodeId n,
     const Degree dmax = opts.core_dmax > 0
                             ? opts.core_dmax
                             : static_cast<Degree>(core_n - 1);
-    net.graph = graph::zeta_degree_core(rng, core_n, params.alpha, dmax);
-    if (opts.connect_core) {
-      net.graph = graph::connect_by_edge_swap(rng, net.graph);
-    }
+    net.graph = graph::connect_by_edge_swap(
+        rng, graph::zeta_degree_core(rng, core_n, params.alpha, dmax));
   }
   net.core_begin = 0;
   net.core_end = core_n;

@@ -1,6 +1,7 @@
 #include "palu/fit/model_zoo.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -435,21 +436,21 @@ namespace {
 using FamilyFitter = std::unique_ptr<DiscreteModel> (*)(
     const stats::DegreeHistogram&, Degree);
 
-std::vector<FamilyFitter> enabled_fitters(const ModelZooOptions& opts) {
-  std::vector<FamilyFitter> fitters;
-  if (opts.zeta) fitters.push_back(&fit_zeta_model);
-  if (opts.zipf_mandelbrot) fitters.push_back(&fit_zipf_mandelbrot_model);
-  if (opts.powerlaw_cutoff) fitters.push_back(&fit_powerlaw_cutoff_model);
-  if (opts.lognormal) fitters.push_back(&fit_lognormal_model);
-  if (opts.geometric) fitters.push_back(&fit_geometric_model);
-  if (opts.palu_mixture) fitters.push_back(&fit_palu_mixture_model);
-  PALU_CHECK(!fitters.empty(), "fit_all_models: no family enabled");
-  return fitters;
-}
+// The fitting order is also the order std::sort sees AIC ties in.
+constexpr std::array<FamilyFitter, 6> kFamilies = {
+    &fit_zeta_model,          &fit_zipf_mandelbrot_model,
+    &fit_powerlaw_cutoff_model, &fit_lognormal_model,
+    &fit_geometric_model,     &fit_palu_mixture_model};
 
-std::vector<ModelComparison> rank_models(
-    const std::vector<std::unique_ptr<DiscreteModel>>& models,
-    const stats::DegreeHistogram& h) {
+}  // namespace
+
+std::vector<ModelComparison> fit_all_models(
+    const stats::DegreeHistogram& h, Degree dmax) {
+  std::vector<std::unique_ptr<DiscreteModel>> models;
+  models.reserve(kFamilies.size());
+  for (const FamilyFitter fitter : kFamilies) {
+    models.push_back(fitter(h, dmax));
+  }
   std::vector<ModelComparison> out;
   out.reserve(models.size());
   for (const auto& model : models) {
@@ -477,36 +478,6 @@ std::vector<ModelComparison> rank_models(
     entry.delta_bic = entry.bic - best_bic;
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<ModelComparison> fit_all_models(
-    const stats::DegreeHistogram& h, Degree dmax,
-    const ModelZooOptions& opts) {
-  const auto fitters = enabled_fitters(opts);
-  std::vector<std::unique_ptr<DiscreteModel>> models;
-  models.reserve(fitters.size());
-  for (const FamilyFitter fitter : fitters) {
-    models.push_back(fitter(h, dmax));
-  }
-  return rank_models(models, h);
-}
-
-std::vector<ModelComparison> fit_all_models_parallel(
-    const stats::DegreeHistogram& h, ThreadPool& pool, Degree dmax,
-    const ModelZooOptions& opts) {
-  const auto fitters = enabled_fitters(opts);
-  std::vector<std::future<std::unique_ptr<DiscreteModel>>> futures;
-  futures.reserve(fitters.size());
-  for (const FamilyFitter fitter : fitters) {
-    futures.push_back(
-        pool.submit([fitter, &h, dmax]() { return fitter(h, dmax); }));
-  }
-  std::vector<std::unique_ptr<DiscreteModel>> models;
-  models.reserve(futures.size());
-  for (auto& f : futures) models.push_back(f.get());
-  return rank_models(models, h);
 }
 
 VuongResult vuong_test(const DiscreteModel& a, const DiscreteModel& b,

@@ -253,16 +253,6 @@ double poisson_binomial_log2_bins(std::span<const double> probs,
   return visible;
 }
 
-double binomial_cdf_approx(std::uint64_t n, double p, double m,
-                           const BinMassOptions& opts) {
-  PALU_CHECK(p >= 0.0 && p <= 1.0,
-             "binomial_cdf_approx: probability outside [0, 1]");
-  if (n == 0) return 1.0;
-  if (p == 0.0) return m >= 0.0 ? 1.0 : 0.0;
-  if (p >= 1.0) return m >= static_cast<double>(n) ? 1.0 : 0.0;
-  return binomial_cdf_ladder(n, p, m, opts);
-}
-
 double poisson_binomial_cdf_approx(std::span<const double> probs, double m,
                                    const BinMassOptions& opts) {
   if (probs.empty()) return m >= 0.0 ? 1.0 : 0.0;

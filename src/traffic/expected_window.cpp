@@ -7,6 +7,7 @@
 
 #include "palu/common/error.hpp"
 #include "palu/common/failpoint.hpp"
+#include "palu/math/binmass.hpp"
 #include "palu/math/vexp.hpp"
 #include "palu/parallel/parallel_for.hpp"
 
@@ -184,8 +185,9 @@ Degree median_of_max(const std::vector<Candidate>& cands) {
 /// A block's share of an evaluation: expected entities per log₂ bin,
 /// Σ P[value ≥ 1], and its top candidates.
 struct Fold {
-  explicit Fold(std::size_t capacity)
-      : bins(stats::LogBinned::kMaxBins, 0.0), cands(capacity) {}
+  Fold()
+      : bins(stats::LogBinned::kMaxBins, 0.0),
+        cands(ExpectedWindowEvaluator::kMaxCandidates) {}
 
   std::vector<double> bins;
   double visible = 0.0;
@@ -197,13 +199,12 @@ struct Fold {
 /// calling thread.  Candidates pass on as they are: no moment is
 /// recomputed.
 template <typename FoldBlock>
-Fold fold_blocks(ThreadPool& pool, std::size_t n, std::size_t capacity,
-                 FoldBlock&& fold_block) {
-  std::vector<Fold> blocks(num_blocks(n), Fold(capacity));
+Fold fold_blocks(ThreadPool& pool, std::size_t n, FoldBlock&& fold_block) {
+  std::vector<Fold> blocks(num_blocks(n));
   for_each_block(pool, n, [&](std::size_t b, IndexRange r) {
     fold_block(r, blocks[b]);
   });
-  Fold total(capacity);
+  Fold total;
   for (const Fold& f : blocks) {
     for (std::size_t i = 0; i < total.bins.size(); ++i) {
       total.bins[i] += f.bins[i];
@@ -216,37 +217,33 @@ Fold fold_blocks(ThreadPool& pool, std::size_t n, std::size_t capacity,
 
 /// Binomial(N, p) entities, one per entry of `probs`.
 Fold fold_binomial_entities(ThreadPool& pool, std::span<const double> probs,
-                            Count n_valid, const ExpectedWindowOptions& opts) {
+                            Count n_valid) {
   const double nd = static_cast<double>(n_valid);
-  return fold_blocks(
-      pool, probs.size(), opts.max_candidates, [&](IndexRange r, Fold& f) {
-        for (std::size_t j = r.begin; j < r.end; ++j) {
-          const double p = probs[j];
-          if (p <= 0.0) continue;
-          f.visible +=
-              math::binomial_log2_bins(n_valid, p, f.bins, opts.binmass);
-          f.cands.offer(binomial_candidate(nd, p));
-        }
-      });
+  return fold_blocks(pool, probs.size(), [&](IndexRange r, Fold& f) {
+    for (std::size_t j = r.begin; j < r.end; ++j) {
+      const double p = probs[j];
+      if (p <= 0.0) continue;
+      f.visible += math::binomial_log2_bins(n_valid, p, f.bins);
+      f.cands.offer(binomial_candidate(nd, p));
+    }
+  });
 }
 
 /// Poisson-binomial entities, one per node: node n's terms are
 /// pis[offsets[n] .. offsets[n + 1]).
 Fold fold_pb_entities(ThreadPool& pool,
                       const std::vector<std::size_t>& offsets,
-                      const std::vector<double>& pis,
-                      const ExpectedWindowOptions& opts) {
+                      const std::vector<double>& pis) {
   return fold_blocks(
-      pool, offsets.size() - 1, opts.max_candidates,
-      [&](IndexRange nodes, Fold& f) {
+      pool, offsets.size() - 1, [&](IndexRange nodes, Fold& f) {
         math::BinMassScratch scratch;  // the block's own: never shared
         for (std::size_t n = nodes.begin; n < nodes.end; ++n) {
           const std::size_t b = offsets[n];
           const std::size_t e = offsets[n + 1];
           if (b == e) continue;
           const std::span<const double> entity(pis.data() + b, e - b);
-          f.visible += math::poisson_binomial_log2_bins(entity, f.bins,
-                                                        scratch, opts.binmass);
+          f.visible +=
+              math::poisson_binomial_log2_bins(entity, f.bins, scratch);
           double mu = 0.0, s2 = 0.0, m3 = 0.0;
           for (const double pi : entity) {
             const double q = 1.0 - pi;
@@ -274,13 +271,10 @@ void build_csr(const std::vector<NodeId>& keys, std::size_t num_nodes,
 }  // namespace
 
 ExpectedWindowEvaluator::ExpectedWindowEvaluator(const PairSupport& support,
-                                                 ExpectedWindowOptions opts,
                                                  ThreadPool& pool)
-    : opts_(opts), pool_(pool), pair_weight_(support.weight) {
+    : pool_(pool), pair_weight_(support.weight) {
   PALU_CHECK(support.size() > 0,
              "ExpectedWindowEvaluator: empty pair support");
-  PALU_CHECK(opts_.max_candidates > 0,
-             "ExpectedWindowEvaluator: max_candidates must be positive");
   const std::size_t npairs = support.size();
   NodeId max_id = 0;
   for (std::size_t i = 0; i < npairs; ++i) {
@@ -368,25 +362,25 @@ void ExpectedWindowEvaluator::prepare(Count n_valid) {
 ExpectedWindow ExpectedWindowEvaluator::evaluate(Quantity q) {
   PALU_CHECK(prepared_,
              "ExpectedWindowEvaluator: prepare() must precede evaluate()");
-  Fold fold(opts_.max_candidates);
+  Fold fold;
   switch (q) {
     case Quantity::kSourcePackets:
-      fold = fold_binomial_entities(pool_, node_src_mass_, n_valid_, opts_);
+      fold = fold_binomial_entities(pool_, node_src_mass_, n_valid_);
       break;
     case Quantity::kDestinationPackets:
-      fold = fold_binomial_entities(pool_, node_dst_mass_, n_valid_, opts_);
+      fold = fold_binomial_entities(pool_, node_dst_mass_, n_valid_);
       break;
     case Quantity::kLinkPackets:
-      fold = fold_binomial_entities(pool_, link_q_, n_valid_, opts_);
+      fold = fold_binomial_entities(pool_, link_q_, n_valid_);
       break;
     case Quantity::kSourceFanOut:
-      fold = fold_pb_entities(pool_, src_offsets_, src_pi_, opts_);
+      fold = fold_pb_entities(pool_, src_offsets_, src_pi_);
       break;
     case Quantity::kDestinationFanIn:
-      fold = fold_pb_entities(pool_, dst_offsets_, dst_pi_, opts_);
+      fold = fold_pb_entities(pool_, dst_offsets_, dst_pi_);
       break;
     case Quantity::kUndirectedDegree:
-      fold = fold_pb_entities(pool_, und_offsets_, und_pi_, opts_);
+      fold = fold_pb_entities(pool_, und_offsets_, und_pi_);
       break;
   }
   ExpectedWindow out;
@@ -418,9 +412,8 @@ ExpectedAggregates ExpectedWindowEvaluator::aggregates() {
   ExpectedAggregates a;
   a.valid_packets = static_cast<double>(n_valid_);
   // One pass over the links gives Σ π_j and the max-link candidates.
-  const Fold links = fold_blocks(
-      pool_, link_q_.size(), opts_.max_candidates,
-      [&](IndexRange r, Fold& f) {
+  const Fold links =
+      fold_blocks(pool_, link_q_.size(), [&](IndexRange r, Fold& f) {
         for (std::size_t j = r.begin; j < r.end; ++j) {
           f.visible += link_pi_[j];
           if (link_q_[j] > 0.0) {

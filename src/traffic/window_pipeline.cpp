@@ -364,7 +364,7 @@ ExpectedWindow evaluate_expected_window(const graph::Graph& underlying,
     ExpectedWindowEvaluator eval(
         make_pair_support(underlying, make_edge_rates(underlying, rates,
                                                       Rng(seed).fork(0))),
-        {}, pool);
+        pool);
     setup.stop();
     std::uint64_t prepare_ns = 0, evaluate_ns = 0;
     obs::TraceSpan prepare(prepare_ns);

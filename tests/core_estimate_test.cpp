@@ -386,14 +386,13 @@ TEST(WindowedStreamingEstimator, ConcurrentLanesMatchSerialRefitBitForBit) {
 TEST(ProfileFit, UnidentifiedBumpFollowsBoundaryRules) {
   // μ = 0.5 at 2e4 draws: the bump adds ~7% at d = 2 and is not
   // identified.  Every replicate still returns finite constants with
-  // l >= 0, and a μ̂ strictly inside [0.05, mu_cap] unless it is flagged.
-  const PaluFitOptions opts;
+  // l >= 0, and a μ̂ strictly inside [0.05, kMuCap] unless it is flagged.
   int flagged = 0;
   for (std::uint64_t rep = 0; rep < 20; ++rep) {
     SCOPED_TRACE("replicate " + std::to_string(rep));
     const auto h =
         iid_law_histogram(0.30, 0.25, 0.04, 0.5, 2.2, 20000, 9000 + rep);
-    const RobustPaluFit fit = robust_fit_palu(h, opts);
+    const RobustPaluFit fit = robust_fit_palu(h);
     ASSERT_TRUE(fit.ok());
     const PaluFit& f = fit.fit;
     EXPECT_TRUE(std::isfinite(f.u) && f.u >= 0.0) << f.u;
@@ -401,10 +400,10 @@ TEST(ProfileFit, UnidentifiedBumpFollowsBoundaryRules) {
     EXPECT_GE(f.l, 0.0);
     if (f.mu_identifiable) {
       EXPECT_GT(f.mu, 0.05);
-      EXPECT_LT(f.mu, opts.mu_cap);
+      EXPECT_LT(f.mu, kMuCap);
     } else {
       ++flagged;
-      EXPECT_TRUE(f.mu == 0.0 || (f.mu >= 0.05 && f.mu <= opts.mu_cap));
+      EXPECT_TRUE(f.mu == 0.0 || (f.mu >= 0.05 && f.mu <= kMuCap));
       if (f.mu == 0.0) {
         EXPECT_EQ(f.u, 0.0);
       }

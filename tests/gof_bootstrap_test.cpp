@@ -6,10 +6,6 @@
 #include <cmath>
 
 #include "palu/common/error.hpp"
-#include "palu/core/estimate.hpp"
-#include "palu/core/generator.hpp"
-#include "palu/core/params.hpp"
-#include "palu/core/theory.hpp"
 #include "palu/fit/bootstrap.hpp"
 #include "palu/fit/powerlaw_mle.hpp"
 #include "palu/fit/zipf_mandelbrot.hpp"
@@ -221,27 +217,6 @@ TEST(Bootstrap, MultiStatisticSharesResamplingPass) {
   EXPECT_NEAR(both[0].estimate, 2.0, 0.1);
   EXPECT_GT(both[1].estimate, 0.0);
   EXPECT_LT(both[0].lower, both[0].upper);
-}
-
-TEST(Bootstrap, PaluFitCiCoversTruth) {
-  const auto params = core::PaluParams::solve_hubs(4.0, 0.35, 0.25, 2.2,
-                                                   0.8);
-  Rng gen_rng(32);
-  const auto h = core::sample_observed_degrees(params, 150000, gen_rng);
-  Rng rng(33);
-  ThreadPool pool(2);
-  fit::BootstrapOptions opts;
-  opts.replicates = 30;
-  const auto ci = core::bootstrap_palu_fit(h, rng, pool, opts);
-  const auto k = core::simplified_constants(params);
-  // The window-invariant parameters' intervals should cover (or nearly
-  // cover) the theory values.
-  EXPECT_LT(ci.alpha.lower - 0.15, params.alpha);
-  EXPECT_GT(ci.alpha.upper + 0.15, params.alpha);
-  EXPECT_LT(ci.mu.lower - 0.3, k.mu);
-  EXPECT_GT(ci.mu.upper + 0.3, k.mu);
-  EXPECT_GT(ci.c.std_error, 0.0);
-  EXPECT_GT(ci.l.upper, ci.l.lower);
 }
 
 TEST(Bootstrap, ValidatesOptions) {

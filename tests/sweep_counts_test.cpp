@@ -205,7 +205,7 @@ TEST(SweepCounts, PerEdgeCountMomentsMatchRates) {
   // (negatively correlated) Bernoullis, so its variance is at most the
   // independent-case bound Σ p(1−p) <= E.
   ThreadPool pool(1);
-  traffic::ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
+  traffic::ExpectedWindowEvaluator eval(gen.pair_support(), pool);
   eval.prepare(kN);
   const double expected = eval.aggregates().unique_links;
   EXPECT_NEAR(mean_links, expected,

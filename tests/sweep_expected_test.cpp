@@ -300,7 +300,7 @@ TEST(SweepExpected, IdenticalAcrossPoolSizes) {
   const auto g = blocked_graph();
   auto gen = blocked_generator(g);
   ThreadPool one(1);
-  traffic::ExpectedWindowEvaluator serial(gen.pair_support(), {}, one);
+  traffic::ExpectedWindowEvaluator serial(gen.pair_support(), one);
   expect_spans_blocks(g, serial);
   std::vector<traffic::ExpectedWindow> reference;
   for (const Count n : kBlockedWindows) {
@@ -309,7 +309,7 @@ TEST(SweepExpected, IdenticalAcrossPoolSizes) {
   }
   for (const std::size_t threads : {2u, 4u}) {
     ThreadPool pool(threads);
-    traffic::ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
+    traffic::ExpectedWindowEvaluator eval(gen.pair_support(), pool);
     std::size_t i = 0;
     for (const Count n : kBlockedWindows) {
       eval.prepare(n);
@@ -344,7 +344,7 @@ TEST(SweepExpected, EntryPointMatchesEvaluatorOnGeneratorSupport) {
         traffic::make_edge_rates(*g, traffic::RateModel{},
                                  Rng(kSeed).fork(0)),
         Rng(0));
-    traffic::ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
+    traffic::ExpectedWindowEvaluator eval(gen.pair_support(), pool);
     for (const Count n : {Count{3}, Count{20000}, Count{10000000}}) {
       eval.prepare(n);
       for (const auto q : kEveryQuantity) {
@@ -372,7 +372,7 @@ TEST(SweepExpected, UniqueLinksCountDirectedCellsOnAMultigraph) {
   traffic::SyntheticTrafficGenerator gen(g, std::vector<double>(5, 1.0),
                                          Rng(3));
   ThreadPool pool(1);
-  traffic::ExpectedWindowEvaluator eval(gen.pair_support(), {}, pool);
+  traffic::ExpectedWindowEvaluator eval(gen.pair_support(), pool);
   eval.prepare(3);
   const double at3 = eval.aggregates().unique_links;
   // 2·(1 − 0.7³) + (1 − 0.8³) + 2·(1 − 0.9³) = 1.314 + 0.488 + 0.542.
@@ -559,7 +559,7 @@ TEST(SweepExpected, MatchesSerialReferenceFold) {
   auto gen = blocked_generator(g);
   const traffic::PairSupport& support = gen.pair_support();
   ThreadPool pool(4);
-  traffic::ExpectedWindowEvaluator eval(support, {}, pool);
+  traffic::ExpectedWindowEvaluator eval(support, pool);
   expect_spans_blocks(g, eval);
 
   // Directed links, node masses and per-node term lists in the evaluator's
@@ -601,7 +601,7 @@ TEST(SweepExpected, MatchesSerialReferenceFold) {
     dst_mass[link_dst[j]] += link_q[j];
   }
 
-  const std::size_t k = traffic::ExpectedWindowOptions{}.max_candidates;
+  const std::size_t k = traffic::ExpectedWindowEvaluator::kMaxCandidates;
   for (const Count n : kBlockedWindows) {
     const std::vector<double> link_pi = visibilities(link_q, n);
     const std::vector<double> pair_pi = visibilities(weight, n);

@@ -173,7 +173,7 @@ TEST(StreamProperties, ExplicitRatesValidateInput) {
 // window over `stream`'s pair support, from the analytic window.
 double expected_unique_links(SyntheticTrafficGenerator& stream, Count nv) {
   ThreadPool pool(1);
-  ExpectedWindowEvaluator eval(stream.pair_support(), {}, pool);
+  ExpectedWindowEvaluator eval(stream.pair_support(), pool);
   eval.prepare(nv);
   return eval.aggregates().unique_links;
 }

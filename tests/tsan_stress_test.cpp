@@ -337,8 +337,8 @@ TEST(TsanStress, ExpectedEvaluatorFoldsOnAFourThreadPool) {
       Rng(0));
   ThreadPool one(1);
   ThreadPool four(4);
-  traffic::ExpectedWindowEvaluator serial(gen.pair_support(), {}, one);
-  traffic::ExpectedWindowEvaluator pooled(gen.pair_support(), {}, four);
+  traffic::ExpectedWindowEvaluator serial(gen.pair_support(), one);
+  traffic::ExpectedWindowEvaluator pooled(gen.pair_support(), four);
   for (int round = 0; round < 2; ++round) {
     for (const Count n : {Count{20000}, Count{5000000}}) {
       serial.prepare(n);

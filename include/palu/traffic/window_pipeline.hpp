@@ -66,7 +66,10 @@ class WindowSource;       // traffic/window_source.hpp
 class WindowCaptureSink;  // traffic/window_source.hpp
 
 /// Thrown when a sweep worker fails and the failure budget is zero; names
-/// the window so operators can bisect a bad capture region.
+/// the window so operators can bisect a bad capture region.  The worker's
+/// exception is nested inside (std::throw_with_nested), so
+/// std::rethrow_if_nested recovers it — the palu::DataError of a corrupt
+/// store block, say.
 class SweepWindowError : public Error {
  public:
   SweepWindowError(std::size_t window, const std::string& what)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -212,8 +213,9 @@ WindowSweepResult sweep_impl(const SweepPlan& plan, std::size_t num_windows,
     if (plan.producer == Producer::kCountsDraw) network->pair_support();
   }
 
-  // Per-window slots: at most one of histogram / error is set afterwards;
-  // neither set means the window was skipped after a strict-mode failure.
+  // Per-window slots: at most one of histogram / error is set afterwards
+  // (with the error, the exception that caused it); neither set means the
+  // window was skipped after a strict-mode failure.
   //
   // Thread-safety invariant (checked by tsan_stress_test): each worker
   // writes only the slots for its own window indices, and the reduce loop
@@ -224,6 +226,7 @@ WindowSweepResult sweep_impl(const SweepPlan& plan, std::size_t num_windows,
   std::vector<std::optional<stats::DegreeHistogram>> histograms(
       num_windows);
   std::vector<std::optional<std::string>> errors(num_windows);
+  std::vector<std::exception_ptr> causes(num_windows);
   std::atomic<bool> stop_new_windows{false};
   std::atomic<std::uint64_t> failpoint_trips{0};
 
@@ -249,6 +252,7 @@ WindowSweepResult sweep_impl(const SweepPlan& plan, std::size_t num_windows,
           failpoint_trips.fetch_add(1, std::memory_order_relaxed);
         }
         errors[t] = e.what();
+        causes[t] = std::current_exception();
         if (opts.max_failed_windows == 0) {
           // Strict mode: no point producing more windows for a sweep
           // that is already lost.
@@ -278,7 +282,13 @@ WindowSweepResult sweep_impl(const SweepPlan& plan, std::size_t num_windows,
   for (std::size_t t = 0; t < num_windows; ++t) {
     if (errors[t]) {
       if (opts.max_failed_windows == 0) {
-        throw SweepWindowError(t, *errors[t]);
+        // The cause rides along nested, so a caller can tell bad data (a
+        // corrupt store block) from a fault.
+        try {
+          std::rethrow_exception(causes[t]);
+        } catch (...) {
+          std::throw_with_nested(SweepWindowError(t, *errors[t]));
+        }
       }
       out.failures.push_back(WindowFailure{t, std::move(*errors[t])});
       continue;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -784,6 +785,18 @@ int print_help() {
   return 0;
 }
 
+// True when `e` nests a palu::DataError: a sweep window lost to bad data
+// (a corrupt store block) is a data error like any other.
+bool nests_data_error(const std::exception& e) {
+  try {
+    std::rethrow_if_nested(e);
+  } catch (const DataError&) {
+    return true;
+  } catch (...) {
+  }
+  return false;
+}
+
 }  // namespace
 
 int dispatch(const std::string& command, const palu::cli::Args& args) {
@@ -835,6 +848,9 @@ int main(int argc, char** argv) {
   } catch (const palu::InvalidArgument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
+  } catch (const palu::traffic::SweepWindowError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return nests_data_error(e) ? 3 : 1;
   } catch (const palu::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

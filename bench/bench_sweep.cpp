@@ -23,10 +23,17 @@
 //     "speedup_counts_vs_fast": counts pps / fast pps,
 //     "counts_mass_conserved": true|false,
 //     "scaling": {"windows", "repeats",
-//                 "points": [{"nvalid", "seconds_per_window"}],
+//                 "points": [{"nvalid", "seconds_per_window",
+//                             "sampling_seconds_per_window",
+//                             "accumulation_seconds_per_window",
+//                             "binning_seconds_per_window"}],
 //                 "ratios": [per-decade cost growth of the counts path]},
-//                 // (sweep wall time less its setup stage, per window;
-//                 // 8 windows per pool thread, median of the repeats)
+//                 // (seconds_per_window: sweep wall time less its setup
+//                 // stage, per window; the stage figures: that stage's
+//                 // registry sum per window, CPU time of one worker, so
+//                 // they add up to about pool_threads × the wall figure;
+//                 // 8 windows per pool thread, each the median of the
+//                 // repeats)
 //     "expected": {"points": [{"nvalid", "seconds_per_eval"}],
 //                  "ratios": [...],   // flat ⇒ analytic cost is N_V-free
 //                  "counts_sweep_seconds_over_expected_eval": X},
@@ -59,6 +66,7 @@
 // replay axis (the replay smoke ctest).  Exit code is non-zero on any
 // check failure.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -80,8 +88,10 @@ using namespace palu;
 struct RunResult {
   double seconds = 0.0;
   double packets_per_sec = 0.0;
-  std::uint64_t sampling_ns = 0;  // the run's stage="sampling" sum
-  std::uint64_t setup_ns = 0;     // the run's stage="setup" sum
+  std::uint64_t sampling_ns = 0;      // the run's stage="sampling" sum
+  std::uint64_t accumulation_ns = 0;  // the run's stage="accumulation" sum
+  std::uint64_t binning_ns = 0;       // the run's stage="binning" sum
+  std::uint64_t setup_ns = 0;         // the run's stage="setup" sum
   stats::DegreeHistogram merged;
   std::string metrics_json;  // this run's registry, already serialized
 };
@@ -116,8 +126,8 @@ std::string git_sha() {
   return sha;
 }
 
-// A run's time in one stage: sampling is summed over its windows, setup
-// is the one table build before them.
+// A run's time in one stage: the window stages are summed over its
+// windows, setup is the one table build before them.
 std::uint64_t stage_ns(obs::Registry& registry, const char* path,
                        const char* stage) {
   return registry
@@ -159,6 +169,8 @@ RunResult run_sweep(const graph::Graph& g, Count n_valid,
   const char* path =
       synthesis == traffic::SynthesisMode::kPacket ? "fast" : "counts";
   out.sampling_ns = stage_ns(reg, path, "sampling");
+  out.accumulation_ns = stage_ns(reg, path, "accumulation");
+  out.binning_ns = stage_ns(reg, path, "binning");
   out.setup_ns = stage_ns(reg, path, "setup");
   out.merged = std::move(sweep.merged);
   out.metrics_json = registry_json(reg);
@@ -285,6 +297,8 @@ int main(int argc, char** argv) {
   RunResult counts;
   bool counts_sane = true;
   std::vector<double> per_window;
+  // Per point: sampling, accumulation and binning seconds per window.
+  std::vector<std::array<double, 3>> stage_per_window;
   std::vector<double> ratios;
   if (!expected_only && !replay_only) {
     counts = run_sweep(net.graph, n_valid, windows, quantity, seed, pool,
@@ -297,24 +311,41 @@ int main(int argc, char** argv) {
     // of count-space synthesis is that this curve is nearly flat per
     // decade).  The sweep's one-off table build (its setup stage) is
     // taken out of the wall time first, so it is not charged to windows;
-    // a point is the median of kScalingRepeats sweeps.
+    // a point is the median of kScalingRepeats sweeps.  The stage sums
+    // say which per-window stage grows with N_V.
     for (const Count nv : scaling_nvalid) {
+      const double windows_d = static_cast<double>(scaling_windows);
+      const auto per_window_s = [windows_d](std::uint64_t ns) {
+        return 1e-9 * static_cast<double>(ns) / windows_d;
+      };
       std::vector<double> repeats;
+      std::array<std::vector<double>, 3> stages;
       for (std::size_t rep = 0; rep < kScalingRepeats; ++rep) {
         const RunResult r =
             run_sweep(net.graph, nv, scaling_windows, quantity, seed, pool,
                       traffic::SynthesisMode::kMultinomial);
         const double sampled =
             r.seconds - 1e-9 * static_cast<double>(r.setup_ns);
-        repeats.push_back(sampled / static_cast<double>(scaling_windows));
+        repeats.push_back(sampled / windows_d);
+        stages[0].push_back(per_window_s(r.sampling_ns));
+        stages[1].push_back(per_window_s(r.accumulation_ns));
+        stages[2].push_back(per_window_s(r.binning_ns));
       }
       std::sort(repeats.begin(), repeats.end());
       per_window.push_back(repeats[kScalingRepeats / 2]);
+      std::array<double, 3> medians{};
+      for (std::size_t s = 0; s < stages.size(); ++s) {
+        std::sort(stages[s].begin(), stages[s].end());
+        medians[s] = stages[s][kScalingRepeats / 2];
+      }
+      stage_per_window.push_back(medians);
       std::printf("counts scaling: nvalid=%llu %.2fms/window "
-                  "(repeats %.2f..%.2f)\n",
+                  "(repeats %.2f..%.2f); per-window stage cpu: "
+                  "sampling=%.2fms accumulation=%.2fms binning=%.2fms\n",
                   static_cast<unsigned long long>(nv),
                   per_window.back() * 1e3, repeats.front() * 1e3,
-                  repeats.back() * 1e3);
+                  repeats.back() * 1e3, medians[0] * 1e3, medians[1] * 1e3,
+                  medians[2] * 1e3);
     }
     for (std::size_t i = 1; i < per_window.size(); ++i) {
       ratios.push_back(per_window[i] / per_window[i - 1]);
@@ -473,7 +504,13 @@ int main(int argc, char** argv) {
         << ", \"repeats\": " << kScalingRepeats << ", \"points\": [";
     for (std::size_t i = 0; i < scaling_nvalid.size(); ++i) {
       out << (i ? ", " : "") << "{\"nvalid\": " << scaling_nvalid[i]
-          << ", \"seconds_per_window\": " << per_window[i] << "}";
+          << ", \"seconds_per_window\": " << per_window[i]
+          << ",\n      \"sampling_seconds_per_window\": "
+          << stage_per_window[i][0]
+          << ", \"accumulation_seconds_per_window\": "
+          << stage_per_window[i][1]
+          << ", \"binning_seconds_per_window\": " << stage_per_window[i][2]
+          << "}";
     }
     out << "],\n    \"ratios\": [";
     for (std::size_t i = 0; i < ratios.size(); ++i) {

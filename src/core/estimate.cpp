@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "palu/common/error.hpp"
@@ -566,10 +567,10 @@ ProfileFit fit_profile(const stats::EmpiricalDistribution& dist,
 }
 
 // Shared implementation of robust_fit_palu and robust_fit_palu_warm.
-RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
-                                   const PaluFitOptions& fit_opts,
-                                   const fit::RobustFitOptions& robust_opts,
-                                   Degree refine_max, const PaluFit* warm) {
+RobustPaluFit robust_fit(const stats::DegreeHistogram& h,
+                         const PaluFitOptions& fit_opts,
+                         const fit::RobustFitOptions& robust_opts,
+                         Degree refine_max, const PaluFit* warm) {
   RobustPaluFit out;
   obs::Registry& registry = robust_opts.metrics != nullptr
                                 ? *robust_opts.metrics
@@ -580,6 +581,16 @@ RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
                  {{"stage", std::string(fit::to_string(stage))}})
         .inc();
   };
+  // A degenerate histogram is bad data (kFailed), not a throw.
+  std::optional<stats::EmpiricalDistribution> converted;
+  try {
+    converted.emplace(stats::EmpiricalDistribution::from_histogram(h));
+  } catch (const Error& e) {
+    out.error = e.what();
+    record_result(out.stage);
+    return out;
+  }
+  const stats::EmpiricalDistribution& dist = *converted;
 
   // The staged moment pipeline, retried with relaxed tail starts when the
   // tail is too thin to fit (degenerate windows).
@@ -639,41 +650,13 @@ RobustPaluFit robust_fit_palu_impl(const stats::EmpiricalDistribution& dist,
   return out;
 }
 
-// Histogram front door shared by the cold and warm entry points:
-// converts, and treats a degenerate histogram as bad data (kFailed), not
-// as a throw.
-RobustPaluFit robust_fit_palu_from_histogram(
-    const stats::DegreeHistogram& h, const PaluFitOptions& fit_opts,
-    const fit::RobustFitOptions& robust_opts, Degree refine_max,
-    const PaluFit* warm) {
-  try {
-    return robust_fit_palu_impl(
-        stats::EmpiricalDistribution::from_histogram(h), fit_opts,
-        robust_opts, refine_max, warm);
-  } catch (const Error& e) {
-    // The fit never ran, so this failure is recorded here.
-    obs::Registry& registry = robust_opts.metrics != nullptr
-                                  ? *robust_opts.metrics
-                                  : obs::default_registry();
-    registry
-        .counter(obs::names::kFitResults,
-                 {{"stage",
-                   std::string(fit::to_string(fit::RobustStage::kFailed))}})
-        .inc();
-    RobustPaluFit out;
-    out.error = e.what();
-    return out;
-  }
-}
-
 }  // namespace
 
 RobustPaluFit robust_fit_palu(const stats::DegreeHistogram& h,
                               const PaluFitOptions& fit_opts,
                               const fit::RobustFitOptions& robust_opts,
                               Degree refine_max) {
-  return robust_fit_palu_from_histogram(h, fit_opts, robust_opts,
-                                        refine_max, nullptr);
+  return robust_fit(h, fit_opts, robust_opts, refine_max, nullptr);
 }
 
 RobustPaluFit robust_fit_palu_warm(const stats::DegreeHistogram& h,
@@ -681,8 +664,7 @@ RobustPaluFit robust_fit_palu_warm(const stats::DegreeHistogram& h,
                                    const PaluFitOptions& fit_opts,
                                    const fit::RobustFitOptions& robust_opts,
                                    Degree refine_max) {
-  return robust_fit_palu_from_histogram(h, fit_opts, robust_opts,
-                                        refine_max, &warm);
+  return robust_fit(h, fit_opts, robust_opts, refine_max, &warm);
 }
 
 double palu_profile_log_likelihood(const stats::EmpiricalDistribution& dist,

@@ -92,6 +92,55 @@ void BM_StreamWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamWindow)->Arg(10000)->Arg(100000);
 
+// The bench law: solve_hubs(6, 0.35, 0.2, 2.3, 1) on 150k nodes, the
+// network of bench_sweep, perfbench and the bench trace.
+const traffic::SyntheticTrafficGenerator& bench_law_generator() {
+  static const core::UnderlyingNetwork net = [] {
+    Rng rng(17);
+    return core::generate_underlying(
+        core::PaluParams::solve_hubs(6.0, 0.35, 0.2, 2.3, 1.0), 150000, rng);
+  }();
+  static const traffic::SyntheticTrafficGenerator gen(
+      net.graph, traffic::RateModel{}, Rng(18));
+  return gen;
+}
+
+// One window through the accumulator and its histogram: arg 0 and 1 add a
+// 20000-packet window packet by packet (serve's N_V) and bin undirected
+// degree or source packets; arg 2 ingests a 1e6-packet count-space window
+// (the sweep's) and bins undirected degree.
+void BM_WindowHistogram(benchmark::State& state) {
+  traffic::SyntheticTrafficGenerator gen = bench_law_generator();
+  traffic::WindowAccumulator acc;
+  if (state.range(0) == 2) {
+    std::vector<traffic::EdgePacketCounts> pairs;
+    gen.next_window_counts(1000000, pairs);
+    for (auto _ : state) {
+      acc.begin_window();
+      acc.ingest_counts(pairs);
+      benchmark::DoNotOptimize(
+          acc.histogram(traffic::Quantity::kUndirectedDegree));
+    }
+    return;
+  }
+  std::vector<traffic::Packet> window(20000);
+  gen.next_batch(window);
+  const auto q = state.range(0) == 0 ? traffic::Quantity::kUndirectedDegree
+                                     : traffic::Quantity::kSourcePackets;
+  for (auto _ : state) {
+    acc.begin_window();
+    acc.add_packets(window);
+    benchmark::DoNotOptimize(acc.histogram(q));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(window.size()));
+}
+BENCHMARK(BM_WindowHistogram)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
 // Pooled least-squares ZM fit; d_max 320 is a serve window's regime.
 void BM_ZmFit(benchmark::State& state) {
   const auto dmax = static_cast<Degree>(state.range(0));

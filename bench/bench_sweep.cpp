@@ -34,9 +34,11 @@
 //                 // they add up to about pool_threads × the wall figure;
 //                 // 8 windows per pool thread, each the median of the
 //                 // repeats)
-//     "expected": {"points": [{"nvalid", "seconds_per_eval"}],
+//     "expected": {"repeats", "points": [{"nvalid", "seconds_per_eval"}],
 //                  "ratios": [...],   // flat ⇒ analytic cost is N_V-free
 //                  "counts_sweep_seconds_over_expected_eval": X},
+//                 // (seconds_per_eval: one evaluate_expected_window call
+//                 // less its setup stage, the median of the repeats)
 //     "capture": {... same shape: the counts run teed into the store ...},
 //     "replay": {... same shape as fast/counts ...},
 //     "replay_store": {"windows", "records", "payload_bytes", "file_bytes",
@@ -357,25 +359,40 @@ int main(int argc, char** argv) {
   // Expected (analytic) axis (PR 9): one deterministic evaluation per
   // window size, no RNG.  The same N_V ladder as the counts axis, so the
   // two curves are directly comparable: expected cost should be flat in
-  // N_V, and one evaluation replaces the whole sampled ensemble.
+  // N_V, and one evaluation replaces the whole sampled ensemble.  As on
+  // the counts axis, each call's table build (its setup stage) is taken
+  // out of its wall time, and a point is the median of kScalingRepeats
+  // calls.
   std::vector<double> expected_per_eval;
   std::vector<double> expected_ratios;
   bool expected_sane = true;
   if (!replay_only) {
     for (const Count nv : scaling_nvalid) {
-      obs::Registry registry;
-      const auto t0 = std::chrono::steady_clock::now();
-      const traffic::ExpectedWindow win = traffic::evaluate_expected_window(
-          net.graph, traffic::RateModel{}, nv, quantity, seed, pool,
-          &registry);
-      const double seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      const double mass = win.mass.total_mass();
-      expected_per_eval.push_back(seconds);
-      if (std::abs(mass - 1.0) > 1e-9) expected_sane = false;
-      std::printf("expected: nvalid=%llu %.2fms/eval (mass=%.9f)\n",
-                  static_cast<unsigned long long>(nv), seconds * 1e3, mass);
+      std::vector<double> repeats;
+      double mass = 0.0;
+      for (std::size_t rep = 0; rep < kScalingRepeats; ++rep) {
+        obs::Registry registry;
+        const auto t0 = std::chrono::steady_clock::now();
+        const traffic::ExpectedWindow win =
+            traffic::evaluate_expected_window(net.graph, traffic::RateModel{},
+                                              nv, quantity, seed, pool,
+                                              &registry);
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+        repeats.push_back(seconds -
+                          1e-9 * static_cast<double>(
+                                     stage_ns(registry, "expected", "setup")));
+        mass = win.mass.total_mass();
+        if (std::abs(mass - 1.0) > 1e-9) expected_sane = false;
+      }
+      std::sort(repeats.begin(), repeats.end());
+      expected_per_eval.push_back(repeats[kScalingRepeats / 2]);
+      std::printf("expected: nvalid=%llu %.2fms/eval (repeats %.2f..%.2f, "
+                  "mass=%.9f)\n",
+                  static_cast<unsigned long long>(nv),
+                  expected_per_eval.back() * 1e3, repeats.front() * 1e3,
+                  repeats.back() * 1e3, mass);
     }
     for (std::size_t i = 1; i < expected_per_eval.size(); ++i) {
       expected_ratios.push_back(expected_per_eval[i] /
@@ -517,7 +534,8 @@ int main(int argc, char** argv) {
       out << (i ? ", " : "") << ratios[i];
     }
     out << "]},\n";
-    out << "  \"expected\": {\"points\": [";
+    out << "  \"expected\": {\"repeats\": " << kScalingRepeats
+        << ", \"points\": [";
     for (std::size_t i = 0; i < scaling_nvalid.size(); ++i) {
       out << (i ? ", " : "") << "{\"nvalid\": " << scaling_nvalid[i]
           << ", \"seconds_per_eval\": " << expected_per_eval[i] << "}";

@@ -33,9 +33,10 @@ namespace palu::store {
 struct WriterOptions {
   /// Node-id domain of the producer (graph node count), recorded in the
   /// file header for provenance.  Must be >= 1.  The writer widens it at
-  /// finish() to cover every appended endpoint id, so a producer that
-  /// cannot know the domain up front (the serve recorder ingesting an
-  /// arbitrary trace) passes 1 and lets the data set it.
+  /// finish() to cover every appended endpoint id (saturating at
+  /// 2^64 − 1), so a producer that cannot know the domain up front (the
+  /// serve recorder ingesting an arbitrary trace) passes 1 and lets the
+  /// data set it.
   NodeId node_domain = 0;
   /// Producer RNG seed, stored for provenance only.
   std::uint64_t seed = 0;

@@ -4,22 +4,25 @@
 // windows into it; only `census`, which needs the window's graph, still
 // builds a SparseCountMatrix.
 //
-// Two arena-reused open-addressing tables back the accumulator: a cell
-// table over (src, dst) packet counts and a node table for per-endpoint
-// marginals.  begin_window() retires the previous window by bumping an
-// epoch stamp instead of clearing, so the Monte-Carlo sweep's thousands of
-// windows reuse one allocation instead of churning the heap.  All six
-// Quantity histograms come from a single unsorted pass over the live
-// cells — no entries() copy+sort and no per-node peer sets — and produce
-// histograms identical in content to quantity_histogram() on the
-// equivalent SparseCountMatrix.
+// A window is a set of unordered-pair records, EdgePacketCounts
+// {u, v, forward, backward}: `forward` packets on (u, v) and `backward` on
+// (v, u).  A packet window keeps them in one arena-reused open-addressing
+// table keyed by (min, max) — add() picks the direction, and
+// begin_window() retires the previous window by bumping an epoch stamp
+// instead of clearing, so the Monte-Carlo sweep's thousands of windows
+// reuse one allocation.  A count-space window (ingest_counts) is a view of
+// the caller's records, which already hold one record per pair.
 //
-// Count-space windows (ingest_counts) skip the hash tables entirely: the
-// generator already delivers one record per active unordered pair, so the
-// accumulator keeps a flat view of the records and computes marginals in
-// dense NodeId-indexed scratch arrays with touched-lists for O(active)
-// reset.  When node ids are too sparse for dense indexing the records are
-// replayed through the hash tables instead — slower, still exact.
+// histogram() is one kernel over the pair records for both kinds of
+// window: link packets read each record's two directions, and the node
+// quantities credit each record's endpoints — undirected degree once per
+// endpoint, with no mirror lookup, since a record is its pair.  Node
+// marginals accumulate in dense NodeId-indexed arrays whenever the largest
+// id is within a fixed multiple of the record count (emitted by a linear
+// sweep when the ids are dense in the records, through a touched list when
+// they are not), and in a node hash table otherwise.  Every histogram is
+// identical in content to quantity_histogram() on the SparseCountMatrix
+// holding the same cells.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +40,8 @@ class WindowAccumulator {
  public:
   WindowAccumulator();
 
-  /// Starts a new window: drops all cells in O(1) (epoch bump) while
-  /// keeping both tables' capacity for reuse.
+  /// Starts a new window: drops all pairs in O(1) (epoch bump) while
+  /// keeping the tables' capacity for reuse.
   void begin_window();
 
   /// Adds `count` packets on the (src, dst) link of the current window.
@@ -63,67 +66,63 @@ class WindowAccumulator {
   Count total() const noexcept { return total_; }
 
   /// Number of live (src, dst) cells (the nnz of A_t).
-  std::size_t nnz() const noexcept {
-    return counts_mode_ ? counts_nnz_ : live_cells_.size();
-  }
+  std::size_t nnz() const noexcept { return nnz_; }
 
   /// Packet count of a specific link, 0 if absent.
   Count at(NodeId src, NodeId dst) const;
 
-  /// Appends the current window's content to `out` as unordered-pair
-  /// records with the lower endpoint in `u` (self-pairs all-forward),
-  /// zero rows dropped — the capture-tee export for the columnar window
-  /// store.  In hash mode a pair that saw both directions is emitted
-  /// twice (once per live cell); order is unspecified.  Consumers that
-  /// need canonical form (sorted, one record per pair) coalesce —
-  /// ingest_counts cannot take this output directly.
+  /// Appends the current window's content to `out`, one record per
+  /// unordered pair that saw traffic (zero rows dropped) — the
+  /// capture-tee export for the columnar window store.  A packet window's
+  /// records carry the lower endpoint in `u` (self-pairs all-forward); a
+  /// count-space window's are the ingested records.  Order is
+  /// unspecified; the store writer sorts.
   void export_counts(std::vector<EdgePacketCounts>& out) const;
 
   /// Histogram of one quantity over the current window, computed in a
-  /// single unsorted pass; content-identical to quantity_histogram() on a
-  /// SparseCountMatrix holding the same cells.  Non-const: reuses the node
-  /// scratch table.
+  /// single unsorted pass over the pair records; content-identical to
+  /// quantity_histogram() on a SparseCountMatrix holding the same cells.
+  /// Non-const: reuses the node and value scratch.
   stats::DegreeHistogram histogram(Quantity q);
 
  private:
-  struct Cell {
-    NodeId src;
-    NodeId dst;
-    Count count;
+  struct Slot {
+    std::uint32_t epoch;
+    std::uint32_t index;  // into live_
   };
   struct NodeSlot {
     NodeId id;
     Count packets;
     Count fan;
   };
-  static constexpr std::size_t kNpos = ~std::size_t{0};
 
-  static std::uint64_t mix_cell(NodeId src, NodeId dst) noexcept;
-  static std::uint64_t mix_node(NodeId id) noexcept;
-
-  std::size_t find_cell(NodeId src, NodeId dst) const noexcept;
-  std::size_t find_or_insert_cell(NodeId src, NodeId dst);
-  void grow_cells();
+  std::span<const EdgePacketCounts> records() const noexcept;
+  std::size_t probe(NodeId u, NodeId v) const noexcept;
+  void grow_pairs();
 
   void begin_node_pass();
   NodeSlot& node_slot(NodeId id);
   void grow_nodes();
 
-  stats::DegreeHistogram histogram_counts(Quantity q);
-  stats::DegreeHistogram emit_dense_nodes(bool want_packets);
-  stats::DegreeHistogram drain_value_scratch();
   void add_value(Count v);
+  stats::DegreeHistogram drain_value_scratch();
 
-  // ---- cell table (open addressing, linear probing, epoch-stamped) ----
-  std::vector<Cell> cells_;
-  std::vector<std::uint32_t> cell_epoch_;
-  std::vector<std::uint32_t> live_cells_;  // slot indices, insertion order
+  // ---- pair table (open addressing, linear probing, epoch-stamped) ----
+  // A packet window's records live in live_, in insertion order; a slot
+  // whose epoch is current indexes one of them.
+  std::vector<EdgePacketCounts> live_;
+  std::vector<Slot> slots_;
   std::uint32_t epoch_ = 1;
-  std::size_t cell_mask_ = 0;  // capacity − 1 (capacity is a power of 2)
-  std::size_t cell_grow_at_ = 0;
-  Count total_ = 0;
+  std::size_t slot_mask_ = 0;  // capacity − 1 (capacity is a power of 2)
 
-  // ---- node scratch table (one histogram pass at a time) ----
+  // ---- the current window, either kind ----
+  std::span<const EdgePacketCounts> pairs_;  // count-space view
+  bool counts_mode_ = false;
+  Count total_ = 0;
+  std::size_t nnz_ = 0;
+  NodeId max_id_ = 0;  // largest endpoint of any record
+
+  // ---- node scratch table (sparse ids; one histogram pass at a time) ----
   std::vector<NodeSlot> nodes_;
   std::vector<std::uint32_t> node_epoch_;
   std::vector<std::uint32_t> live_nodes_;
@@ -131,24 +130,18 @@ class WindowAccumulator {
   std::size_t node_mask_ = 0;
   std::size_t node_grow_at_ = 0;
 
-  // ---- count-space window state (dense, hash-free) ----
+  // ---- dense marginal and value scratch ----
   // Invariant between histogram passes: every entry of the dense arrays is
-  // zero.  Node passes accumulate into the dense arrays, then one linear
-  // emit over [0, counts_dense_nodes_) reads and re-zeroes them — a fixed
-  // graph-sized sweep, so per-window cost does not track the active-node
-  // count.  The value scratch keeps a touched-list because histogram
-  // values are unbounded.
-  //
-  // A counts-mode window is one record view into caller-owned storage.
-  std::span<const EdgePacketCounts> pairs_;
-  bool counts_mode_ = false;
-  std::size_t counts_nnz_ = 0;
-  std::size_t counts_dense_nodes_ = 0;     // emit scan bound (max id + 1)
-  std::vector<Count> node_packets_dense_;  // indexed by NodeId
-  std::vector<Count> node_fan_dense_;      // indexed by NodeId
-  std::vector<Count> value_count_;         // indexed by histogram value
+  // zero.  They grow lazily to the largest id a dense pass has seen, and
+  // the packet array only when a packet quantity is asked for.  A fan
+  // counts records (< 2^32).  The value scratch keeps a touched list
+  // because histogram values are unbounded.
+  std::vector<std::uint32_t> node_fan_;  // indexed by NodeId
+  std::vector<Count> node_packets_;      // indexed by NodeId
+  std::vector<NodeId> touched_nodes_;
+  std::vector<Count> value_count_;       // indexed by histogram value
   std::vector<Count> touched_values_;
-  std::vector<Count> overflow_values_;     // values >= the dense cap
+  std::vector<Count> overflow_values_;   // values >= the dense cap
 };
 
 }  // namespace palu::traffic

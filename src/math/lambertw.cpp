@@ -7,7 +7,7 @@
 namespace palu::math {
 namespace {
 
-// −1/e rounded to double (the true branch point is ~5.6e-18 below this).
+// −1/e rounded to double (the true branch point is ~1.2e-17 above this).
 constexpr double kBranchPoint = -0.36787944117144233;
 
 // Starting value accurate to a few percent everywhere on [−1/e, ∞); Halley

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <utility>
 
 #include "palu/common/error.hpp"
@@ -120,9 +121,13 @@ void WindowStoreWriter::append(
     }
   }
   sort_buf_.resize(kept);
-  // Canonical records have v >= u, so v alone bounds the id domain.
+  // Canonical records have v >= u, so v alone bounds the id domain.  It
+  // saturates at 2^64 − 1: id 2^64 − 1 is a valid trace token, and v + 1
+  // would wrap to 0.
   for (const traffic::EdgePacketCounts& r : sort_buf_) {
-    node_domain_ = std::max<std::uint64_t>(node_domain_, r.v + 1);
+    const NodeId past =
+        r.v == std::numeric_limits<NodeId>::max() ? r.v : r.v + 1;
+    node_domain_ = std::max<std::uint64_t>(node_domain_, past);
   }
 
   // Encode: per-record (Δu varint, zigzag Δv varint, forward, backward),

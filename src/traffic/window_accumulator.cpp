@@ -8,33 +8,28 @@ namespace palu::traffic {
 
 namespace {
 constexpr std::size_t kInitialCapacity = std::size_t{1} << 10;
-// The live-slot lists hold 32-bit indices, so tables cap at 2^32 slots.
+// Slots and live-node lists hold 32-bit indices, so tables cap at 2^32
+// slots and a window at 2^32 records (which also bounds every fan).
 constexpr std::size_t kMaxCapacity = std::size_t{1} << 32;
-// Count-space windows use dense NodeId-indexed marginal arrays only while
-// the id range stays within a small factor of the active pair count;
-// beyond that (sparse ids) the records replay through the hash tables.
-constexpr std::size_t kDenseNodeFactor = 8;
+// Node marginals use the dense NodeId-indexed arrays while the largest id
+// stays below kDenseNodeFactor × records + kDenseNodeFloor; sparser ids
+// take the node table.  A 20000-packet window of the 150k-node bench
+// trace holds ~15.9k pairs over ids up to ~149.7k (9.4× its records).
+constexpr std::size_t kDenseNodeFactor = 16;
 constexpr std::size_t kDenseNodeFloor = 4096;
+// A dense pass emits by a linear sweep of [0, max id] when that range is
+// within kSweepFactor × records, and through the touched-node list
+// otherwise.  On the bench law the sweep wins from 100000-packet windows
+// (55k pairs, 2.7× range) up and the list at 20000 packets (9.8×).
+constexpr std::size_t kSweepFactor = 4;
 // Histogram values below this accumulate in a dense value-indexed array;
 // rarer larger values (a single pair can carry ~N_V packets) go through a
 // small overflow list so the scratch never balloons.
 constexpr Count kDenseValueCap = Count{1} << 22;
-}  // namespace
 
-WindowAccumulator::WindowAccumulator() {
-  cells_.resize(kInitialCapacity);
-  cell_epoch_.assign(kInitialCapacity, 0);
-  cell_mask_ = kInitialCapacity - 1;
-  cell_grow_at_ = kInitialCapacity - kInitialCapacity / 4;
-  nodes_.resize(kInitialCapacity);
-  node_epoch_.assign(kInitialCapacity, 0);
-  node_mask_ = kInitialCapacity - 1;
-  node_grow_at_ = kInitialCapacity - kInitialCapacity / 4;
-}
-
-std::uint64_t WindowAccumulator::mix_cell(NodeId src, NodeId dst) noexcept {
-  std::uint64_t h = src * 0x9e3779b97f4a7c15ULL;
-  h ^= dst + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+std::uint64_t mix_pair(NodeId u, NodeId v) noexcept {
+  std::uint64_t h = u * 0x9e3779b97f4a7c15ULL;
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   // murmur3 finalizer: linear probing needs well-mixed low bits.
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
@@ -44,32 +39,93 @@ std::uint64_t WindowAccumulator::mix_cell(NodeId src, NodeId dst) noexcept {
   return h;
 }
 
-std::uint64_t WindowAccumulator::mix_node(NodeId id) noexcept {
+std::uint64_t mix_node(NodeId id) noexcept {
   std::uint64_t h = id + 0x9e3779b97f4a7c15ULL;
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
   return h ^ (h >> 31);
 }
 
+/// Calls credit(node, packets) once per (node, directed cell) incidence of
+/// quantity q — the cell's source for the source quantities, its
+/// destination for the destination ones — or, for undirected degree,
+/// credit(endpoint, 0) once per endpoint of every non-self pair that saw
+/// traffic.  A record is its pair, so no pair is credited twice.
+template <class Credit>
+void credit_nodes(std::span<const EdgePacketCounts> records, Quantity q,
+                  Credit&& credit) {
+  if (q == Quantity::kUndirectedDegree) {
+    for (const EdgePacketCounts& r : records) {
+      if (r.u == r.v || (r.forward | r.backward) == 0) continue;
+      credit(r.u, Count{0});
+      credit(r.v, Count{0});
+    }
+    return;
+  }
+  const bool source =
+      q == Quantity::kSourcePackets || q == Quantity::kSourceFanOut;
+  for (const EdgePacketCounts& r : records) {
+    if (r.forward > 0) credit(source ? r.u : r.v, r.forward);
+    if (r.backward > 0) credit(source ? r.v : r.u, r.backward);
+  }
+}
+}  // namespace
+
+WindowAccumulator::WindowAccumulator() {
+  slots_.assign(kInitialCapacity, Slot{0, 0});
+  slot_mask_ = kInitialCapacity - 1;
+  nodes_.resize(kInitialCapacity);
+  node_epoch_.assign(kInitialCapacity, 0);
+  node_mask_ = kInitialCapacity - 1;
+  node_grow_at_ = kInitialCapacity - kInitialCapacity / 4;
+}
+
 void WindowAccumulator::begin_window() {
-  live_cells_.clear();
-  total_ = 0;
-  counts_mode_ = false;
-  counts_nnz_ = 0;
+  live_.clear();
   pairs_ = {};
+  counts_mode_ = false;
+  total_ = 0;
+  nnz_ = 0;
+  max_id_ = 0;
   if (++epoch_ == 0) {
     // The 32-bit stamp wrapped: stamps from 2^32 windows ago could alias
     // the new epoch, so take the rare O(capacity) clear.
-    std::fill(cell_epoch_.begin(), cell_epoch_.end(), 0u);
+    std::fill(slots_.begin(), slots_.end(), Slot{0, 0});
     epoch_ = 1;
   }
 }
 
+inline std::size_t WindowAccumulator::probe(NodeId u,
+                                            NodeId v) const noexcept {
+  // The slot holding (u, v)'s record, else the free slot it would take.
+  std::size_t i = mix_pair(u, v) & slot_mask_;
+  while (slots_[i].epoch == epoch_) {
+    const EdgePacketCounts& r = live_[slots_[i].index];
+    if (r.u == u && r.v == v) break;
+    i = (i + 1) & slot_mask_;
+  }
+  return i;
+}
+
 void WindowAccumulator::add(NodeId src, NodeId dst, Count count) {
   if (count == 0) return;
-  if (live_cells_.size() >= cell_grow_at_) grow_cells();
-  const std::size_t slot = find_or_insert_cell(src, dst);
-  cells_[slot].count += count;
+  if (4 * live_.size() >= 3 * (slot_mask_ + 1)) grow_pairs();
+  const bool forward = src <= dst;
+  const NodeId u = forward ? src : dst;
+  const NodeId v = forward ? dst : src;
+  Slot& slot = slots_[probe(u, v)];
+  if (slot.epoch != epoch_) {
+    slot = Slot{epoch_, static_cast<std::uint32_t>(live_.size())};
+    live_.push_back(EdgePacketCounts{u, v, 0, 0});
+    max_id_ = std::max(max_id_, v);
+  }
+  // A packet's direction is a coin flip, so pick its cell without a
+  // branch the predictor would miss half the time.
+  EdgePacketCounts& r = live_[slot.index];
+  Count* const cells[2] = {&r.backward, &r.forward};
+  Count* const cell = cells[forward];
+  nnz_ += *cell == 0;
+  *cell += count;
   total_ += count;
 }
 
@@ -77,7 +133,24 @@ void WindowAccumulator::add_packets(std::span<const Packet> packets) {
   for (const Packet& p : packets) add(p.src, p.dst);
 }
 
+void WindowAccumulator::grow_pairs() {
+  const std::size_t new_capacity = (slot_mask_ + 1) * 2;
+  PALU_CHECK(new_capacity <= kMaxCapacity,
+             "WindowAccumulator: pair table exceeds 2^32 slots");
+  slots_.assign(new_capacity, Slot{0, 0});
+  slot_mask_ = new_capacity - 1;
+  epoch_ = 1;
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    slots_[probe(live_[i].u, live_[i].v)] =
+        Slot{epoch_, static_cast<std::uint32_t>(i)};
+  }
+}
+
 void WindowAccumulator::ingest_counts(std::span<const EdgePacketCounts> pairs) {
+  PALU_CHECK(pairs.size() < kMaxCapacity,
+             "WindowAccumulator: window exceeds 2^32 pair records");
+  counts_mode_ = true;
+  pairs_ = pairs;
   Count total = 0;
   std::size_t nnz = 0;
   NodeId max_id = 0;
@@ -87,105 +160,39 @@ void WindowAccumulator::ingest_counts(std::span<const EdgePacketCounts> pairs) {
            static_cast<std::size_t>(pc.backward > 0);
     max_id = std::max({max_id, pc.u, pc.v});
   }
-  const std::size_t dense_nodes = static_cast<std::size_t>(max_id) + 1;
-  if (!pairs.empty() &&
-      dense_nodes > kDenseNodeFactor * pairs.size() + kDenseNodeFloor) {
-    // Ids too sparse for dense marginals: replay through the hash tables.
-    for (const EdgePacketCounts& pc : pairs) {
-      add(pc.u, pc.v, pc.forward);
-      add(pc.v, pc.u, pc.backward);
-    }
-    return;
-  }
-  counts_mode_ = true;
-  counts_nnz_ = nnz;
-  counts_dense_nodes_ = dense_nodes;
   total_ = total;
-  pairs_ = pairs;
-  if (node_packets_dense_.size() < dense_nodes) {
-    node_packets_dense_.assign(dense_nodes, 0);
-    node_fan_dense_.assign(dense_nodes, 0);
-  }
+  nnz_ = nnz;
+  max_id_ = max_id;
+}
+
+std::span<const EdgePacketCounts> WindowAccumulator::records()
+    const noexcept {
+  return counts_mode_ ? pairs_ : std::span<const EdgePacketCounts>(live_);
 }
 
 void WindowAccumulator::export_counts(
     std::vector<EdgePacketCounts>& out) const {
-  if (counts_mode_) {
-    for (const EdgePacketCounts& pc : pairs_) {
-      if (pc.forward + pc.backward == 0) continue;
-      out.push_back(pc);
-    }
-    return;
-  }
-  // Hash mode: every live cell carries a positive count on one directed
-  // link; canonicalize each to lower-endpoint-first (self-pairs keep all
-  // packets in `forward`, matching the counts generator's convention).
-  for (const std::uint32_t slot : live_cells_) {
-    const Cell& c = cells_[slot];
-    if (c.src <= c.dst) {
-      out.push_back(EdgePacketCounts{c.src, c.dst, c.count, 0});
-    } else {
-      out.push_back(EdgePacketCounts{c.dst, c.src, 0, c.count});
-    }
+  for (const EdgePacketCounts& r : records()) {
+    if ((r.forward | r.backward) != 0) out.push_back(r);
   }
 }
 
 Count WindowAccumulator::at(NodeId src, NodeId dst) const {
+  const EdgePacketCounts* r = nullptr;
   if (counts_mode_) {
     // Cold path (tests, spot checks): one scan over the unique pairs.
     for (const EdgePacketCounts& pc : pairs_) {
-      if (pc.u == src && pc.v == dst) return pc.forward;
-      if (pc.u == dst && pc.v == src) return pc.backward;
+      if ((pc.u == src && pc.v == dst) || (pc.u == dst && pc.v == src)) {
+        r = &pc;
+        break;
+      }
     }
-    return 0;
+  } else {
+    const Slot& slot = slots_[probe(std::min(src, dst), std::max(src, dst))];
+    if (slot.epoch == epoch_) r = &live_[slot.index];
   }
-  const std::size_t slot = find_cell(src, dst);
-  return slot == kNpos ? 0 : cells_[slot].count;
-}
-
-std::size_t WindowAccumulator::find_cell(NodeId src,
-                                         NodeId dst) const noexcept {
-  std::size_t i = mix_cell(src, dst) & cell_mask_;
-  for (;;) {
-    if (cell_epoch_[i] != epoch_) return kNpos;
-    const Cell& c = cells_[i];
-    if (c.src == src && c.dst == dst) return i;
-    i = (i + 1) & cell_mask_;
-  }
-}
-
-std::size_t WindowAccumulator::find_or_insert_cell(NodeId src, NodeId dst) {
-  std::size_t i = mix_cell(src, dst) & cell_mask_;
-  for (;;) {
-    if (cell_epoch_[i] != epoch_) {
-      cell_epoch_[i] = epoch_;
-      cells_[i] = Cell{src, dst, 0};
-      live_cells_.push_back(static_cast<std::uint32_t>(i));
-      return i;
-    }
-    const Cell& c = cells_[i];
-    if (c.src == src && c.dst == dst) return i;
-    i = (i + 1) & cell_mask_;
-  }
-}
-
-void WindowAccumulator::grow_cells() {
-  const std::size_t new_capacity = (cell_mask_ + 1) * 2;
-  PALU_CHECK(new_capacity <= kMaxCapacity,
-             "WindowAccumulator: cell table exceeds 2^32 slots");
-  std::vector<Cell> live;
-  live.reserve(live_cells_.size());
-  for (const std::uint32_t slot : live_cells_) live.push_back(cells_[slot]);
-  cells_.assign(new_capacity, Cell{});
-  cell_epoch_.assign(new_capacity, 0u);
-  cell_mask_ = new_capacity - 1;
-  cell_grow_at_ = new_capacity - new_capacity / 4;
-  epoch_ = 1;
-  live_cells_.clear();
-  for (const Cell& c : live) {
-    const std::size_t slot = find_or_insert_cell(c.src, c.dst);
-    cells_[slot].count = c.count;
-  }
+  if (r == nullptr) return 0;
+  return r->u == src ? r->forward : r->backward;
 }
 
 void WindowAccumulator::begin_node_pass() {
@@ -227,66 +234,6 @@ void WindowAccumulator::grow_nodes() {
   for (const NodeSlot& n : live) node_slot(n.id) = n;
 }
 
-stats::DegreeHistogram WindowAccumulator::histogram(Quantity q) {
-  if (counts_mode_) return histogram_counts(q);
-  stats::DegreeHistogram h;
-  switch (q) {
-    case Quantity::kLinkPackets:
-      for (const std::uint32_t slot : live_cells_) {
-        h.add(cells_[slot].count);
-      }
-      return h;
-    case Quantity::kSourcePackets:
-    case Quantity::kSourceFanOut: {
-      begin_node_pass();
-      for (const std::uint32_t slot : live_cells_) {
-        const Cell& c = cells_[slot];
-        NodeSlot& n = node_slot(c.src);
-        n.packets += c.count;
-        ++n.fan;
-      }
-      const bool want_packets = q == Quantity::kSourcePackets;
-      for (const std::uint32_t slot : live_nodes_) {
-        h.add(want_packets ? nodes_[slot].packets : nodes_[slot].fan);
-      }
-      return h;
-    }
-    case Quantity::kDestinationPackets:
-    case Quantity::kDestinationFanIn: {
-      begin_node_pass();
-      for (const std::uint32_t slot : live_cells_) {
-        const Cell& c = cells_[slot];
-        NodeSlot& n = node_slot(c.dst);
-        n.packets += c.count;
-        ++n.fan;
-      }
-      const bool want_packets = q == Quantity::kDestinationPackets;
-      for (const std::uint32_t slot : live_nodes_) {
-        h.add(want_packets ? nodes_[slot].packets : nodes_[slot].fan);
-      }
-      return h;
-    }
-    case Quantity::kUndirectedDegree: {
-      // Same pair-owned-once rule as undirected_degree_histogram: the
-      // (min, max) orientation credits both endpoints; the mirror cell
-      // counts only when its partner is absent.
-      begin_node_pass();
-      for (const std::uint32_t slot : live_cells_) {
-        const Cell& c = cells_[slot];
-        if (c.src == c.dst) continue;
-        if (c.src > c.dst && find_cell(c.dst, c.src) != kNpos) continue;
-        ++node_slot(c.src).fan;
-        ++node_slot(c.dst).fan;
-      }
-      for (const std::uint32_t slot : live_nodes_) {
-        h.add(nodes_[slot].fan);
-      }
-      return h;
-    }
-  }
-  return h;
-}
-
 void WindowAccumulator::add_value(Count v) {
   if (v >= kDenseValueCap) {
     overflow_values_.push_back(v);
@@ -311,73 +258,61 @@ stats::DegreeHistogram WindowAccumulator::drain_value_scratch() {
   return h;
 }
 
-stats::DegreeHistogram WindowAccumulator::emit_dense_nodes(
-    bool want_packets) {
-  // Linear sweep over the dense id range: every pass increments fan when
-  // it credits a node, so fan > 0 marks exactly the touched nodes, and
-  // re-zeroing restores the all-zero invariant.  The sweep is a fixed
-  // graph-sized cost — cheaper than touched-list bookkeeping once most
-  // nodes are active, and N_V-independent either way.
-  for (std::size_t id = 0; id < counts_dense_nodes_; ++id) {
-    const Count fan = node_fan_dense_[id];
-    if (fan == 0) continue;
-    add_value(want_packets ? node_packets_dense_[id] : fan);
-    node_packets_dense_[id] = 0;
-    node_fan_dense_[id] = 0;
+stats::DegreeHistogram WindowAccumulator::histogram(Quantity q) {
+  const std::span<const EdgePacketCounts> recs = records();
+  if (q == Quantity::kLinkPackets) {
+    for (const EdgePacketCounts& r : recs) {
+      if (r.forward > 0) add_value(r.forward);
+      if (r.backward > 0) add_value(r.backward);
+    }
+    return drain_value_scratch();
+  }
+  const bool want_packets =
+      q == Quantity::kSourcePackets || q == Quantity::kDestinationPackets;
+  // No overflow on either side: records are fewer than 2^32.
+  if (max_id_ >= kDenseNodeFactor * recs.size() + kDenseNodeFloor) {
+    begin_node_pass();
+    credit_nodes(recs, q, [this](NodeId id, Count packets) {
+      NodeSlot& n = node_slot(id);
+      n.packets += packets;
+      ++n.fan;
+    });
+    for (const std::uint32_t slot : live_nodes_) {
+      add_value(want_packets ? nodes_[slot].packets : nodes_[slot].fan);
+    }
+    return drain_value_scratch();
+  }
+  const std::size_t dense = static_cast<std::size_t>(max_id_) + 1;
+  if (node_fan_.size() < dense) node_fan_.resize(dense, 0);
+  if (want_packets && node_packets_.size() < dense) {
+    node_packets_.resize(dense, 0);
+  }
+  std::uint32_t* fan = node_fan_.data();
+  Count* packets = node_packets_.data();
+  const auto emit = [&](std::size_t id) {
+    add_value(want_packets ? packets[id] : fan[id]);
+    fan[id] = 0;
+    if (want_packets) packets[id] = 0;
+  };
+  if (max_id_ < kSweepFactor * recs.size()) {
+    // Most ids in range are active: sweep it.  Every pass increments fan
+    // when it credits a node, so fan > 0 marks exactly the touched nodes.
+    credit_nodes(recs, q, [&](NodeId id, Count p) {
+      ++fan[id];
+      if (want_packets) packets[id] += p;
+    });
+    for (std::size_t id = 0; id < dense; ++id) {
+      if (fan[id] != 0) emit(id);
+    }
+  } else {
+    credit_nodes(recs, q, [&](NodeId id, Count p) {
+      if (fan[id]++ == 0) touched_nodes_.push_back(id);
+      if (want_packets) packets[id] += p;
+    });
+    for (const NodeId id : touched_nodes_) emit(id);
+    touched_nodes_.clear();
   }
   return drain_value_scratch();
-}
-
-stats::DegreeHistogram WindowAccumulator::histogram_counts(Quantity q) {
-  // Each record expands to the directed cells (u, v, forward) and
-  // (v, u, backward); pairs are unique, so — unlike the hash path — no
-  // mirror lookups are needed anywhere, including kUndirectedDegree.
-  switch (q) {
-    case Quantity::kLinkPackets:
-      for (const EdgePacketCounts& pc : pairs_) {
-        if (pc.forward > 0) add_value(pc.forward);
-        if (pc.backward > 0) add_value(pc.backward);
-      }
-      return drain_value_scratch();
-    case Quantity::kSourcePackets:
-    case Quantity::kSourceFanOut:
-      for (const EdgePacketCounts& pc : pairs_) {
-        if (pc.forward > 0) {
-          node_packets_dense_[pc.u] += pc.forward;
-          ++node_fan_dense_[pc.u];
-        }
-        if (pc.backward > 0) {
-          node_packets_dense_[pc.v] += pc.backward;
-          ++node_fan_dense_[pc.v];
-        }
-      }
-      return emit_dense_nodes(q == Quantity::kSourcePackets);
-    case Quantity::kDestinationPackets:
-    case Quantity::kDestinationFanIn:
-      for (const EdgePacketCounts& pc : pairs_) {
-        if (pc.forward > 0) {
-          node_packets_dense_[pc.v] += pc.forward;
-          ++node_fan_dense_[pc.v];
-        }
-        if (pc.backward > 0) {
-          node_packets_dense_[pc.u] += pc.backward;
-          ++node_fan_dense_[pc.u];
-        }
-      }
-      return emit_dense_nodes(q == Quantity::kDestinationPackets);
-    case Quantity::kUndirectedDegree:
-      // Pair-owned-once comes for free: every record IS one unordered
-      // pair, so each endpoint is credited exactly once per active pair.
-      // Zero rows (the support pairs that drew no packets this window)
-      // carry no degree.
-      for (const EdgePacketCounts& pc : pairs_) {
-        if (pc.u == pc.v || (pc.forward | pc.backward) == 0) continue;
-        ++node_fan_dense_[pc.u];
-        ++node_fan_dense_[pc.v];
-      }
-      return emit_dense_nodes(false);
-  }
-  return stats::DegreeHistogram{};
 }
 
 }  // namespace palu::traffic

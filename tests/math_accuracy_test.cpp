@@ -18,6 +18,7 @@
 #include "palu/math/binmass.hpp"
 #include "palu/math/gamma.hpp"
 #include "palu/math/incomplete_gamma.hpp"
+#include "palu/math/lambertw.hpp"
 #include "palu/math/stable.hpp"
 #include "palu/math/vexp.hpp"
 #include "palu/math/zeta.hpp"
@@ -438,6 +439,92 @@ TEST(ZetaCrossCheck, HurwitzZetaMatchesLongDoubleReference) {
   char worst_text[32];
   std::snprintf(worst_text, sizeof worst_text, "%.3g", worst);
   RecordProperty("worst_relative_error", worst_text);
+}
+
+// ------------------------------------------------ Lambert W cross-check
+
+// W₀(x) in long double by bisection of the monotone w·e^w − x over a
+// bracket that holds the root: [max(−1, e·x), x] for x < 0, [x/e, x] up
+// to x = e, and [ln x − ln ln x, ln x] above.  Shares no code with
+// src/math.  Near −1/e the residual's rounding (~1e-19) moves the root by
+// about 1e-19·e / (W + 1), far inside the conditioning bound checked
+// there.
+long double lambert_w0_reference(double x) {
+  const long double xl = x;
+  long double lo, hi;
+  if (x < 0) {
+    lo = std::max(-1.0L, std::numbers::e_v<long double> * xl);
+    hi = xl;
+  } else if (xl <= std::numbers::e_v<long double>) {
+    lo = xl / std::numbers::e_v<long double>;
+    hi = xl;
+  } else {
+    hi = std::log(xl);
+    lo = hi - std::log(hi);
+  }
+  for (;;) {
+    const long double mid = lo + (hi - lo) / 2;
+    if (mid <= lo || mid >= hi) return mid;
+    (mid * std::exp(mid) < xl ? lo : hi) = mid;
+  }
+}
+
+TEST(LambertWCrossCheck, MatchesLongDoubleReferenceOnADenseGrid) {
+  // Four regimes of 25000 log-spaced points each — approaching −1/e (plus
+  // the 64 doubles from the branch point up), small negative, small
+  // positive, and large up to 1e308.  Near −1/e, W is ill-conditioned:
+  // one ulp of x there moves W by about ulp(1/e)·√(2e) / (2√(x + 1/e)).
+  // Where that is below 4 ε·|W| (x + 1/e above ~6e-3) the error must be
+  // at most 4 ε relative; nearer the branch point, at most that one-ulp
+  // change.  (At x + 1/e = 1e-4 one ulp of x still moves W by 6.5e-15,
+  // and lambert_w0 errs by up to 3.9e-15 there.)
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr int kPoints = 25000;
+  const long double inv_e = std::exp(-1.0L);
+  // The double nearest −1/e lies 1.2e-17 below it, outside the real
+  // branch (lambert_w0 clamps it to −1); the doubles above it are in.
+  const double branch = -std::exp(-1.0);
+  const double ulp_branch = std::nextafter(-branch, 1.0) + branch;
+  std::vector<double> xs;
+  double x = branch;
+  for (int i = 0; i < 64; ++i, x = std::nextafter(x, 0.0)) xs.push_back(x);
+  for (int i = 0; i < kPoints; ++i) {
+    const double f = static_cast<double>(i) / (kPoints - 1);
+    xs.push_back(static_cast<double>(
+        -inv_e + std::pow(10.0L, -17.0L + 16.0L * f)));
+    xs.push_back(-std::pow(10.0, -300.0 + (300.0 + std::log10(0.36)) * f));
+    xs.push_back(std::pow(10.0, -300.0 + 300.0 * f));
+    xs.push_back(std::pow(10.0, 308.0 * f));
+  }
+  double worst_far = 0.0;   // relative error where the 4 ε gate applies
+  double worst_near = 0.0;  // error over the one-ulp change elsewhere
+  double worst_near_x = 0.0;
+  for (const double xi : xs) {
+    if (xi + inv_e < 0) continue;  // below the real branch
+    const long double want = lambert_w0_reference(xi);
+    const double got = math::lambert_w0(xi);
+    const double err =
+        static_cast<double>(std::fabs(static_cast<long double>(got) - want));
+    const double magnitude = static_cast<double>(std::fabs(want));
+    const double one_ulp = ulp_branch * std::sqrt(2 * std::numbers::e) /
+                           (2 * std::sqrt(static_cast<double>(xi + inv_e)));
+    if (one_ulp <= 4 * kEps * magnitude) {
+      EXPECT_LE(err, 4 * kEps * magnitude) << "x=" << xi;
+      worst_far = std::max(worst_far, err / magnitude);
+      continue;
+    }
+    EXPECT_LE(err, one_ulp) << "x=" << xi;
+    if (err / one_ulp > worst_near) {
+      worst_near = err / one_ulp;
+      worst_near_x = xi;
+    }
+  }
+  char text[64];
+  std::snprintf(text, sizeof text, "%.3g", worst_far);
+  RecordProperty("worst_relative_error", text);
+  std::snprintf(text, sizeof text, "%.3g of one ulp's change at x=%.17g",
+                worst_near, worst_near_x);
+  RecordProperty("worst_near_branch", text);
 }
 
 // --------------------------------------------------- optimizer battery

@@ -356,8 +356,8 @@ TEST(LambertW, DefiningIdentityAcrossTheDomain) {
 }
 
 TEST(LambertW, BranchPointAndDomainErrors) {
-  // At the branch point itself W = −1; double(−1/e) sits a hair above the
-  // exact −1/e, so the rounded result lands within √ε of −1.
+  // At the branch point itself W = −1; double(−1/e) sits a hair below the
+  // exact −1/e (1.2e-17), and the rounded result lands within √ε of −1.
   const double w = lambert_w0(-std::exp(-1.0));
   EXPECT_GE(w, -1.0);
   EXPECT_LE(w, -0.99999997);

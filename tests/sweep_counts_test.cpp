@@ -306,8 +306,8 @@ TEST(SweepCounts, AccumulatorCountsModeMatchesHashReplay) {
 }
 
 TEST(SweepCounts, SparseNodeIdsFallBackToHashTables) {
-  // Ids far beyond the pair count make dense arrays wasteful; the replay
-  // fallback must keep every result exact.
+  // Ids far beyond the pair count make dense arrays wasteful; the node
+  // hash table that takes their marginals must keep every result exact.
   std::vector<traffic::EdgePacketCounts> pairs;
   pairs.push_back({1u << 30, (1u << 30) + 1, 5, 2});
   pairs.push_back({1u << 20, 1u << 30, 3, 0});

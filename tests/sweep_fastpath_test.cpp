@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "palu/graph/generators.hpp"
@@ -91,6 +94,115 @@ TEST(WindowAccumulator, GrowsPastInitialCapacity) {
     expect_identical(acc.histogram(q),
                      traffic::quantity_histogram(reference, q),
                      std::string(traffic::quantity_name(q)));
+  }
+}
+
+/// Canonical form of a record list: lower endpoint first (self-pairs keep
+/// their forward count), sorted by (u, v).
+std::vector<traffic::EdgePacketCounts> canonical(
+    std::vector<traffic::EdgePacketCounts> records) {
+  for (auto& r : records) {
+    if (r.u > r.v) r = {r.v, r.u, r.backward, r.forward};
+  }
+  std::sort(records.begin(), records.end(), [](const auto& a, const auto& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  });
+  return records;
+}
+
+TEST(WindowAccumulator, PacketAndCountWindowsShareOneKernel) {
+  // One window's content through add() (the pair table) and through
+  // ingest_counts() (the record view) must match the SparseCountMatrix
+  // reference on every quantity, total, nnz, at() in both orientations and
+  // export_counts.  The id regimes walk every node-marginal path: dense
+  // ids (linear sweep), ids spread over a wider range (touched list),
+  // sparse ids, ids >= 2^32 and the top of the u64 range (node table).
+  // Both accumulators are reused across windows and swap roles, so every
+  // path must leave its scratch clean for the next window of either kind.
+  constexpr NodeId kTop = std::numeric_limits<NodeId>::max();
+  std::array<traffic::WindowAccumulator, 2> accs;
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    Rng rng(seed);
+    const std::uint64_t regime = seed % 5;
+    const std::size_t nodes = regime == 0 ? 40 : 3000;
+    std::vector<NodeId> ids;
+    for (std::size_t i = 0; i < nodes; ++i) {
+      switch (regime) {
+        case 0: ids.push_back(i); break;
+        case 1: ids.push_back(rng.uniform_index(20000)); break;
+        case 2: ids.push_back(rng.uniform_index(NodeId{1} << 30)); break;
+        case 3: ids.push_back((NodeId{1} << 32) + rng.uniform_index(5000));
+          break;
+        default: ids.push_back(kTop - rng.uniform_index(5000)); break;
+      }
+    }
+    if (regime == 4) ids.push_back(kTop);
+    // Unique unordered pairs: one-way either way, two-way, self-pairs
+    // (all-forward) and zero rows.
+    std::vector<traffic::EdgePacketCounts> records;
+    std::vector<std::pair<NodeId, NodeId>> seen;
+    const std::size_t target = regime == 0 ? 300 : 2500;
+    while (records.size() < target) {
+      const NodeId a = ids[rng.uniform_index(ids.size())];
+      const NodeId b = ids[rng.uniform_index(ids.size())];
+      const std::pair<NodeId, NodeId> key{std::min(a, b), std::max(a, b)};
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+      seen.push_back(key);
+      const std::uint64_t kind = rng.uniform_index(4);
+      Count f = kind == 3 || kind == 1 ? 0 : 1 + rng.uniform_index(6);
+      Count back = kind == 3 || kind == 0 ? 0 : 1 + rng.uniform_index(6);
+      if (a == b) back = 0;
+      // Counts-mode records may name the pair either way round.
+      records.push_back(rng.uniform_index(2) == 0 || a == b
+                            ? traffic::EdgePacketCounts{key.first, key.second,
+                                                        f, back}
+                            : traffic::EdgePacketCounts{key.second,
+                                                        key.first, back, f});
+    }
+    traffic::WindowAccumulator& packets = accs[seed % 2];
+    traffic::WindowAccumulator& counts = accs[1 - seed % 2];
+    packets.begin_window();
+    traffic::SparseCountMatrix reference;
+    for (const auto& r : records) {
+      // Packet windows see each link in several adds, as serve does.
+      for (const auto& [src, dst, left0] : {std::tuple{r.u, r.v, r.forward},
+                                            std::tuple{r.v, r.u, r.backward}}) {
+        for (Count left = left0; left > 0;) {
+          const Count c = 1 + rng.uniform_index(left);
+          packets.add(src, dst, c);
+          reference.add(src, dst, c);
+          left -= c;
+        }
+      }
+    }
+    counts.begin_window();
+    counts.ingest_counts(records);
+    const std::string context = "seed " + std::to_string(seed);
+    std::vector<traffic::EdgePacketCounts> nonzero;
+    for (const auto& r : records) {
+      if (r.forward + r.backward > 0) nonzero.push_back(r);
+    }
+    for (const traffic::WindowAccumulator* acc : {&packets, &counts}) {
+      EXPECT_EQ(acc->total(), reference.total()) << context;
+      EXPECT_EQ(acc->nnz(), reference.nnz()) << context;
+      for (const auto& r : records) {
+        EXPECT_EQ(acc->at(r.u, r.v), reference.at(r.u, r.v)) << context;
+        EXPECT_EQ(acc->at(r.v, r.u), reference.at(r.v, r.u)) << context;
+      }
+      EXPECT_EQ(acc->at(kTop - 1, kTop - 2), 0u) << context;
+      std::vector<traffic::EdgePacketCounts> exported;
+      acc->export_counts(exported);
+      // One record per unordered pair that saw traffic, nothing else.
+      EXPECT_EQ(canonical(exported), canonical(nonzero)) << context;
+    }
+    for (const auto q : kEveryQuantity) {
+      const auto expected = traffic::quantity_histogram(reference, q);
+      const std::string what =
+          context + " " + std::string(traffic::quantity_name(q));
+      expect_identical(packets.histogram(q), expected, what + " add()");
+      expect_identical(counts.histogram(q), expected,
+                       what + " ingest_counts()");
+    }
   }
 }
 

@@ -295,8 +295,8 @@ stats::DegreeHistogram WindowAccumulator::histogram(Quantity q) {
     if (want_packets) packets[id] = 0;
   };
   if (max_id_ < kSweepFactor * recs.size()) {
-    // Most ids in range are active: sweep it.  Every pass increments fan
-    // when it credits a node, so fan > 0 marks exactly the touched nodes.
+    // A short id range: sweep it.  Every pass increments fan when it
+    // credits a node, so fan > 0 marks exactly the touched nodes.
     credit_nodes(recs, q, [&](NodeId id, Count p) {
       ++fan[id];
       if (want_packets) packets[id] += p;

@@ -305,12 +305,20 @@ stats::DegreeHistogram WindowAccumulator::histogram(Quantity q) {
       if (fan[id] != 0) emit(id);
     }
   } else {
+    // A record credits at most two nodes.  Every credit writes its id to
+    // the next list slot and only a first touch advances the list, so the
+    // half-new, half-seen credits of a serve window take no branch.
+    if (touched_nodes_.size() < 2 * recs.size()) {
+      touched_nodes_.resize(2 * recs.size());
+    }
+    NodeId* touched = touched_nodes_.data();
+    std::size_t n_touched = 0;
     credit_nodes(recs, q, [&](NodeId id, Count p) {
-      if (fan[id]++ == 0) touched_nodes_.push_back(id);
+      touched[n_touched] = id;
+      n_touched += fan[id]++ == 0;
       if (want_packets) packets[id] += p;
     });
-    for (const NodeId id : touched_nodes_) emit(id);
-    touched_nodes_.clear();
+    for (std::size_t i = 0; i < n_touched; ++i) emit(touched[i]);
   }
   return drain_value_scratch();
 }

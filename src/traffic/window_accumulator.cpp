@@ -19,9 +19,10 @@ constexpr std::size_t kDenseNodeFactor = 16;
 constexpr std::size_t kDenseNodeFloor = 4096;
 // A dense pass emits by a linear sweep of [0, max id] when that range is
 // within kSweepFactor × records, and through the touched-node list
-// otherwise.  On the bench law the sweep wins from 100000-packet windows
-// (55k pairs, 2.7× range) up and the list at 20000 packets (9.8×).
-constexpr std::size_t kSweepFactor = 4;
+// otherwise.  On the bench law the list wins on 20000- and 100000-packet
+// windows (ranges 9.8× and 2.7× their records), the sweep on the sweep's
+// 1e6-packet counts windows (0.96×), and the two tie near 1.3×.
+constexpr std::size_t kSweepFactor = 2;
 // Histogram values below this accumulate in a dense value-indexed array;
 // rarer larger values (a single pair can carry ~N_V packets) go through a
 // small overflow list so the scratch never balloons.

@@ -307,8 +307,9 @@ stats::DegreeHistogram WindowAccumulator::histogram(Quantity q) {
     }
   } else {
     // A record credits at most two nodes.  Every credit writes its id to
-    // the next list slot and only a first touch advances the list, so the
-    // half-new, half-seen credits of a serve window take no branch.
+    // the next list slot and only a first touch advances the list, so no
+    // credit branches on a node being new (three in four of a serve
+    // window's credits are, one in four not).
     if (touched_nodes_.size() < 2 * recs.size()) {
       touched_nodes_.resize(2 * recs.size());
     }

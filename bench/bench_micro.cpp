@@ -2,6 +2,11 @@
 // fitting, and thread-pool scaling.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "palu/palu.hpp"
 
 namespace {
@@ -139,6 +144,43 @@ BENCHMARK(BM_WindowHistogram)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
+// WindowStoreWriter::append of one window's export_counts: a 100000-packet
+// window is capture --trace's block in perfbench's trace-archive (about
+// 54.5k records), a 20000-packet one is what serve --record writes.  The
+// writer is reopened outside the timed region every 64 blocks, so the
+// store file stays bounded.
+void BM_StoreAppend(benchmark::State& state) {
+  traffic::SyntheticTrafficGenerator gen = bench_law_generator();
+  std::vector<traffic::Packet> window(
+      static_cast<std::size_t>(state.range(0)));
+  gen.next_batch(window);
+  traffic::WindowAccumulator acc;
+  acc.begin_window();
+  acc.add_packets(window);
+  std::vector<traffic::EdgePacketCounts> records;
+  acc.export_counts(records);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "palu_bm_store_append")
+          .string();
+  std::optional<store::WindowStoreWriter> writer;
+  std::size_t t = 0;
+  for (auto _ : state) {
+    if (t % 64 == 0) {
+      state.PauseTiming();
+      writer.emplace(dir, store::WriterOptions{.node_domain = 1});
+      state.ResumeTiming();
+    }
+    writer->append(t++, window.size(), records);
+  }
+  writer.reset();
+  std::filesystem::remove_all(dir);
+  state.counters["records"] = static_cast<double>(records.size());
+}
+BENCHMARK(BM_StoreAppend)
+    ->Arg(100000)
+    ->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
 
 // Pooled least-squares ZM fit; d_max 320 is a serve window's regime.

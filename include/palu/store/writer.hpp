@@ -6,8 +6,9 @@
 // finish() so readers can seek any window directly.  The writer is the
 // library's WindowCaptureSink: sweep workers and the serve daemon tee
 // windows into it concurrently; all file and encoder state is guarded
-// by one mutex (capture is an output tee, not a hot analysis path — the
-// hot side is replay decode).
+// by one mutex.  append sits on `capture --trace`'s critical path, so it
+// orders a block in linear time (a radix sort over the bits the block's
+// ids use) and encodes into reused buffers.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +66,10 @@ class WindowStoreWriter final : public traffic::WindowCaptureSink {
   /// Archives one window as a checksummed block.  Records may arrive
   /// unsorted, in either endpoint order, with duplicate unordered pairs
   /// (one per direction) and zero-count rows; the writer canonicalizes
-  /// (sort by (u, v), coalesce, drop zeros) before encoding.  Thread-safe.
-  /// Throws palu::DataError on a write failure.
+  /// (sort by (u, v), coalesce, drop zeros) before encoding.  Linear in
+  /// the record count, with at most 12 sort passes for any ids (4 for ids
+  /// below 2^22).  Thread-safe.  Throws palu::DataError on a write
+  /// failure.
   void append(std::size_t window_index, Count n_valid,
               std::span<const traffic::EdgePacketCounts> records) override;
 
@@ -97,7 +100,11 @@ class WindowStoreWriter final : public traffic::WindowCaptureSink {
   std::uint64_t offset_ PALU_GUARDED_BY(mutex_) = 0;
   std::uint64_t node_domain_ PALU_GUARDED_BY(mutex_) = 1;
   std::vector<ManifestEntry> manifest_ PALU_GUARDED_BY(mutex_);
+  // append's canonical records, and the radix sort's second buffer and
+  // digit counts; all reused from block to block.
   std::vector<traffic::EdgePacketCounts> sort_buf_ PALU_GUARDED_BY(mutex_);
+  std::vector<traffic::EdgePacketCounts> radix_buf_ PALU_GUARDED_BY(mutex_);
+  std::vector<std::size_t> digit_counts_ PALU_GUARDED_BY(mutex_);
   std::vector<unsigned char> encode_buf_ PALU_GUARDED_BY(mutex_);
   Stats stats_ PALU_GUARDED_BY(mutex_);
 

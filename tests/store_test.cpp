@@ -23,6 +23,7 @@
 #include "palu/graph/generators.hpp"
 #include "palu/obs/metrics.hpp"
 #include "palu/obs/names.hpp"
+#include "palu/rng/xoshiro.hpp"
 #include "palu/serve/daemon.hpp"
 #include "palu/serve/options.hpp"
 #include "palu/stats/log_binning.hpp"
@@ -183,6 +184,128 @@ TEST_F(StoreTest, WriterCanonicalizesUnsortedDuplicatedZeroPaddedInput) {
       {1, 2, 1, 3}, {3, 9, 6, 3}, {7, 7, 4, 0}};
   EXPECT_EQ(out, expected);
   EXPECT_TRUE(reader.open_report().clean());
+}
+
+// The writer orders a block with a radix sort over the bits its ids use.
+// Pin it against a comparison sort: seeded blocks of 0, 1, 2 and up to
+// 70,000 records, over id ranges from one id to ids near 2^64 − 1, with
+// reversed endpoints, self-pairs, zero rows and duplicate pairs split
+// across directions, must decode to the records and carry the payload
+// bytes of std::sort then coalesce.
+TEST_F(StoreTest, WriterRadixOrderMatchesComparisonSort) {
+  using traffic::EdgePacketCounts;
+  constexpr NodeId kTop = ~NodeId{0};
+  struct IdRange {
+    NodeId lo;
+    NodeId span;  // ids are lo + [0, span)
+  };
+  const std::array<IdRange, 7> ranges = {{{0, 1},
+                                          {0, 3},
+                                          {0, 2048},
+                                          {0, 150000},
+                                          {0, NodeId{1} << 32},
+                                          {0, NodeId{1} << 40},
+                                          {kTop - 4999, 5000}}};
+  const auto reference = [](const std::vector<EdgePacketCounts>& raw,
+                            std::vector<EdgePacketCounts>& records,
+                            std::vector<unsigned char>& payload) {
+    records.clear();
+    for (const EdgePacketCounts& r : raw) {
+      if (r.forward + r.backward == 0) continue;
+      records.push_back(r.u <= r.v ? r
+                                   : EdgePacketCounts{r.v, r.u, r.backward,
+                                                      r.forward});
+    }
+    std::sort(records.begin(), records.end(),
+              [](const EdgePacketCounts& a, const EdgePacketCounts& b) {
+                return a.u != b.u ? a.u < b.u : a.v < b.v;
+              });
+    std::size_t kept = 0;
+    for (const EdgePacketCounts& r : records) {
+      if (kept > 0 && records[kept - 1].u == r.u &&
+          records[kept - 1].v == r.v) {
+        records[kept - 1].forward += r.forward;
+        records[kept - 1].backward += r.backward;
+      } else {
+        records[kept++] = r;
+      }
+    }
+    records.resize(kept);
+    payload.clear();
+    NodeId prev_u = 0;
+    NodeId prev_v = 0;
+    for (const EdgePacketCounts& r : records) {
+      store::put_varint(payload, r.u - prev_u);
+      store::put_varint(payload, store::zigzag_encode(
+                                     static_cast<std::int64_t>(r.v - prev_v)));
+      store::put_varint(payload, r.forward);
+      store::put_varint(payload, r.backward);
+      prev_u = r.u;
+      prev_v = r.v;
+    }
+  };
+
+  Rng rng(2027);
+  std::vector<std::vector<EdgePacketCounts>> blocks;
+  for (const IdRange& range : ranges) {
+    for (const std::size_t size :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2},
+          1 + rng.uniform_index(100), 1 + rng.uniform_index(5000),
+          1 + rng.uniform_index(70000), std::size_t{70000}}) {
+      std::vector<EdgePacketCounts>& raw = blocks.emplace_back();
+      for (std::size_t i = 0; i < size; ++i) {
+        const double kind = rng.uniform();
+        if (kind < 0.15 && !raw.empty()) {
+          // An earlier pair again, in either direction.
+          const EdgePacketCounts& e = raw[rng.uniform_index(raw.size())];
+          raw.push_back(rng.bernoulli(0.5)
+                            ? EdgePacketCounts{e.v, e.u, rng.uniform_index(9),
+                                               rng.uniform_index(9)}
+                            : EdgePacketCounts{e.u, e.v, rng.uniform_index(9),
+                                               rng.uniform_index(9)});
+          continue;
+        }
+        const NodeId u = range.lo + rng.uniform_index(range.span);
+        const NodeId v =
+            kind < 0.2 ? u : range.lo + rng.uniform_index(range.span);
+        if (kind < 0.25) {
+          raw.push_back({u, v, 0, 0});  // a zero row
+        } else {
+          // Mostly small counts, now and then one past four varint bytes.
+          const Count big = rng.bernoulli(0.01) ? Count{1} << 40 : 0;
+          raw.push_back({u, v, big + rng.uniform_index(50),
+                         rng.uniform_index(50)});
+        }
+      }
+    }
+  }
+
+  const std::string dir = store_dir("radix_order");
+  {
+    store::WindowStoreWriter writer(dir,
+                                    store::WriterOptions{.node_domain = 1});
+    for (std::size_t t = 0; t < blocks.size(); ++t) {
+      writer.append(t, blocks[t].size(), blocks[t]);
+    }
+    writer.finish();
+  }
+  store::WindowStoreReader reader(dir);
+  ASSERT_EQ(reader.num_windows(), blocks.size());
+  std::vector<std::byte> buf;
+  std::vector<EdgePacketCounts> decoded;
+  std::vector<EdgePacketCounts> expected;
+  std::vector<unsigned char> payload;
+  for (std::size_t t = 0; t < blocks.size(); ++t) {
+    reference(blocks[t], expected, payload);
+    EXPECT_EQ(reader.read_window(t, buf, decoded), blocks[t].size());
+    EXPECT_EQ(decoded, expected) << "block " << t;
+    ASSERT_EQ(buf.size(), store::kBlockHeaderBytes + payload.size())
+        << "block " << t;
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           reinterpret_cast<const unsigned char*>(buf.data()) +
+                               store::kBlockHeaderBytes))
+        << "block " << t;
+  }
 }
 
 TEST_F(StoreTest, EmptyStoreAndEmptyWindowsRoundTrip) {

@@ -11,6 +11,7 @@
 //   census    --trace FILE --nvalid N
 //       Prints the Fig-2 topology census of each window.
 //   help
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -20,10 +21,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "palu/cli/args.hpp"
 #include "palu/palu.hpp"
@@ -110,14 +115,18 @@ void report_ingest(const char* what, const IngestReport& report) {
 }
 
 using TraceWindowFn =
-    std::function<void(std::size_t, std::span<const traffic::Packet>)>;
+    std::function<void(std::size_t, std::vector<traffic::Packet>&)>;
 
 // Reads --trace and hands each run of n_valid consecutive packets to
 // `window` as it is cut, with its index; a trailing partial window is
-// dropped.  Holds O(n_valid) packets however long the trace is.  Returns
-// the window count; a trace shorter than one window is a usage error.
+// dropped.  `window` may keep the packets by swapping the vector for one
+// it is done with.  Holds O(n_valid) packets however long the trace is.
+// `on_read`, when set, runs once the whole trace is read, before its
+// ingest summary.  Returns the window count; a trace shorter than one window is
+// a usage error.
 std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
-                                  const TraceWindowFn& window) {
+                                  const TraceWindowFn& window,
+                                  const std::function<void()>& on_read = {}) {
   const std::string path = args.get_string("trace", "");
   PALU_CHECK(!path.empty(), "missing --trace FILE");
   const IngestOptions opts = ingest_options(args);
@@ -135,6 +144,7 @@ std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
           }
         }
       });
+  if (on_read) on_read();
   report_ingest("trace", report);
   PALU_CHECK(windows > 0, "trace smaller than one window");
   return windows;
@@ -374,25 +384,48 @@ void print_store_stats(const char* what, const std::string& dir,
 // Trace mode: window a recorded trace as it is read and archive each
 // window's pair counts.  The writer opens at the first window with node
 // domain 1 and widens it at finish() to the archived windows' ids, as
-// `serve --record` does.
+// `serve --record` does.  A window's accumulate, export and append run as
+// one task on a one-thread pool while the cutter parses the next window:
+// at most one window is in flight, in a buffer the task owns.  The cutter
+// waits for that task before it hands over another window and whenever it
+// stops, so a failed append of window t is reported ahead of a parse
+// error met while reading window t + 1, as when the windows ran in turn.
 int capture_trace(const cli::Args& args, const std::string& dir,
                   std::unique_ptr<store::WindowStoreWriter>& writer) {
   const Count n_valid = get_count(args, "nvalid", 50000, 1);
   traffic::WindowAccumulator acc;
   std::vector<traffic::EdgePacketCounts> records;
-  for_each_trace_window(
-      args, n_valid,
-      [&](std::size_t t, std::span<const traffic::Packet> window) {
-        if (writer == nullptr) {
-          writer = std::make_unique<store::WindowStoreWriter>(
-              dir, store::WriterOptions{.node_domain = 1});
-        }
-        acc.begin_window();
-        acc.add_packets(window);
-        records.clear();
-        acc.export_counts(records);
-        writer->append(t, n_valid, records);
-      });
+  std::vector<traffic::Packet> in_flight;
+  std::future<void> task;
+  // Declared after everything the task touches, so unwinding joins it
+  // before any of that is destroyed.
+  ThreadPool pool(1);
+  const auto wait = [&task] {
+    if (task.valid()) task.get();  // rethrows the task's failure
+  };
+  try {
+    for_each_trace_window(
+        args, n_valid,
+        [&](std::size_t t, std::vector<traffic::Packet>& window) {
+          wait();
+          if (writer == nullptr) {
+            writer = std::make_unique<store::WindowStoreWriter>(
+                dir, store::WriterOptions{.node_domain = 1});
+          }
+          in_flight.swap(window);
+          task = pool.submit([&, t, sink = writer.get()] {
+            acc.begin_window();
+            acc.add_packets(in_flight);
+            records.clear();
+            acc.export_counts(records);
+            sink->append(t, n_valid, records);
+          });
+        },
+        wait);
+  } catch (...) {
+    wait();  // the window in flight fails ahead of what stopped the cutter
+    throw;
+  }
   writer->finish();
   print_store_stats("capture", dir, writer->stats());
   return 0;
@@ -700,12 +733,64 @@ int cmd_serve(const cli::Args& args) {
   return daemon.run();
 }
 
+// The flags each command reads.  main rejects any other flag before
+// dispatch (--metrics, which main reads, goes with every command), so a
+// typo or a flag the command would ignore is a usage error rather than a
+// silent default.  Kept beside print_help so the two change together.
+constexpr std::array<std::pair<std::string_view, std::string_view>, 11>
+    kCommandFlags = {{
+        {"generate", "lambda core leaves alpha window nodes packets seed"},
+        {"sweep",
+         "lambda core leaves alpha window nodes nvalid windows seed quantity "
+         "synthesis replicates csv"},
+        {"capture",
+         "store trace nvalid on-error max-bad-lines lambda core leaves alpha "
+         "window nodes windows seed quantity synthesis"},
+        {"replay", "store windows quantity csv verify on-error max-bad-lines"},
+        {"analyze", "trace nvalid csv on-error max-bad-lines"},
+        {"census", "trace nvalid on-error max-bad-lines"},
+        {"zoo", "histogram csv on-error max-bad-lines"},
+        {"graph-census", "graph on-error max-bad-lines"},
+        {"serve",
+         "trace follow window quantity horizon warm-start max-windows "
+         "fit-deadline-ms queue backpressure checkpoint checkpoint-every "
+         "restore snapshot snapshot-interval-ms max-restarts "
+         "drain-deadline-ms poll-interval-ms record on-error max-bad-lines"},
+        {"check-metrics", "prom"},
+        {"help", ""},
+    }};
+
+// True when the space-separated `flags` holds `flag`.
+bool lists_flag(std::string_view flags, std::string_view flag) {
+  while (!flags.empty()) {
+    const std::size_t end = std::min(flags.find(' '), flags.size());
+    if (flags.substr(0, end) == flag) return true;
+    flags.remove_prefix(std::min(end + 1, flags.size()));
+  }
+  return false;
+}
+
+// Throws InvalidArgument (exit 2) naming the first flag `command` does not
+// read.  An unknown command is left to dispatch.
+void check_flags(const std::string& command, const cli::Args& args) {
+  for (const auto& [name, flags] : kCommandFlags) {
+    if (name != command) continue;
+    for (const std::string& flag : args.names()) {
+      if (flag == "metrics" || lists_flag(flags, flag)) continue;
+      throw InvalidArgument("unknown flag --" + flag + " for '" + command +
+                            "' (see `palu_tool help`)");
+    }
+  }
+}
+
 int print_help() {
   std::printf(
       "palu_tool <command> [options]\n"
       "  generate --nodes N --lambda L --core C --leaves F --alpha A\n"
       "           --window P --packets K [--seed S]   write a trace\n"
       "  sweep    --windows W --nvalid N [--quantity Q] [--seed S]\n"
+      "           [--nodes N --lambda L --core C --leaves F --alpha A\n"
+      "           --window P]\n"
       "           [--synthesis packet|counts|expected]\n"
       "           [--replicates R] [--csv]             Monte-Carlo window\n"
       "                                               sweep over a PALU\n"
@@ -745,7 +830,7 @@ int print_help() {
       "           [--checkpoint FILE [--checkpoint-every K] [--restore]]\n"
       "           [--snapshot FILE [--snapshot-interval-ms MS]]\n"
       "           [--max-restarts R] [--drain-deadline-ms MS]\n"
-      "           [--record DIR]\n"
+      "           [--poll-interval-ms MS] [--record DIR]\n"
       "                                               long-running streaming\n"
       "                                               estimation daemon: tails\n"
       "                                               the trace (stdin by\n"
@@ -828,6 +913,7 @@ int main(int argc, char** argv) {
       palu::failpoints::arm_from_spec(spec);
     }
     const auto args = palu::cli::Args::parse(argc, argv, 2);
+    check_flags(command, args);
     const std::string metrics_path = args.get_string("metrics", "");
     if (!metrics_path.empty()) {
       // Preregister every family so the export is a complete catalogue

@@ -194,14 +194,17 @@ void BM_ZmFit(benchmark::State& state) {
 }
 BENCHMARK(BM_ZmFit)->Arg(320)->Arg(1 << 14);
 
-// TraceTailReader over 64 KiB chunks of "src dst" text, ids below 150000.
+// TraceTailReader over 64 KiB chunks of "src dst" text, ids below the
+// argument: 150000 (the bench network's ids, up to 6 digits) or 2^32
+// (IPv4 addresses as integers, mostly 10 digits).
 void BM_TraceTailFeed(benchmark::State& state) {
+  const auto bound = static_cast<std::uint64_t>(state.range(0));
   Rng rng(11);
   std::string text;
   constexpr std::size_t kLines = 200000;
   for (std::size_t i = 0; i < kLines; ++i) {
-    text += std::to_string(rng.uniform_index(150000)) + ' ' +
-            std::to_string(rng.uniform_index(150000)) + '\n';
+    text += std::to_string(rng.uniform_index(bound)) + ' ' +
+            std::to_string(rng.uniform_index(bound)) + '\n';
   }
   constexpr std::size_t kChunk = std::size_t{1} << 16;
   std::vector<io::TailRecord> records;
@@ -219,7 +222,7 @@ void BM_TraceTailFeed(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(text.size()));
 }
-BENCHMARK(BM_TraceTailFeed);
+BENCHMARK(BM_TraceTailFeed)->Arg(150000)->Arg(std::int64_t{1} << 32);
 
 void BM_PaluFit(benchmark::State& state) {
   const auto params =
@@ -331,23 +334,41 @@ void BM_BootstrapCi(benchmark::State& state) {
 }
 BENCHMARK(BM_BootstrapCi);
 
+// Four refits.  Argument 1: the tumbling lane only, on one window of the
+// mixed scenario (a one-window horizon makes the sliding lane a copy, and
+// the ZM companion fit is off).  Argument 4: serve's configuration, a
+// four-window horizon with ZM on, over four 20000-packet windows of the
+// bench law (undirected degree), so both lanes' ZM fits run on the
+// global pool beside the PALU fits.
 void BM_StreamingEstimatorWindow(benchmark::State& state) {
-  const auto params = core::scenarios::mixed().at_window(0.8);
-  Rng rng(14);
-  const auto window = core::sample_observed_degrees(params, 50000, rng);
-  // Tumbling lane only: a one-window horizon makes the sliding lane a
-  // copy, and the ZM companion fit is off.
   core::StreamingOptions opts;
-  opts.sliding_horizon = 1;
-  opts.fit_zm = false;
+  opts.sliding_horizon = static_cast<std::size_t>(state.range(0));
+  opts.fit_zm = opts.sliding_horizon > 1;
+  std::vector<stats::DegreeHistogram> windows;
+  if (opts.fit_zm) {
+    traffic::SyntheticTrafficGenerator gen = bench_law_generator();
+    traffic::WindowAccumulator acc;
+    std::vector<traffic::Packet> packets(20000);
+    for (int w = 0; w < 4; ++w) {
+      gen.next_batch(packets);
+      acc.begin_window();
+      acc.add_packets(packets);
+      windows.push_back(
+          acc.histogram(traffic::Quantity::kUndirectedDegree));
+    }
+  } else {
+    const auto params = core::scenarios::mixed().at_window(0.8);
+    Rng rng(14);
+    windows.assign(4, core::sample_observed_degrees(params, 50000, rng));
+  }
   for (auto _ : state) {
     core::WindowedStreamingEstimator streaming(opts);
-    for (int w = 0; w < 4; ++w) {
+    for (const stats::DegreeHistogram& window : windows) {
       benchmark::DoNotOptimize(streaming.refit_window(window));
     }
   }
 }
-BENCHMARK(BM_StreamingEstimatorWindow);
+BENCHMARK(BM_StreamingEstimatorWindow)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace
 

@@ -18,12 +18,13 @@
 // windows reproduces the exact fits of an uninterrupted run.
 //
 // The two lanes share no state: each warm-starts only from its own
-// previous fit.  refit_window therefore fits the sliding lane as a task
-// on ThreadPool::global() while the calling thread fits the tumbling
-// lane, and the results are the bits a serial refit gives.  It blocks
-// until that task is done, so it must never run inside a task on the
-// global pool: once every worker waited that way the pool would
-// deadlock.
+// previous fit, and a lane's PALU and ZM fits read only its histogram and
+// its previous snapshot.  refit_window therefore fits each lane's ZM
+// companion as a task on ThreadPool::global() while the calling thread
+// merges the horizon and fits both lanes' PALU laws, and the results are
+// the bits a serial refit gives.  It blocks until those tasks are done,
+// so it must never run inside a task on the global pool: once every
+// worker waited that way the pool would deadlock.
 #pragma once
 
 #include <deque>
@@ -109,8 +110,8 @@ class WindowedStreamingEstimator {
  public:
   explicit WindowedStreamingEstimator(StreamingOptions opts = {});
 
-  /// Folds one window histogram and refits both lanes, the sliding lane
-  /// on ThreadPool::global() (see the file comment).  When
+  /// Folds one window histogram and refits both lanes, the ZM fits on
+  /// ThreadPool::global() (see the file comment).  When
   /// `forced_error` is non-empty the window is treated as un-fittable
   /// (deadline overrun, injected fault): the histogram still enters the
   /// horizon — so a later restore replay stays consistent — but both
@@ -147,8 +148,10 @@ class WindowedStreamingEstimator {
   void restore(StreamingState state);
 
  private:
-  StreamingFitSnapshot fit_lane(const stats::DegreeHistogram& h,
-                                const StreamingFitSnapshot& previous) const;
+  /// The lane's PALU fit, or `previous` degraded when it fails.
+  StreamingFitSnapshot fit_palu_lane(
+      const stats::DegreeHistogram& h,
+      const StreamingFitSnapshot& previous) const;
   static StreamingFitSnapshot degrade(const StreamingFitSnapshot& previous,
                                       std::string_view why);
 

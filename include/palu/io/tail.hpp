@@ -79,6 +79,11 @@ class TraceTailReader {
                                  const PacketSink& sink);
   TraceTailReader(const char* reader_label, const IngestOptions& opts);
 
+  // Reads the run of well-formed lines at `p` whose '\n' lies before
+  // `end`, one scan each; returns where the run stops.
+  const char* scan_run(const char* p, const char* end,
+                       std::vector<TailRecord>& out);
+  // A line the scan declined: the ErrorPolicy gate's full path.
   std::size_t consume_line(std::string_view line,
                            std::vector<TailRecord>& out);
 

@@ -9,11 +9,12 @@
 //                   under --record), then pushes the sealed window into
 //                   the bounded queue under the backpressure policy.
 //   fit thread:     pops sealed windows and refits both lanes of the
-//                   WindowedStreamingEstimator (warm-started, the two
-//                   lanes concurrently), publishes one result line,
+//                   WindowedStreamingEstimator (warm-started, the lanes'
+//                   ZM fits on the pool), publishes one result line,
 //                   checkpoints, and appends the window's records.
-//   supervisor:     the caller's thread inside run() — polls for
-//                   signals, enforces the drain deadline, writes metrics
+//   supervisor:     the caller's thread inside run() — wakes on a tick
+//                   and whenever a stage finishes, folds signals in,
+//                   enforces the drain deadline, writes metrics
 //                   snapshots on an interval, and finalizes state.
 //
 // Only whole windows cross threads.  `queue_capacity` is a packet
@@ -43,13 +44,17 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "palu/common/thread_annotations.hpp"
 #include "palu/core/streaming.hpp"
 #include "palu/io/tail.hpp"
 #include "palu/obs/metrics.hpp"
@@ -94,6 +99,34 @@ class ServeDaemon {
   }
 
  private:
+  /// Counts the finished stages, so the supervisor's tick wait ends as
+  /// soon as one finishes.
+  class StageSignal {
+   public:
+    /// Called by a stage as its last act.
+    void notify() PALU_EXCLUDES(mutex_) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++finished_;
+      }
+      cv_.notify_one();
+    }
+
+    /// Waits up to `timeout` for the count to move past `seen`; returns
+    /// the count.
+    int wait_for(int seen, std::chrono::milliseconds timeout)
+        PALU_EXCLUDES(mutex_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait_for(lock, timeout, [&] { return finished_ != seen; });
+      return finished_;
+    }
+
+   private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    int finished_ PALU_GUARDED_BY(mutex_) = 0;
+  };
+
   bool stopping() const noexcept;
   void fatal(int code, const std::string& message);
   void run_stage(const char* name, obs::Counter& restarts,
@@ -140,6 +173,7 @@ class ServeDaemon {
   std::atomic<bool> stop_{false};
   std::atomic<bool> ingest_done_{false};
   std::atomic<bool> fit_done_{false};
+  StageSignal stage_finished_;
   std::atomic<int> fatal_exit_{0};
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> packets_read_{0};

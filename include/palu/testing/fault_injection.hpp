@@ -9,11 +9,12 @@
 //    so a corruption run is exactly reproducible.
 //
 //  * Seeded failpoints (palu/common/failpoint.hpp) that force
-//    ConvergenceError inside fits ("fit.palu_mle", "fit.nelder_mead")
-//    and sweep workers ("traffic.sweep_window").  The streaming
-//    estimator fits its two lanes concurrently, so a count-limited fit
-//    arming (fires > 0) hits the tumbling and sliding lanes of a window
-//    in unspecified order; arm without a limit to fail both.
+//    ConvergenceError inside fits ("fit.palu_mle", "fit.zm",
+//    "fit.nelder_mead") and sweep workers ("traffic.sweep_window").  The
+//    streaming estimator runs its lanes' PALU and ZM fits concurrently,
+//    so a count-limited fit arming (fires > 0) hits them in unspecified
+//    order; arm without a limit to fail every one.  "fit.nelder_mead" is
+//    shared by the PALU polish and the ZM fit, "fit.zm" fails only ZM.
 //
 // Header-only and test-oriented: nothing here is linked into the library
 // proper, and the umbrella header deliberately does not include it.
@@ -151,6 +152,11 @@ inline std::string corrupt_trace(const std::string& clean,
 /// Arms the failpoint that makes the profile-likelihood PALU fit fail.
 inline void force_palu_mle_failure(int fires = -1, int skip = 0) {
   failpoints::arm("fit.palu_mle", fires, skip);
+}
+
+/// Arms the failpoint that makes the pooled least-squares ZM fit fail.
+inline void force_zm_fit_failure(int fires = -1, int skip = 0) {
+  failpoints::arm("fit.zm", fires, skip);
 }
 
 /// Arms the failpoint that makes Nelder–Mead diverge.

@@ -10,6 +10,52 @@
 
 namespace palu::core {
 
+namespace {
+
+// Starts a lane's ZM companion fit on the global pool, warm-started from
+// the lane's previous ZM parameters when `warm`.  `h` must outlive the
+// task.
+std::future<fit::ZmFitResult> submit_zm(const stats::DegreeHistogram& h,
+                                        const StreamingFitSnapshot& previous,
+                                        bool warm) {
+  fit::ZmFitOptions zopts;
+  if (warm && previous.zm_valid && std::isfinite(previous.zm.alpha) &&
+      previous.zm.alpha > 0.0 && previous.zm.delta > -1.0) {
+    zopts.alpha_init = previous.zm.alpha;
+    zopts.delta_init = previous.zm.delta;
+  }
+  return ThreadPool::global().submit([&h, zopts] {
+    return fit::fit_zipf_mandelbrot(stats::LogBinned::from_histogram(h),
+                                    h.max_degree(), zopts);
+  });
+}
+
+// Waits for a lane's ZM fit, if one was started, and folds it into the
+// lane's fresh PALU fit.
+StreamingFitSnapshot join_zm(StreamingFitSnapshot lane,
+                             const StreamingFitSnapshot& previous,
+                             std::future<fit::ZmFitResult>& zm) {
+  if (!zm.valid()) return lane;
+  if (lane.freshness != FitFreshness::kFresh) {
+    // The PALU fit failed: the lane keeps its previous snapshot whole,
+    // so the ZM outcome is dropped, an exception included.
+    zm.wait();
+    return lane;
+  }
+  // The ZM companion rides along best-effort: a window whose pooled
+  // distribution cannot be fitted keeps the previous ZM parameters.
+  try {
+    lane.zm = zm.get();
+    lane.zm_valid = true;
+  } catch (const Error&) {
+    lane.zm = previous.zm;
+    lane.zm_valid = previous.zm_valid;
+  }
+  return lane;
+}
+
+}  // namespace
+
 std::string_view to_string(FitFreshness f) noexcept {
   switch (f) {
     case FitFreshness::kNone:
@@ -41,7 +87,7 @@ StreamingFitSnapshot WindowedStreamingEstimator::degrade(
   return out;
 }
 
-StreamingFitSnapshot WindowedStreamingEstimator::fit_lane(
+StreamingFitSnapshot WindowedStreamingEstimator::fit_palu_lane(
     const stats::DegreeHistogram& h,
     const StreamingFitSnapshot& previous) const {
   const bool warm = opts_.warm_start && previous.has_fit();
@@ -58,24 +104,6 @@ StreamingFitSnapshot WindowedStreamingEstimator::fit_lane(
   out.fit = robust.fit;
   out.stage = robust.stage;
   out.freshness = FitFreshness::kFresh;
-  if (opts_.fit_zm) {
-    // The ZM companion rides along best-effort: a window whose pooled
-    // distribution cannot be fitted keeps the previous ZM parameters.
-    try {
-      fit::ZmFitOptions zopts;
-      if (warm && previous.zm_valid && std::isfinite(previous.zm.alpha) &&
-          previous.zm.alpha > 0.0 && previous.zm.delta > -1.0) {
-        zopts.alpha_init = previous.zm.alpha;
-        zopts.delta_init = previous.zm.delta;
-      }
-      out.zm = fit::fit_zipf_mandelbrot(
-          stats::LogBinned::from_histogram(h), h.max_degree(), zopts);
-      out.zm_valid = true;
-    } catch (const Error&) {
-      out.zm = previous.zm;
-      out.zm_valid = previous.zm_valid;
-    }
-  }
   return out;
 }
 
@@ -103,29 +131,48 @@ StreamingRefit WindowedStreamingEstimator::refit_window(
     return out;
   }
 
-  // The lanes share no state (each warm-starts from its own previous
-  // fit), so the sliding lane is fitted on the pool while this thread
-  // fits the tumbling lane.  Neither lane is assigned until both fits
-  // are done, and the task is joined on every path: it reads horizon_
-  // and the previous sliding lane.  One window in the horizon: the
-  // sliding lane is the tumbling lane, and no task is submitted.
-  std::future<StreamingFitSnapshot> sliding;
-  if (horizon_.size() > 1) {
-    sliding = ThreadPool::global().submit([this] {
-      stats::DegreeHistogram merged;
-      for (const auto& h : horizon_) merged.merge(h);
-      return fit_lane(merged, state_.sliding_lane);
-    });
-  }
+  // Each fit reads only its own lane's previous state, so the fits can
+  // run in any order and still give the bits of a serial refit.  The two
+  // ZM companion fits, the longest, run as pool tasks while this thread
+  // merges the horizon and fits both PALU lanes: the refit takes
+  // max(2 x PALU, ZM) rather than PALU + ZM.  The tasks read `window` and
+  // `merged`, so they are joined on every path, and no lane is assigned
+  // until all fits are done.  One window in the horizon: the sliding lane
+  // is the tumbling lane, and only its ZM fit is submitted.
+  const bool own_sliding = horizon_.size() > 1;
+  stats::DegreeHistogram merged;
+  std::future<fit::ZmFitResult> window_zm;
+  std::future<fit::ZmFitResult> sliding_zm;
   StreamingFitSnapshot window_lane;
+  StreamingFitSnapshot sliding_lane;
   try {
-    window_lane = fit_lane(window, state_.window_lane);
+    if (opts_.fit_zm) {
+      window_zm = submit_zm(window, state_.window_lane,
+                            opts_.warm_start && state_.window_lane.has_fit());
+    }
+    if (own_sliding) {
+      for (const auto& h : horizon_) merged.merge(h);
+      if (opts_.fit_zm) {
+        sliding_zm =
+            submit_zm(merged, state_.sliding_lane,
+                      opts_.warm_start && state_.sliding_lane.has_fit());
+      }
+    }
+    window_lane = fit_palu_lane(window, state_.window_lane);
+    if (own_sliding) {
+      sliding_lane = fit_palu_lane(merged, state_.sliding_lane);
+    }
+    window_lane = join_zm(std::move(window_lane), state_.window_lane,
+                          window_zm);
+    sliding_lane = own_sliding
+                       ? join_zm(std::move(sliding_lane),
+                                 state_.sliding_lane, sliding_zm)
+                       : window_lane;
   } catch (...) {
-    if (sliding.valid()) sliding.wait();
+    if (window_zm.valid()) window_zm.wait();
+    if (sliding_zm.valid()) sliding_zm.wait();
     throw;
   }
-  StreamingFitSnapshot sliding_lane =
-      sliding.valid() ? sliding.get() : window_lane;
   state_.window_lane = std::move(window_lane);
   state_.sliding_lane = std::move(sliding_lane);
 

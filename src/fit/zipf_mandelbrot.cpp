@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "palu/common/error.hpp"
+#include "palu/common/failpoint.hpp"
 #include "palu/fit/nelder_mead.hpp"
 #include "palu/math/zeta.hpp"
 #include "palu/stats/histogram.hpp"
@@ -102,6 +103,7 @@ ZmFitResult fit_zipf_mandelbrot(const stats::LogBinned& target, Degree dmax,
   PALU_CHECK(target.num_bins() >= 3,
              "fit_zipf_mandelbrot: need at least 3 pooled bins");
   PALU_CHECK(dmax >= 4, "fit_zipf_mandelbrot: dmax too small to pool");
+  PALU_FAILPOINT("fit.zm");
 
   // Per-bin weights from the supplied σ (Fig 3 plots ±1σ error bars, so we
   // weight by inverse variance when the caller has window statistics).

@@ -70,10 +70,10 @@ class IngestGate {
     registry_.counter(obs::names::kIngestReads, {{"reader", context}}).inc();
   }
 
-  /// A well-formed line accepted as-is.
-  void kept() {
-    ++report_.records_kept;
-    kept_counter_.inc();
+  /// `lines` well-formed lines accepted as-is.
+  void kept(std::size_t lines = 1) {
+    report_.records_kept += lines;
+    kept_counter_.inc(lines);
   }
 
   /// A malformed line with nothing salvageable.  Counted as dropped even

@@ -1,5 +1,6 @@
 #include "palu/io/tail.hpp"
 
+#include <cstring>
 #include <utility>
 
 #include "palu/common/error.hpp"
@@ -38,13 +39,6 @@ const IngestReport& TraceTailReader::report() const noexcept {
 std::size_t TraceTailReader::consume_line(std::string_view line,
                                           std::vector<TailRecord>& out) {
   ++gate_->line_number;
-  traffic::Packet scanned{};
-  if (detail::scan_packet_line(line, scanned)) {
-    ++gate_->report.lines_read;
-    gate_->gate.kept();
-    out.push_back(TailRecord{scanned, consumed_});
-    return 1;
-  }
   const std::string_view body = detail::trim(line);
   if (body.empty() || body.front() == '#') return 0;
   ++gate_->report.lines_read;
@@ -55,30 +49,68 @@ std::size_t TraceTailReader::consume_line(std::string_view line,
   return 1;
 }
 
+const char* TraceTailReader::scan_run(const char* p, const char* end,
+                                      std::vector<TailRecord>& out) {
+  // The run's accounting lives in locals and is added once, on every
+  // exit: a push_back that throws still leaves it exact.
+  std::uint64_t offset = consumed_;
+  std::size_t lines = 0;
+  const auto account = [&] {
+    consumed_ = offset;
+    gate_->line_number += lines;
+    gate_->report.lines_read += lines;
+    gate_->gate.kept(lines);
+  };
+  try {
+    for (;;) {
+      traffic::Packet packet{};
+      const char* const nl = detail::scan_packet_line(p, end, packet);
+      if (nl == nullptr || nl == end) break;
+      offset += static_cast<std::uint64_t>(nl - p) + 1;
+      ++lines;
+      out.push_back(TailRecord{packet, offset});
+      p = nl + 1;
+    }
+  } catch (...) {
+    account();
+    throw;
+  }
+  account();
+  return p;
+}
+
 std::size_t TraceTailReader::feed(std::string_view chunk,
                                   std::vector<TailRecord>& out) {
-  std::size_t emitted = 0;
-  while (!chunk.empty()) {
-    const std::size_t nl = chunk.find('\n');
-    if (nl == std::string_view::npos) {
+  const std::size_t before = out.size();
+  const char* p = chunk.data();
+  const char* const end = p + chunk.size();
+  while (p != end) {
+    if (buffer_.empty()) {
+      p = scan_run(p, end, out);
+      if (p == end) break;
+    }
+    // A declined line, or the rest of one split across chunks.
+    const auto* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    if (nl == nullptr) {
       // No terminator yet: the fragment is an incomplete line, not a
       // malformed one.  Hold it back until more bytes arrive.
-      buffer_.append(chunk);
+      buffer_.append(p, end);
       break;
     }
     std::string_view line;
     if (buffer_.empty()) {
-      line = chunk.substr(0, nl);
+      line = std::string_view(p, static_cast<std::size_t>(nl - p));
     } else {
-      buffer_.append(chunk.substr(0, nl));
+      buffer_.append(p, nl);
       line = buffer_;
     }
     consumed_ += line.size() + 1;  // the line and its '\n'
-    emitted += consume_line(line, out);
+    consume_line(line, out);
     buffer_.clear();
-    chunk.remove_prefix(nl + 1);
+    p = nl + 1;
   }
-  return emitted;
+  return out.size() - before;
 }
 
 std::size_t TraceTailReader::finish(std::vector<TailRecord>& out) {

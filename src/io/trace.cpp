@@ -1,6 +1,9 @@
 #include "palu/io/trace.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -49,19 +52,56 @@ std::vector<traffic::Packet> read_trace(std::istream& in) {
   return read_trace(in, IngestOptions{}).packets;
 }
 
+namespace {
+
+// Writes "a b" lines through std::to_chars into one reused buffer, handed
+// to the stream a block at a time: the bytes `out << a << ' ' << b` would
+// write, without a locale-aware formatter per id.  A stream that fails
+// keeps its failbit or badbit, as it would from operator<<.  Call flush()
+// after the last line.
+class PairLineWriter {
+ public:
+  explicit PairLineWriter(std::ostream& out) : out_(out) {}
+
+  void line(std::uint64_t a, std::uint64_t b) {
+    // Two 20-digit ids, a blank and a '\n'.
+    constexpr std::size_t kMaxLine = 42;
+    if (buf_.size() - used_ < kMaxLine) flush();
+    char* p = buf_.data() + used_;
+    char* const end = buf_.data() + buf_.size();
+    p = std::to_chars(p, end, a).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, b).ptr;
+    *p++ = '\n';
+    used_ = static_cast<std::size_t>(p - buf_.data());
+  }
+
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  std::ostream& out_;
+  std::array<char, std::size_t{1} << 16> buf_;
+  std::size_t used_ = 0;
+};
+
+}  // namespace
+
 void write_trace(std::ostream& out,
                  std::span<const traffic::Packet> pkts) {
   out << "# palu packet trace: one 'src dst' pair per line\n";
-  for (const traffic::Packet& p : pkts) {
-    out << p.src << ' ' << p.dst << '\n';
-  }
+  PairLineWriter lines(out);
+  for (const traffic::Packet& p : pkts) lines.line(p.src, p.dst);
+  lines.flush();
 }
 
 void write_edge_list(std::ostream& out, const graph::Graph& g) {
   out << "# nodes=" << g.num_nodes() << '\n';
-  for (const graph::Edge& e : g.edges()) {
-    out << e.u << ' ' << e.v << '\n';
-  }
+  PairLineWriter lines(out);
+  for (const graph::Edge& e : g.edges()) lines.line(e.u, e.v);
+  lines.flush();
 }
 
 EdgeListReadResult read_edge_list(std::istream& in,
@@ -86,7 +126,9 @@ EdgeListReadResult read_edge_list(std::istream& in,
   while (std::getline(in, line)) {
     ++line_number;
     traffic::Packet scanned{};
-    if (detail::scan_packet_line(line, scanned)) {
+    const char* const line_end = line.data() + line.size();
+    if (detail::scan_packet_line(line.data(), line_end, scanned) ==
+        line_end) {
       ++out.report.lines_read;
       gate.kept();
       add_edge(scanned, line_number, false);

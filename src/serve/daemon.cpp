@@ -296,6 +296,7 @@ void ServeDaemon::ingest_stage() {
             [this] { ingest_body(); });
   queue_.close();
   ingest_done_.store(true);
+  stage_finished_.notify();
 }
 
 // ------------------------------------------------------------------- fit
@@ -431,6 +432,7 @@ void ServeDaemon::fit_stage() {
   run_stage("fit", fit_restarts_, [this] { return published_.load(); },
             [this] { fit_body(); });
   fit_done_.store(true);
+  stage_finished_.notify();
 }
 
 // --------------------------------------------------- checkpoint / restore
@@ -517,10 +519,13 @@ void ServeDaemon::write_snapshot() {
 void ServeDaemon::supervise() {
   auto last_snapshot = Clock::now();
   std::optional<Clock::time_point> drain_started;
+  const auto tick = std::chrono::milliseconds(static_cast<int>(
+      std::max(1.0, std::min(50.0, opts_.poll_interval_ms))));
+  int stages_seen = 0;
   while (!(ingest_done_.load() && fit_done_.load())) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        static_cast<int>(std::max(1.0, std::min(50.0,
-                                                opts_.poll_interval_ms)))));
+    // A finished stage ends the wait early: the daemon exits, or stops a
+    // producer whose consumer is gone, without sitting out the tick.
+    stages_seen = stage_finished_.wait_for(stages_seen, tick);
     if (stopping() && !drain_started) {
       stop_.store(true);  // fold a signal into the internal flag
       drain_started = Clock::now();

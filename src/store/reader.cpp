@@ -319,8 +319,11 @@ Count WindowStoreReader::read_window(
   // been verified, so in-bounds bytes are exactly what the writer
   // emitted.
   constexpr std::size_t kMaxRecordBytes = 4 * kMaxVarintBytes;
+  // v accumulates its zigzag deltas modulo 2^64, the inverse of the
+  // writer's wrapping r.v - prev_v: signed addition would overflow when a
+  // block's v jumps across 2^63.
   NodeId u = 0;
-  std::int64_t v = 0;
+  NodeId v = 0;
   std::uint32_t decoded = 0;
   for (;;) {
     const std::uint64_t batch = std::min<std::uint64_t>(
@@ -329,11 +332,10 @@ Count WindowStoreReader::read_window(
     if (batch == 0) break;
     for (std::uint64_t i = 0; i < batch; ++i) {
       u += decode_varint_fast(p);
-      v += zigzag_decode(decode_varint_fast(p));
+      v += static_cast<NodeId>(zigzag_decode(decode_varint_fast(p)));
       const Count forward = decode_varint_fast(p);
       const Count backward = decode_varint_fast(p);
-      out.push_back(traffic::EdgePacketCounts{u, static_cast<NodeId>(v),
-                                              forward, backward});
+      out.push_back(traffic::EdgePacketCounts{u, v, forward, backward});
     }
     decoded += static_cast<std::uint32_t>(batch);
   }
@@ -345,10 +347,8 @@ Count WindowStoreReader::read_window(
     if (p != nullptr) p = get_varint(p, end, backward);
     if (p == nullptr) break;
     u += du;
-    v += zigzag_decode(dv);
-    out.push_back(
-        traffic::EdgePacketCounts{u, static_cast<NodeId>(v), forward,
-                                  backward});
+    v += static_cast<NodeId>(zigzag_decode(dv));
+    out.push_back(traffic::EdgePacketCounts{u, v, forward, backward});
     ++decoded;
   }
   if (decoded != view.header.record_count || p != end) {

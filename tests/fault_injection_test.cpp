@@ -356,8 +356,8 @@ TEST(FaultInjection, ZmFailureKeepsPreviousZmBesideFreshPaluFit) {
     acc.add_packets(packets);
     windows.push_back(acc.histogram(traffic::Quantity::kUndirectedDegree));
   }
-  // Horizon 1 fits one lane on the calling thread, so the failpoint's
-  // hits come in a fixed order.
+  // Horizon 1: one lane, so each refit runs one ZM fit, the only hit of
+  // the ZM-only failpoint whatever order the pool runs the fits in.
   core::StreamingOptions opts;
   opts.sliding_horizon = 1;
   core::WindowedStreamingEstimator clean(opts);
@@ -369,11 +369,9 @@ TEST(FaultInjection, ZmFailureKeepsPreviousZmBesideFreshPaluFit) {
   ASSERT_TRUE(first.window.zm_valid);
   ASSERT_NE(want.window.zm.alpha, first.window.zm.alpha);
   testing::FailpointGuard guard;
-  // Window 1's first Nelder–Mead run is the profile fit's polish; the
-  // second is the ZM companion fit, which fails.
-  testing::force_nelder_mead_divergence(1, 1);
+  testing::force_zm_fit_failure(1);
   const core::StreamingRefit got = est.refit_window(windows[1]);
-  EXPECT_EQ(failpoints::hit_count("fit.nelder_mead"), 2);
+  EXPECT_EQ(failpoints::hit_count("fit.zm"), 1);
   ASSERT_TRUE(got.fresh);
   for (const core::StreamingFitSnapshot* lane : {&got.window, &got.sliding}) {
     // Fresh PALU fields, the bits of an unfaulted refit ...

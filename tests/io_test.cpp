@@ -1,7 +1,11 @@
 // Unit tests for palu/io: trace round-trips and CSV exports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
 #include "palu/common/error.hpp"
 #include "palu/fit/model_zoo.hpp"
@@ -21,6 +25,72 @@ TEST(Trace, RoundTripsPackets) {
   write_trace(buf, pkts);
   const auto parsed = read_trace(buf);
   EXPECT_EQ(parsed, pkts);
+}
+
+TEST(Trace, WritesExactBytes) {
+  const std::vector<traffic::Packet> pkts = {
+      {0, 9}, {10, 4294967296ull}, {18446744073709551615ull, 0}};
+  std::ostringstream out;
+  write_trace(out, pkts);
+  EXPECT_EQ(out.str(),
+            "# palu packet trace: one 'src dst' pair per line\n"
+            "0 9\n"
+            "10 4294967296\n"
+            "18446744073709551615 0\n");
+  graph::Graph g(11);
+  g.add_edge(0, 9);
+  g.add_edge(10, 9);
+  std::ostringstream edges;
+  write_edge_list(edges, g);
+  EXPECT_EQ(edges.str(), "# nodes=11\n0 9\n10 9\n");
+}
+
+TEST(Trace, WritesTheBytesOfOperatorShiftPastOneBlock) {
+  // Enough widest lines to cross the writer's block several times.
+  std::vector<traffic::Packet> pkts;
+  std::ostringstream want;
+  want << "# palu packet trace: one 'src dst' pair per line\n";
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    const traffic::Packet p{~std::uint64_t{0} - i, i * 4294967296ull};
+    pkts.push_back(p);
+    want << p.src << ' ' << p.dst << '\n';
+  }
+  std::ostringstream out;
+  write_trace(out, pkts);
+  EXPECT_EQ(out.str(), want.str());
+}
+
+// Takes `room` bytes, then refuses every write, like a full disk.
+class FullSink : public std::streambuf {
+ public:
+  explicit FullSink(std::streamsize room) : room_(room) {}
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    const std::streamsize took = std::min(n, room_);
+    room_ -= took;
+    return took;
+  }
+  int_type overflow(int_type c) override {
+    if (room_ == 0) return traits_type::eof();
+    --room_;
+    return c;
+  }
+
+ private:
+  std::streamsize room_;
+};
+
+TEST(Trace, FailingStreamEndsFailed) {
+  const std::vector<traffic::Packet> pkts(20000, traffic::Packet{12, 34});
+  for (const std::streamsize room : {std::streamsize{0},
+                                     std::streamsize{10},
+                                     std::streamsize{70000}}) {
+    FullSink sink(room);
+    std::ostream out(&sink);
+    write_trace(out, pkts);
+    EXPECT_TRUE(out.fail()) << room;
+  }
 }
 
 TEST(Trace, SkipsCommentsAndBlanks) {

@@ -1,7 +1,9 @@
-// The one-scan trace-line parser against the trim/tokenize/parse_u64 path
-// it fronts.  A seeded grammar of well-formed and malformed "src dst"
-// lines, damaged further by the fault-injection corruptor, goes through
-// scan_packet_line line by line and through TraceTailReader as a stream;
+// The word-at-a-time trace-line scanner against the trim/tokenize/
+// parse_u64 path it fronts.  A seeded grammar of well-formed and
+// malformed "src dst" lines, damaged further by the fault-injection
+// corruptor, plus a fixed block of token-length and separator boundary
+// lines, goes through scan_packet_line line by line and through
+// TraceTailReader as a stream cut at every chunk size up to 48 bytes;
 // both must agree with a copy of the line parser as it stood before the
 // scan existed, down to the packet, the diagnostic, the IngestReport, the
 // record offsets and the palu_ingest_* counters.
@@ -9,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -238,14 +241,63 @@ std::string grammar_corpus(std::uint64_t seed, std::size_t lines) {
   return text;
 }
 
-// The grammar corpus with the corruptor's byte and line damage on top.
+// Tokens of every length from 1 to 20 digits, around the scanner's word
+// boundaries (8/9, 16/17 and 19/20 digits) and with leading zeros, in
+// every separator shape: tabs, blank runs, "\r\n", a '\r' inside the
+// line and a third token.
+std::string boundary_lines() {
+  std::string text;
+  for (std::size_t len = 1; len <= 20; ++len) {
+    const std::string nines(len, '9');
+    const std::string counting =
+        std::string("12345678901234567890").substr(0, len);
+    const std::string padded = std::string(len - 1, '0') + "7";
+    for (const std::string& tok : {nines, counting, padded}) {
+      text += tok + " " + counting + "\n";
+      text += "\t" + padded + "\t \t" + tok + "  \n";
+      text += "  " + tok + "\t" + nines + "\r\n";
+      text += tok + "\r " + padded + "\n";
+      text += tok + " " + nines + "\r" + counting + "\n";
+      text += tok + " " + padded + " 5\n";
+    }
+  }
+  return text;
+}
+
+// The grammar corpus with the corruptor's byte and line damage on top,
+// then the boundary lines.
 std::string damaged_corpus() {
   testing::CorruptionOptions damage;
   damage.rate = 0.05;
   std::string text = testing::corrupt_trace(grammar_corpus(23, 101000),
                                             damage, /*seed=*/2023);
+  text += boundary_lines();
   text += " 7\t8";  // an unterminated last line: finish() reads it
   return text;
+}
+
+// The scanner's verdict on one line, checked both ways it is called: on
+// the line alone (read_edge_list), where a match returns the line's end,
+// and on the line plus the rest of the text (the tail reader), where it
+// must return the same line's '\n' or nullptr.  The line is copied to
+// a buffer of its exact size, so a sanitizer catches any read past it.
+bool scan_line(std::string_view line, std::string_view rest,
+               traffic::Packet& out) {
+  const auto copy = std::make_unique<char[]>(line.size());
+  line.copy(copy.get(), line.size());
+  const char* const end = copy.get() + line.size();
+  const bool alone = detail::scan_packet_line(copy.get(), end, out) == end;
+  traffic::Packet streamed{};
+  const char* const stop =
+      detail::scan_packet_line(line.data(), rest.data() + rest.size(),
+                               streamed);
+  EXPECT_TRUE(stop == nullptr || stop == line.data() + line.size())
+      << "'" << line << "'";
+  EXPECT_EQ(stop != nullptr, alone) << "'" << line << "'";
+  if (alone && stop != nullptr) {
+    EXPECT_EQ(streamed, out) << "'" << line << "'";
+  }
+  return alone;
 }
 
 std::vector<std::string_view> split_lines(std::string_view text) {
@@ -268,7 +320,9 @@ TEST(TraceLineScan, AgreesWithTheLineParserOnEveryCorpusLine) {
   for (const std::string_view line : lines) {
     const reference::Verdict want = reference::classify(line);
     traffic::Packet got{};
-    if (detail::scan_packet_line(line, got)) {
+    const std::string_view rest =
+        std::string_view(text).substr(line.data() - text.data());
+    if (scan_line(line, rest, got)) {
       ++scanned;
       ASSERT_TRUE(want.record && want.packet)
           << "scan accepted '" << line << "': " << want.diagnostic;
@@ -302,26 +356,63 @@ TEST(TraceLineScan, AgreesWithTheLineParserOnEveryCorpusLine) {
 }
 
 TEST(TraceLineScan, BoundaryTokens) {
+  // The scanner on a line alone: a match returns the line's end.
+  const auto scan = [](std::string_view line, traffic::Packet& out) {
+    const char* const end = line.data() + line.size();
+    return detail::scan_packet_line(line.data(), end, out) == end;
+  };
   traffic::Packet p{};
-  EXPECT_TRUE(detail::scan_packet_line("9999999999999999999 0", p));
+  EXPECT_TRUE(scan("9999999999999999999 0", p));
   EXPECT_EQ(p, (traffic::Packet{9999999999999999999ull, 0}));
-  EXPECT_TRUE(detail::scan_packet_line(" \t007\t \t8 \r\t\r", p));
+  EXPECT_TRUE(scan(" \t007\t \t8 \r\t\r", p));
   EXPECT_EQ(p, (traffic::Packet{7, 8}));
+  // Every token length the scanner takes, across its word boundaries,
+  // zero-padded or not.
+  std::uint64_t nines = 0;
+  for (std::size_t len = 1; len <= 19; ++len) {
+    nines = nines * 10 + 9;
+    const std::string tok(len, '9');
+    const std::string padded = std::string(len - 1, '0') + "3";
+    EXPECT_TRUE(scan(tok + " " + padded, p)) << len;
+    EXPECT_EQ(p, (traffic::Packet{nines, 3})) << len;
+    EXPECT_TRUE(scan(padded + "\t" + tok, p)) << len;
+    EXPECT_EQ(p, (traffic::Packet{3, nines})) << len;
+  }
+  EXPECT_TRUE(scan("12345678 123456789", p));
+  EXPECT_EQ(p, (traffic::Packet{12345678, 123456789}));
+  EXPECT_TRUE(scan("1234567812345678 12345678123456789", p));
+  EXPECT_EQ(p, (traffic::Packet{1234567812345678, 12345678123456789}));
   // Left to parse_u64: every 20-digit token, including ones that fit.
-  EXPECT_FALSE(detail::scan_packet_line("18446744073709551615 1", p));
-  EXPECT_FALSE(detail::scan_packet_line("1 18446744073709551616", p));
-  EXPECT_FALSE(detail::scan_packet_line("1 00000000000000000001", p));
+  EXPECT_FALSE(scan("18446744073709551615 1", p));
+  EXPECT_FALSE(scan("1 18446744073709551616", p));
+  EXPECT_FALSE(scan("1 00000000000000000001", p));
+  EXPECT_FALSE(scan("99999999999999999999 1", p));
   // '\r' before the separator or at the front, signs, a third token.
-  EXPECT_FALSE(detail::scan_packet_line("1\r 2", p));
-  EXPECT_FALSE(detail::scan_packet_line("\r1 2", p));
-  EXPECT_FALSE(detail::scan_packet_line("+1 2", p));
-  EXPECT_FALSE(detail::scan_packet_line("1 -2", p));
-  EXPECT_FALSE(detail::scan_packet_line("1 2 3", p));
-  EXPECT_FALSE(detail::scan_packet_line("1 2\r3", p));
-  EXPECT_FALSE(detail::scan_packet_line("12", p));
-  EXPECT_FALSE(detail::scan_packet_line("1 ", p));
-  EXPECT_FALSE(detail::scan_packet_line("", p));
-  EXPECT_FALSE(detail::scan_packet_line("# 1 2", p));
+  EXPECT_FALSE(scan("1\r 2", p));
+  EXPECT_FALSE(scan("\r1 2", p));
+  EXPECT_FALSE(scan("+1 2", p));
+  EXPECT_FALSE(scan("1 -2", p));
+  EXPECT_FALSE(scan("1 2 3", p));
+  EXPECT_FALSE(scan("1 2\r3", p));
+  EXPECT_FALSE(scan("12", p));
+  EXPECT_FALSE(scan("1 ", p));
+  EXPECT_FALSE(scan("", p));
+  EXPECT_FALSE(scan("# 1 2", p));
+  // In a stream the scanner stops at the line's '\n' and reads on past
+  // nothing; a line that runs to the end of the range returns the end.
+  const std::string_view text = "12 345\r\n6 7\n8 9";
+  const char* const end = text.data() + text.size();
+  const char* nl = detail::scan_packet_line(text.data(), end, p);
+  ASSERT_EQ(nl, text.data() + 7);
+  EXPECT_EQ(p, (traffic::Packet{12, 345}));
+  nl = detail::scan_packet_line(nl + 1, end, p);
+  ASSERT_EQ(nl, text.data() + 11);
+  EXPECT_EQ(p, (traffic::Packet{6, 7}));
+  EXPECT_EQ(detail::scan_packet_line(nl + 1, end, p), end);
+  EXPECT_EQ(p, (traffic::Packet{8, 9}));
+  EXPECT_EQ(detail::scan_packet_line(text.data(), text.data() + 5, p),
+            text.data() + 5);  // "12 34", cut inside the second token
+  EXPECT_EQ(p, (traffic::Packet{12, 34}));
 }
 
 reference::Run read_in_chunks(std::string_view text, IngestOptions opts,
@@ -404,8 +495,11 @@ TEST(TraceLineScan, TailReaderMatchesTheLineByLineContract) {
     } else {
       ASSERT_TRUE(want.thrown);  // the stream stops early
     }
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{65536}}) {
+    // Every chunk size up to 48 puts line ends at every offset of the
+    // scanner's word loads relative to a chunk's end.
+    std::vector<std::size_t> chunks = {4093, 65536};
+    for (std::size_t chunk = 1; chunk <= 48; ++chunk) chunks.push_back(chunk);
+    for (const std::size_t chunk : chunks) {
       SCOPED_TRACE("policy=" + std::string(to_string(c.policy)) +
                    " budget=" + std::to_string(c.budget) +
                    " chunk=" + std::to_string(chunk));

@@ -27,7 +27,7 @@ std::vector<palu::traffic::Packet> load_or_synthesize(int argc,
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       std::exit(1);
     }
-    return io::read_trace(in);
+    return io::read_trace(in, {}).packets;
   }
   // No file: synthesize a PALU-driven stream and round-trip it through
   // the trace format so the example also documents the format itself.
@@ -43,7 +43,7 @@ std::vector<palu::traffic::Packet> load_or_synthesize(int argc,
   for (int i = 0; i < 400000; ++i) packets.push_back(stream.next());
   std::stringstream round_trip;
   io::write_trace(round_trip, packets);
-  return io::read_trace(round_trip);
+  return io::read_trace(round_trip, {}).packets;
 }
 
 }  // namespace

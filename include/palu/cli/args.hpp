@@ -28,6 +28,8 @@ class Args {
   std::int64_t get_int(const std::string& name,
                        std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// Whether a bare flag is present; throws palu::InvalidArgument when it
+  /// carries a value (`--csv=no`, `--csv false`).
   bool get_flag(const std::string& name) const;
 
   /// Names seen on the command line (for unknown-option diagnostics).

@@ -1,4 +1,5 @@
-// Incremental packet-trace reading — the library's one trace line parser.
+// Incremental packet-trace reading — the library's one trace line parser
+// and its one window cut.
 //
 // `palu_tool serve` tails a growing file, a pipe, or stdin: data arrive
 // in arbitrary chunks whose boundaries do not respect line breaks.
@@ -13,17 +14,23 @@
 // so a consumer that persists `end_offset` can crash, reopen the file,
 // seek, and resume with no duplicated and no dropped packets — the
 // anchor the serve checkpoint is built on.
+//
+// cut_windows makes Section II's windows of N_V consecutive valid packets
+// for serve and the batch trace commands alike.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "palu/common/result.hpp"
-#include "palu/io/trace.hpp"
 #include "palu/traffic/packet.hpp"
+#include "palu/traffic/window_accumulator.hpp"
 
 namespace palu::io {
 
@@ -35,6 +42,22 @@ struct TailRecord {
   /// to and including this record.
   std::uint64_t end_offset = 0;
 };
+
+/// Receives a trace read's accepted records, one batch per input chunk.
+using RecordSink = std::function<void(std::span<const TailRecord>)>;
+
+/// Receives a full window and the end_offset of its last record; false
+/// stops the cut.
+using WindowSealed =
+    std::function<bool(traffic::WindowAccumulator&, std::uint64_t)>;
+
+/// Adds each record's packet to `window`; at every `n_valid` boundary
+/// calls `sealed`, then begins the next window.  Returns the records
+/// added, all of them unless a seal stopped the cut.  The open window
+/// carries over to the next call.
+std::size_t cut_windows(std::span<const TailRecord> records, Count n_valid,
+                        traffic::WindowAccumulator& window,
+                        const WindowSealed& sealed);
 
 class TraceTailReader {
  public:
@@ -76,7 +99,7 @@ class TraceTailReader {
  private:
   // read_trace's reader: the same parser under the "read_trace" label.
   friend IngestReport read_trace(std::istream& in, const IngestOptions& opts,
-                                 const PacketSink& sink);
+                                 const RecordSink& sink);
   TraceTailReader(const char* reader_label, const IngestOptions& opts);
 
   // Reads the run of well-formed lines at `p` whose '\n' lies before

@@ -8,20 +8,20 @@
 //
 // There is one trace line parser, io::TraceTailReader (io/tail.hpp).
 // read_trace feeds it the stream in 64 KiB chunks under its own reader
-// label ("read_trace"); its streaming form hands the accepted packets to
+// label ("read_trace"); its streaming form hands each chunk's records to
 // a sink as they are parsed, so a caller that cuts windows while reading
-// holds O(N_V) packets however long the trace is.
+// (io::cut_windows) holds one open window however long the trace is.
 //
-// Real captures are noisy, so every reader has a policy-aware overload:
-// under ErrorPolicy::kSkip malformed lines are counted and dropped, under
+// Real captures are noisy, so every reader takes a policy: under
+// ErrorPolicy::kStrict (the IngestOptions default) the first malformed
+// line throws; under kSkip malformed lines are counted and dropped, under
 // kRepair the reader salvages the first two unsigned integer tokens it can
 // find on the line (bit-flipped separators, glued third columns) and only
 // drops lines with nothing salvageable.  Both enforce
-// IngestOptions::max_bad_lines as an error budget.  The legacy overloads
-// are exactly kStrict.
+// IngestOptions::max_bad_lines as an error budget.  The edge-list
+// overload without options is exactly kStrict.
 #pragma once
 
-#include <functional>
 #include <istream>
 #include <ostream>
 #include <span>
@@ -29,13 +29,10 @@
 
 #include "palu/common/result.hpp"
 #include "palu/graph/graph.hpp"
+#include "palu/io/tail.hpp"
 #include "palu/traffic/packet.hpp"
 
 namespace palu::io {
-
-/// Parses a trace; throws palu::DataError with the line number on
-/// malformed input (equivalent to the kStrict policy).
-std::vector<traffic::Packet> read_trace(std::istream& in);
 
 /// Packets plus the structured account of what was read/dropped/repaired.
 struct TraceReadResult {
@@ -47,15 +44,11 @@ struct TraceReadResult {
 /// kSkip and kRepair throw only when the error budget is exhausted.
 TraceReadResult read_trace(std::istream& in, const IngestOptions& opts);
 
-/// Receives the packets a trace read accepts, in trace order, one batch
-/// per input chunk.  The span is valid only for the call.
-using PacketSink = std::function<void(std::span<const traffic::Packet>)>;
-
 /// Streaming form of the policy-aware reader: same policy, errors and
-/// accounting, but the accepted packets go to `sink` as they are parsed
+/// accounting, but the accepted records go to `sink` as they are parsed
 /// instead of into one vector.  Returns the ingest account.
 IngestReport read_trace(std::istream& in, const IngestOptions& opts,
-                        const PacketSink& sink);
+                        const RecordSink& sink);
 
 /// Writes packets one per line, with a format header comment.
 void write_trace(std::ostream& out, std::span<const traffic::Packet> pkts);

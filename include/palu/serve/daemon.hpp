@@ -2,8 +2,9 @@
 //
 // Three actors, two threads plus the caller:
 //
-//   ingest thread:  tails the input (file tail / pipe / stdin) through a
-//                   TraceTailReader into the daemon's one
+//   ingest thread:  reads the input (a file, followed or not, or stdin)
+//                   in one poll/read loop through a TraceTailReader and
+//                   io::cut_windows into the daemon's one
 //                   WindowAccumulator; at every N_V boundary it
 //                   histograms the window (and exports its pair counts
 //                   under --record), then pushes the sealed window into
@@ -145,7 +146,6 @@ class ServeDaemon {
 
   void ingest_stage();
   void ingest_body();
-  bool deliver(std::vector<io::TailRecord>& records);
   bool seal_window(std::uint64_t end_offset);
   void set_queue_depth();
 

@@ -81,7 +81,14 @@ double Args::get_double(const std::string& name, double fallback) const {
   return value;
 }
 
-bool Args::get_flag(const std::string& name) const { return has(name); }
+bool Args::get_flag(const std::string& name) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return false;
+  PALU_CHECK(!it->second.has_value(), "Args: flag --" + name +
+                                          " takes no value, got '" +
+                                          *it->second + "'");
+  return true;
+}
 
 std::vector<std::string> Args::names() const {
   std::vector<std::string> out;

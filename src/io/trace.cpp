@@ -9,7 +9,6 @@
 
 #include "palu/common/error.hpp"
 #include "palu/io/parse.hpp"
-#include "palu/io/tail.hpp"
 #include "ingest_gate.hpp"
 #include "trace_line.hpp"
 
@@ -18,38 +17,28 @@ namespace palu::io {
 using detail::trim;
 
 IngestReport read_trace(std::istream& in, const IngestOptions& opts,
-                        const PacketSink& sink) {
+                        const RecordSink& sink) {
   TraceTailReader reader("read_trace", opts);
   std::vector<TailRecord> records;
-  std::vector<traffic::Packet> packets;
-  const auto hand_off = [&] {
-    packets.clear();
-    for (const TailRecord& r : records) packets.push_back(r.packet);
-    records.clear();
-    if (!packets.empty()) sink(packets);
-  };
   std::vector<char> chunk(std::size_t{1} << 16);
-  while (in) {
+  for (bool more = true; more;) {
     in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
     reader.feed({chunk.data(), static_cast<std::size_t>(in.gcount())},
                 records);
-    hand_off();
+    more = static_cast<bool>(in);
+    if (!more) reader.finish(records);  // end of stream ends the last line
+    if (!records.empty()) sink(records);
+    records.clear();
   }
-  reader.finish(records);  // end of stream terminates the last line
-  hand_off();
   return reader.report();
 }
 
 TraceReadResult read_trace(std::istream& in, const IngestOptions& opts) {
   TraceReadResult out;
-  out.report = read_trace(in, opts, [&](std::span<const traffic::Packet> p) {
-    out.packets.insert(out.packets.end(), p.begin(), p.end());
+  out.report = read_trace(in, opts, [&](std::span<const TailRecord> batch) {
+    for (const TailRecord& r : batch) out.packets.push_back(r.packet);
   });
   return out;
-}
-
-std::vector<traffic::Packet> read_trace(std::istream& in) {
-  return read_trace(in, IngestOptions{}).packets;
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #include "palu/serve/daemon.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -63,6 +64,14 @@ bool write_file_atomically(const std::string& path,
   }
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
+
+// Closes the descriptor the ingest stage opened, on every way out.
+struct FdCloser {
+  int fd = -1;
+  ~FdCloser() {
+    if (fd >= 0) ::close(fd);
+  }
+};
 
 }  // namespace
 
@@ -177,7 +186,6 @@ bool ServeDaemon::seal_window(std::uint64_t end_offset) {
   window.histogram = acc_.histogram(opts_.quantity);
   window.end_offset = end_offset;
   if (recording_.load()) acc_.export_counts(window.records);
-  acc_.begin_window();
   // A shed window counts its N_V packets; drop-oldest admits this one
   // and evicts the queue head instead.
   switch (queue_.push(std::move(window))) {
@@ -196,96 +204,72 @@ bool ServeDaemon::seal_window(std::uint64_t end_offset) {
   return true;
 }
 
-bool ServeDaemon::deliver(std::vector<io::TailRecord>& records) {
-  // Counts the packets that reached the accumulator (the ingest restart
-  // meter reads this count); a closed queue ends the stream.
-  std::uint64_t added = 0;
-  bool open = true;
-  for (const io::TailRecord& rec : records) {
-    acc_.add(rec.packet.src, rec.packet.dst);
-    ++added;
-    if (acc_.total() == opts_.window_packets &&
-        !seal_window(rec.end_offset)) {
-      open = false;
-      break;
-    }
-  }
-  packets_counter_.inc(added);
-  packets_read_.fetch_add(added);
-  records.clear();
-  return open;
-}
-
 void ServeDaemon::ingest_body() {
+  // One poll/read loop for a pipe and a file.  A restart re-enters here:
+  // a file is reopened at the last fully consumed line and any partial
+  // fragment is re-read from it; stdin cannot be re-read, so its reader
+  // keeps the fragment.  The open window survives either way.
   const bool is_stdin = opts_.input_path == "-";
-  std::ifstream file;
+  const std::string name = is_stdin ? "stdin" : "'" + opts_.input_path + "'";
+  FdCloser file;
+  int fd = STDIN_FILENO;
   if (!is_stdin) {
-    // (Re)entry after a restart resumes at the last fully consumed line;
-    // any partial fragment is dropped and re-read from the file.
     reader_->reset_at(reader_->consumed_offset());
-    file.open(opts_.input_path, std::ios::binary);
-    if (!file) {
-      throw DataError("serve: cannot open input '" + opts_.input_path +
-                      "'");
-    }
-    file.seekg(static_cast<std::streamoff>(reader_->consumed_offset()));
-    if (!file) {
-      throw DataError("serve: cannot seek input '" + opts_.input_path +
-                      "' to offset " +
+    fd = file.fd = ::open(opts_.input_path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) throw DataError("serve: cannot open input " + name);
+    if (::lseek(fd, static_cast<off_t>(reader_->consumed_offset()),
+                SEEK_SET) < 0) {
+      throw DataError("serve: cannot seek input " + name + " to offset " +
                       std::to_string(reader_->consumed_offset()));
     }
   }
 
   std::vector<io::TailRecord> records;
+  // Cuts the parsed records into windows and counts the packets that
+  // reached the accumulator (the ingest restart meter reads this count).
+  // A seal that finds the queue closed stops the cut: the daemon is then
+  // stopping, which ends the loop below.
+  const auto cut = [&] {
+    const std::size_t added = io::cut_windows(
+        records, opts_.window_packets, acc_,
+        [this](traffic::WindowAccumulator&, std::uint64_t end_offset) {
+          return seal_window(end_offset);
+        });
+    packets_counter_.inc(added);
+    packets_read_.fetch_add(added);
+    records.clear();
+  };
   char buf[65536];
   while (!stopping()) {
     // Probe before any byte is read: a firing ingest failpoint must not
     // consume (and thereby lose) stream data on the restart path.
     PALU_FAILPOINT("serve.ingest");
-    if (is_stdin) {
-      struct pollfd pfd {
-        STDIN_FILENO, POLLIN, 0
-      };
-      const int pr =
-          ::poll(&pfd, 1, static_cast<int>(opts_.poll_interval_ms));
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        throw Error(std::string("serve: poll on stdin failed: ") +
-                    std::strerror(errno));
-      }
-      if (pr == 0) continue;  // timeout: recheck the stop flag
-      const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw Error(std::string("serve: read on stdin failed: ") +
-                    std::strerror(errno));
-      }
-      if (n == 0) {  // pipe closed: the stream is complete
-        reader_->finish(records);
-        deliver(records);
-        return;
-      }
+    struct pollfd pfd {
+      fd, POLLIN, 0
+    };
+    const int pr = ::poll(&pfd, 1, static_cast<int>(opts_.poll_interval_ms));
+    if (pr < 0) {
+      if (errno == EINTR) continue;
+      throw Error("serve: poll on " + name + " failed: " +
+                  std::strerror(errno));
+    }
+    if (pr == 0) continue;  // timeout: recheck the stop flag
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw Error("serve: read on " + name + " failed: " +
+                  std::strerror(errno));
+    }
+    if (n > 0) {
       reader_->feed({buf, static_cast<std::size_t>(n)}, records);
-      if (!deliver(records)) return;
+      cut();
+    } else if (is_stdin || !opts_.follow) {
+      // End of stream: it terminates a last line that has no '\n'.
+      reader_->finish(records);
+      cut();
+      return;
     } else {
-      file.read(buf, sizeof buf);
-      const std::streamsize n = file.gcount();
-      if (n > 0) {
-        reader_->feed({buf, static_cast<std::size_t>(n)}, records);
-        if (!deliver(records)) return;
-      }
-      if (file.eof()) {
-        if (!opts_.follow) {
-          reader_->finish(records);
-          deliver(records);
-          return;
-        }
-        // Tail mode: the file may grow; clear eof and poll.
-        file.clear();
-        interruptible_sleep_ms(opts_.poll_interval_ms);
-      } else if (file.fail()) {
-        throw Error("serve: read failed on '" + opts_.input_path + "'");
-      }
+      interruptible_sleep_ms(opts_.poll_interval_ms);  // the file may grow
     }
   }
 }

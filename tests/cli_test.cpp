@@ -38,6 +38,17 @@ TEST(Args, TrailingFlag) {
   EXPECT_EQ(args.get_int("nvalid", 0), 100);
 }
 
+TEST(Args, FlagsRejectValues) {
+  // Both value forms are rejected rather than read as "present".
+  const auto args =
+      parse({"--csv=no", "--verify", "false", "--follow", "--restore="});
+  EXPECT_THROW(args.get_flag("csv"), InvalidArgument);
+  EXPECT_THROW(args.get_flag("verify"), InvalidArgument);
+  EXPECT_THROW(args.get_flag("restore"), InvalidArgument);
+  EXPECT_TRUE(args.get_flag("follow"));
+  EXPECT_FALSE(args.get_flag("absent"));
+}
+
 TEST(Args, DefaultsWhenAbsent) {
   const auto args = parse({});
   EXPECT_EQ(args.get_string("trace", "fallback"), "fallback");

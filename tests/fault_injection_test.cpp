@@ -176,14 +176,14 @@ TEST(FaultInjection, ErrorBudgetExhaustionThrowsUnderSkip) {
 
 TEST(FaultInjection, CleanInputIsCleanUnderEveryPolicy) {
   const std::string clean = clean_trace_text();
-  std::istringstream legacy_in(clean);
-  const auto legacy = io::read_trace(legacy_in);
+  std::istringstream strict_in(clean);
+  const auto strict = io::read_trace(strict_in, {}).packets;
   for (const ErrorPolicy policy : {ErrorPolicy::kStrict, ErrorPolicy::kSkip,
                                    ErrorPolicy::kRepair}) {
     const auto result = read_with(clean, policy);
     EXPECT_TRUE(result.report.clean());
     EXPECT_EQ(result.report.records_kept, 400u);
-    EXPECT_EQ(result.packets, legacy);
+    EXPECT_EQ(result.packets, strict);
   }
 }
 

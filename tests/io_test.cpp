@@ -1,7 +1,10 @@
-// Unit tests for palu/io: trace round-trips and CSV exports.
+// Unit tests for palu/io: trace round-trips, the window cut and CSV
+// exports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -10,10 +13,12 @@
 #include "palu/common/error.hpp"
 #include "palu/fit/model_zoo.hpp"
 #include "palu/io/csv.hpp"
+#include "palu/io/tail.hpp"
 #include "palu/io/trace.hpp"
 #include "palu/stats/distribution.hpp"
 #include "palu/stats/histogram.hpp"
 #include "palu/traffic/sparse_matrix.hpp"
+#include "palu/traffic/window_accumulator.hpp"
 
 namespace palu::io {
 namespace {
@@ -23,7 +28,7 @@ TEST(Trace, RoundTripsPackets) {
       {1, 2}, {42, 7}, {18446744073709551615ull, 0}};
   std::stringstream buf;
   write_trace(buf, pkts);
-  const auto parsed = read_trace(buf);
+  const auto parsed = read_trace(buf, {}).packets;
   EXPECT_EQ(parsed, pkts);
 }
 
@@ -101,7 +106,7 @@ TEST(Trace, SkipsCommentsAndBlanks) {
       "   # indented comment\n"
       "3\t4\n"
       "  5   6  \r\n");
-  const auto parsed = read_trace(buf);
+  const auto parsed = read_trace(buf, {}).packets;
   ASSERT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed[0], (traffic::Packet{1, 2}));
   EXPECT_EQ(parsed[1], (traffic::Packet{3, 4}));
@@ -111,7 +116,7 @@ TEST(Trace, SkipsCommentsAndBlanks) {
 TEST(Trace, RejectsMalformedLines) {
   const auto expect_bad = [](const char* text) {
     std::stringstream buf(text);
-    EXPECT_THROW(read_trace(buf), DataError) << text;
+    EXPECT_THROW(read_trace(buf, {}), DataError) << text;
   };
   expect_bad("1\n");
   expect_bad("a b\n");
@@ -122,19 +127,19 @@ TEST(Trace, RejectsMalformedLines) {
 TEST(Trace, AllowsThreeTokenRejection) {
   // "1 2 3" has a stray third token: the dst parse must fail.
   std::stringstream buf("1 2 3\n");
-  EXPECT_THROW(read_trace(buf), DataError);
+  EXPECT_THROW(read_trace(buf, {}), DataError);
 }
 
 TEST(Trace, EmptyInputYieldsEmptyVector) {
   std::stringstream buf("");
-  EXPECT_TRUE(read_trace(buf).empty());
+  EXPECT_TRUE(read_trace(buf, {}).packets.empty());
 }
 
 TEST(Trace, ErrorsNameLineAndOffendingToken) {
   const auto message_for = [](const char* text) -> std::string {
     std::stringstream buf(text);
     try {
-      read_trace(buf);
+      read_trace(buf, {});
     } catch (const DataError& e) {
       return e.what();
     }
@@ -157,7 +162,7 @@ TEST(Trace, ErrorsNameLineAndOffendingToken) {
 
 TEST(Trace, MaxU64StillParses) {
   std::stringstream buf("18446744073709551615 0\n");
-  const auto pkts = read_trace(buf);
+  const auto pkts = read_trace(buf, {}).packets;
   ASSERT_EQ(pkts.size(), 1u);
   EXPECT_EQ(pkts[0].src, 18446744073709551615ull);
 }
@@ -188,6 +193,158 @@ TEST(Trace, RepairPolicySalvagesGluedTokens) {
   EXPECT_EQ(result.report.records_kept, 1u);
   EXPECT_EQ(result.report.lines_repaired, 2u);
   EXPECT_EQ(result.report.lines_dropped, 1u);
+}
+
+// ------------------------------------------------------------ window cut
+
+// 200 packet lines over a few dozen repeating pairs, with comments, blank
+// lines and CRLF endings between them.
+std::string cut_trace_text() {
+  std::string text = "# cut trace\n";
+  for (int i = 0; i < 200; ++i) {
+    if (i % 17 == 0) text += "# comment\n";
+    if (i % 23 == 0) text += "\n";
+    text += std::to_string(i * 7 % 13) + ' ' + std::to_string(i * 5 % 11);
+    text += i % 19 == 0 ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+// What one sealed window held.
+struct SealedWindow {
+  std::vector<traffic::EdgePacketCounts> counts;  // sorted
+  std::uint64_t end_offset = 0;
+  bool operator==(const SealedWindow&) const = default;
+};
+
+SealedWindow seal_of(const traffic::WindowAccumulator& acc,
+                     std::uint64_t end_offset) {
+  SealedWindow w{{}, end_offset};
+  acc.export_counts(w.counts);
+  std::sort(w.counts.begin(), w.counts.end(),
+            [](const auto& a, const auto& b) {
+              return a.u != b.u ? a.u < b.u : a.v < b.v;
+            });
+  return w;
+}
+
+// Every record of `text`, read in one feed.
+std::vector<TailRecord> one_shot(const std::string& text) {
+  TraceTailReader reader;
+  std::vector<TailRecord> records;
+  reader.feed(text, records);
+  reader.finish(records);
+  return records;
+}
+
+// The windows of `n_valid` records sliced from a one-shot read.
+std::vector<SealedWindow> one_shot_windows(const std::string& text,
+                                           std::size_t n_valid) {
+  const std::vector<TailRecord> all = one_shot(text);
+  std::vector<SealedWindow> out;
+  for (std::size_t end = n_valid; end <= all.size(); end += n_valid) {
+    traffic::WindowAccumulator acc;
+    for (std::size_t i = end - n_valid; i < end; ++i) {
+      acc.add(all[i].packet.src, all[i].packet.dst);
+    }
+    out.push_back(seal_of(acc, all[end - 1].end_offset));
+  }
+  return out;
+}
+
+TEST(CutWindows, SealsTheOneShotSlicesAtEveryChunkSize) {
+  const std::string text = cut_trace_text();
+  constexpr std::size_t kWindow = 7;
+  const auto want = one_shot_windows(text, kWindow);
+  ASSERT_EQ(want.size(), 200u / kWindow);
+  std::vector<std::size_t> chunk_sizes(48);
+  std::iota(chunk_sizes.begin(), chunk_sizes.end(), 1);
+  chunk_sizes.push_back(65536);
+  for (const std::size_t chunk : chunk_sizes) {
+    TraceTailReader reader;
+    traffic::WindowAccumulator acc;
+    std::vector<SealedWindow> got;
+    const WindowSealed sealed = [&](traffic::WindowAccumulator& w,
+                                    std::uint64_t end_offset) {
+      EXPECT_EQ(w.total(), kWindow);
+      got.push_back(seal_of(w, end_offset));
+      return true;
+    };
+    std::vector<TailRecord> records;
+    std::size_t added = 0;
+    for (std::size_t pos = 0; pos < text.size(); pos += chunk) {
+      reader.feed(std::string_view(text).substr(pos, chunk), records);
+      added += cut_windows(records, kWindow, acc, sealed);
+      records.clear();
+    }
+    reader.finish(records);
+    added += cut_windows(records, kWindow, acc, sealed);
+    EXPECT_EQ(added, 200u) << chunk;
+    EXPECT_EQ(got, want) << chunk;
+    EXPECT_EQ(acc.total(), 200u % kWindow) << chunk;  // the open window
+  }
+}
+
+TEST(CutWindows, FalseSealLeavesTheRestUnadded) {
+  const std::vector<TailRecord> all = one_shot(cut_trace_text());
+  const auto want = one_shot_windows(cut_trace_text(), 4);
+  traffic::WindowAccumulator acc;
+  std::vector<SealedWindow> got;
+  std::size_t stop_at = 2;  // the seal that returns false
+  const WindowSealed sealed = [&](traffic::WindowAccumulator& w,
+                                  std::uint64_t end_offset) {
+    got.push_back(seal_of(w, end_offset));
+    return got.size() != stop_at;
+  };
+  const std::span<const TailRecord> records(all);
+  const std::size_t first = cut_windows(records, 4, acc, sealed);
+  EXPECT_EQ(first, 8u);  // through the record that sealed window 1
+  EXPECT_EQ(got.size(), 2u);
+  EXPECT_EQ(acc.total(), 0u);  // the next window was begun
+  // The rest of the chunk cuts on from where the stop left it.
+  stop_at = 0;
+  const std::size_t rest = cut_windows(records.subspan(first), 4, acc, sealed);
+  EXPECT_EQ(first + rest, all.size());
+  EXPECT_EQ(got, want);
+  // A stop at a chunk's last record still counts every record.
+  got.clear();
+  stop_at = 1;
+  traffic::WindowAccumulator exact;
+  EXPECT_EQ(cut_windows(records.first(4), 4, exact, sealed), 4u);
+  EXPECT_EQ(got.size(), 1u);
+}
+
+// serve's ingest restart: the reader drops its partial line and re-reads
+// from its consumed offset, while the open window carries on.
+TEST(CutWindows, OpenWindowSurvivesResetAt) {
+  const std::string text = cut_trace_text();
+  constexpr std::size_t kWindow = 9;
+  const auto want = one_shot_windows(text, kWindow);
+  const std::vector<TailRecord> all = one_shot(text);
+  // Two bytes into the line after record i: mid-line, mid-window.
+  for (const std::size_t i : {11u, 50u, 150u}) {
+    const std::size_t cut_at = all[i].end_offset + 2;
+    TraceTailReader reader;
+    traffic::WindowAccumulator acc;
+    std::vector<SealedWindow> got;
+    const WindowSealed sealed = [&](traffic::WindowAccumulator& w,
+                                    std::uint64_t end_offset) {
+      got.push_back(seal_of(w, end_offset));
+      return true;
+    };
+    std::vector<TailRecord> records;
+    reader.feed(std::string_view(text).substr(0, cut_at), records);
+    cut_windows(records, kWindow, acc, sealed);
+    records.clear();
+    ASSERT_GT(reader.buffered_bytes(), 0u) << cut_at;
+    ASSERT_NE(acc.total(), 0u) << cut_at;
+    reader.reset_at(reader.consumed_offset());
+    reader.feed(std::string_view(text).substr(reader.consumed_offset()),
+                records);
+    reader.finish(records);
+    cut_windows(records, kWindow, acc, sealed);
+    EXPECT_EQ(got, want) << cut_at;
+  }
 }
 
 TEST(Csv, HistogramRejectsNegativeCountInsteadOfWrapping) {
@@ -358,7 +515,7 @@ TEST(TraceToPipeline, ParsedPacketsFeedWindows) {
   for (NodeId i = 0; i < 100; ++i) pkts.push_back({i % 7, i % 5});
   std::stringstream buf;
   write_trace(buf, pkts);
-  const auto parsed = read_trace(buf);
+  const auto parsed = read_trace(buf, {}).packets;
   const auto window = traffic::SparseCountMatrix::from_packets(parsed);
   EXPECT_EQ(window.total(), 100u);
 }

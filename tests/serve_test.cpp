@@ -7,6 +7,7 @@
 // fixed seeds and temp files; no subprocesses, no signals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -796,6 +797,49 @@ TEST_F(ServeTest, DaemonIngestFailpointRestartIsLossless) {
                          {{"stage", "ingest"}})
                 .value(),
             1u);
+  std::remove(trace.c_str());
+}
+
+// A restart mid-file: serve.ingest fires after three 64 KiB reads, with a
+// partial line buffered and a partial window open.  The stage reopens the
+// file, seeks to the consumed offset and publishes the clean run's lines,
+// whether or not it follows the file.
+TEST_F(ServeTest, DaemonIngestRestartMidFileIsLossless) {
+  const std::string trace = temp_path("ingmid.trace");
+  const std::string text = to_trace_text(synth_packets(60000, 47));
+  write_file(trace, text);
+  constexpr std::size_t kRead = 3 * 65536;
+  ASSERT_GT(text.size(), kRead + 65536);
+  ASSERT_NE(text[kRead - 1], '\n');
+  ASSERT_NE(std::count(text.begin(), text.begin() + kRead, '\n') % 1500, 0);
+
+  obs::Registry reg_clean;
+  std::ostringstream clean_out;
+  serve::ServeDaemon clean(daemon_opts(trace, reg_clean, clean_out));
+  ASSERT_EQ(clean.run(), 0);
+  ASSERT_EQ(clean.windows_published(), 40u);
+
+  for (const bool follow : {false, true}) {
+    failpoints::arm_from_spec("serve.ingest:1:3");
+    obs::Registry registry;
+    std::ostringstream out;
+    auto opts = daemon_opts(trace, registry, out);
+    opts.follow = follow;
+    opts.max_windows = 40;  // a followed file never ends
+    opts.poll_interval_ms = 1.0;
+    serve::ServeDaemon faulty(std::move(opts));
+    EXPECT_EQ(faulty.run(), 0) << follow;
+    EXPECT_EQ(out.str(), clean_out.str()) << follow;
+    EXPECT_EQ(registry.counter(obs::names::kServePackets).value(), 60000u)
+        << follow;
+    EXPECT_EQ(registry
+                  .counter(obs::names::kServeStageRestarts,
+                           {{"stage", "ingest"}})
+                  .value(),
+              1u)
+        << follow;
+    failpoints::disarm_all();
+  }
   std::remove(trace.c_str());
 }
 

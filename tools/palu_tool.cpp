@@ -115,15 +115,14 @@ void report_ingest(const char* what, const IngestReport& report) {
 }
 
 using TraceWindowFn =
-    std::function<void(std::size_t, std::vector<traffic::Packet>&)>;
+    std::function<void(std::size_t, traffic::WindowAccumulator&)>;
 
-// Reads --trace and hands each run of n_valid consecutive packets to
-// `window` as it is cut, with its index; a trailing partial window is
-// dropped.  `window` may keep the packets by swapping the vector for one
-// it is done with.  Holds O(n_valid) packets however long the trace is.
-// `on_read`, when set, runs once the whole trace is read, before its
-// ingest summary.  Returns the window count; a trace shorter than one window is
-// a usage error.
+// Reads --trace and hands each window of n_valid consecutive packets to
+// `window` as io::cut_windows seals it, with its index; a trailing
+// partial window is dropped.  Holds one open window however long the
+// trace is.  `on_read`, when set, runs once the whole trace is read,
+// before its ingest summary.  Returns the window count; a trace shorter
+// than one window is a usage error.
 std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
                                   const TraceWindowFn& window,
                                   const std::function<void()>& on_read = {}) {
@@ -132,17 +131,15 @@ std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
   const IngestOptions opts = ingest_options(args);
   std::ifstream file;
   std::istream& in = open_input(path, file, "trace");
-  std::vector<traffic::Packet> pending;
+  traffic::WindowAccumulator acc;
   std::size_t windows = 0;
-  const IngestReport report =
-      io::read_trace(in, opts, [&](std::span<const traffic::Packet> batch) {
-        for (const traffic::Packet& p : batch) {
-          pending.push_back(p);
-          if (pending.size() == n_valid) {
-            window(windows++, pending);
-            pending.clear();
-          }
-        }
+  const IngestReport report = io::read_trace(
+      in, opts, [&](std::span<const io::TailRecord> records) {
+        io::cut_windows(records, n_valid, acc,
+                        [&](traffic::WindowAccumulator& full, std::uint64_t) {
+                          window(windows++, full);
+                          return true;
+                        });
       });
   if (on_read) on_read();
   report_ingest("trace", report);
@@ -152,16 +149,13 @@ std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
 
 int cmd_analyze(const cli::Args& args) {
   const Count n_valid = get_count(args, "nvalid", 50000, 1);
+  const bool csv = args.get_flag("csv");
   stats::BinnedEnsemble ensemble;
   stats::DegreeHistogram merged;
   Degree dmax = 0;
-  traffic::WindowAccumulator acc;
   const std::size_t windows = for_each_trace_window(
-      args, n_valid,
-      [&](std::size_t, std::span<const traffic::Packet> window) {
-        acc.begin_window();
-        acc.add_packets(window);
-        const auto h = acc.histogram(traffic::Quantity::kUndirectedDegree);
+      args, n_valid, [&](std::size_t, traffic::WindowAccumulator& window) {
+        const auto h = window.histogram(traffic::Quantity::kUndirectedDegree);
         dmax = std::max(dmax, h.max_degree());
         ensemble.add(stats::LogBinned::from_histogram(h));
         merged.merge(h);
@@ -177,7 +171,7 @@ int cmd_analyze(const cli::Args& args) {
   }
   const auto& palu_fit = robust.fit;
   const auto ranking = fit::fit_all_models(merged);
-  if (args.get_flag("csv")) {
+  if (csv) {
     io::write_pooled_csv(std::cout, stats::LogBinned(ensemble.mean()),
                          ensemble.stddev());
     io::write_model_comparison_csv(std::cout, ranking);
@@ -384,18 +378,17 @@ void print_store_stats(const char* what, const std::string& dir,
 // Trace mode: window a recorded trace as it is read and archive each
 // window's pair counts.  The writer opens at the first window with node
 // domain 1 and widens it at finish() to the archived windows' ids, as
-// `serve --record` does.  A window's accumulate, export and append run as
-// one task on a one-thread pool while the cutter parses the next window:
-// at most one window is in flight, in a buffer the task owns.  The cutter
-// waits for that task before it hands over another window and whenever it
-// stops, so a failed append of window t is reported ahead of a parse
-// error met while reading window t + 1, as when the windows ran in turn.
+// `serve --record` does.  The reading thread accumulates each window and
+// exports its records; their append runs as a task on a one-thread pool
+// while the cutter parses the next window.  At most one window is in
+// flight: the cutter waits for its task before it exports another window
+// into the records the task reads, and whenever it stops, so a failed
+// append of window t is reported ahead of a parse error met while reading
+// window t + 1, as when the windows ran in turn.
 int capture_trace(const cli::Args& args, const std::string& dir,
                   std::unique_ptr<store::WindowStoreWriter>& writer) {
   const Count n_valid = get_count(args, "nvalid", 50000, 1);
-  traffic::WindowAccumulator acc;
   std::vector<traffic::EdgePacketCounts> records;
-  std::vector<traffic::Packet> in_flight;
   std::future<void> task;
   // Declared after everything the task touches, so unwinding joins it
   // before any of that is destroyed.
@@ -406,18 +399,15 @@ int capture_trace(const cli::Args& args, const std::string& dir,
   try {
     for_each_trace_window(
         args, n_valid,
-        [&](std::size_t t, std::vector<traffic::Packet>& window) {
+        [&](std::size_t t, traffic::WindowAccumulator& window) {
           wait();
           if (writer == nullptr) {
             writer = std::make_unique<store::WindowStoreWriter>(
                 dir, store::WriterOptions{.node_domain = 1});
           }
-          in_flight.swap(window);
+          records.clear();
+          window.export_counts(records);
           task = pool.submit([&, t, sink = writer.get()] {
-            acc.begin_window();
-            acc.add_packets(in_flight);
-            records.clear();
-            acc.export_counts(records);
             sink->append(t, n_valid, records);
           });
         },
@@ -508,9 +498,11 @@ int cmd_replay(const cli::Args& args) {
   PALU_CHECK(!dir.empty(), "missing --store DIR");
   const auto windows_arg =
       static_cast<std::size_t>(get_count(args, "windows", 0, 0));
+  const bool verify = args.get_flag("verify");
+  const bool csv = args.get_flag("csv");
   store::WindowStoreReader reader(dir, ingest_options(args));
   report_ingest("store", reader.open_report());
-  if (args.get_flag("verify")) {
+  if (verify) {
     // Decode every stored window (checksums and payload structure are
     // verified on each read) without running the sweep.
     std::vector<std::byte> buf;
@@ -545,7 +537,7 @@ int cmd_replay(const cli::Args& args) {
   ThreadPool pool;
   const auto sweep = traffic::sweep_windows(reader, windows, quantity, pool,
                                             traffic::SweepOptions{});
-  if (args.get_flag("csv")) {
+  if (csv) {
     io::write_pooled_csv(std::cout, stats::LogBinned(sweep.ensemble.mean()),
                          sweep.ensemble.stddev());
     return 0;
@@ -604,13 +596,19 @@ void export_metrics(const std::string& json_path) {
 
 int cmd_census(const cli::Args& args) {
   const Count n_valid = get_count(args, "nvalid", 50000, 1);
+  std::vector<traffic::EdgePacketCounts> pairs;
   for_each_trace_window(
-      args, n_valid,
-      [](std::size_t t, std::span<const traffic::Packet> packets) {
+      args, n_valid, [&](std::size_t t, traffic::WindowAccumulator& acc) {
         if (t == 0) {
           std::printf("window  links  un.links  stars  core.comps  largest\n");
         }
-        const auto window = traffic::SparseCountMatrix::from_packets(packets);
+        pairs.clear();
+        acc.export_counts(pairs);
+        traffic::SparseCountMatrix window;
+        for (const traffic::EdgePacketCounts& r : pairs) {
+          window.add(r.u, r.v, r.forward);
+          window.add(r.v, r.u, r.backward);
+        }
         const auto census =
             graph::classify_topology(traffic::window_to_graph(window));
         std::printf(
@@ -704,8 +702,12 @@ int cmd_serve(const cli::Args& args) {
       parse_quantity(args.get_string("quantity", "undirected_degree"));
   opts.streaming.sliding_horizon =
       static_cast<std::size_t>(get_count(args, "horizon", 4, 1));
-  opts.streaming.warm_start =
-      args.get_string("warm-start", "on") != "off";
+  const std::string warm_start = args.get_string("warm-start", "on");
+  if (warm_start != "on" && warm_start != "off") {
+    throw InvalidArgument("--warm-start must be 'on' or 'off', got '" +
+                          warm_start + "'");
+  }
+  opts.streaming.warm_start = warm_start == "on";
   opts.max_windows = get_count(args, "max-windows", 0, 0);
   opts.fit_deadline_ms = get_ms(args, "fit-deadline-ms", 0.0, 0.0);
   opts.queue_capacity =

@@ -1,9 +1,13 @@
 #!/bin/sh
-# CI soak for `palu_tool serve`: a live pipe plus failpoint churn.
+# CI soak for `palu_tool serve`: a live input plus failpoint churn.
 #
-# A generator loop feeds serve's stdin for DURATION seconds while the
-# PALU_FAILPOINT environment variable arms all three runtime serve
-# failpoints (ingest restart, fit degradation, checkpoint failure).
+# A writer feeds serve for DURATION seconds while the PALU_FAILPOINT
+# environment variable arms all three runtime serve failpoints (ingest
+# restart, fit degradation, checkpoint failure).  By default the writer
+# is a generator loop on serve's stdin.  With SOAK_INPUT=file an
+# appending writer grows a file instead, up to SOAK_FILE_MB megabytes
+# (40 by default), and serve reads it with --trace FILE --follow, so
+# every ingest restart reopens the file and seeks to the consumed offset.
 # Pass criteria: the daemon survives the whole soak and drains cleanly
 # on SIGTERM (exit 0), the published window indices are strictly
 # monotone with no gaps (the windows-fitted counter never goes
@@ -14,7 +18,8 @@
 # serve: `--backpressure drop-oldest --queue 20000` makes the soak shed
 # whole windows, which must leave both checks intact.
 #
-# Usage: serve_soak.sh /path/to/palu_tool [duration_seconds [serve flags...]]
+# Usage: [SOAK_INPUT=pipe|file] serve_soak.sh /path/to/palu_tool
+#            [duration_seconds [serve flags...]]
 set -eu
 
 TOOL="$1"
@@ -22,20 +27,49 @@ DURATION="${2:-30}"
 shift
 [ "$#" -gt 0 ] && shift
 DIR="$(mktemp -d)"
-trap 'rm -rf "$DIR"' EXIT
+WRITER=""
+trap '[ -z "$WRITER" ] || kill "$WRITER" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
 "$TOOL" generate --nodes 3000 --packets 200000 --seed 17 > "$DIR/trace.txt"
 
-# Endless writer: replay the trace until the pipe closes.  The subshell
-# dies on SIGPIPE when serve exits.
-(
-    while :; do cat "$DIR/trace.txt" || exit 0; done
-) | PALU_FAILPOINT="serve.ingest:3:5,serve.fit:2:3,serve.checkpoint:2:4" \
-    "$TOOL" serve --window 20000 --checkpoint "$DIR/ck.txt" \
+# Runs in a background subshell, which exec turns into the daemon, so $!
+# is the daemon's pid.
+serve() {
+    export PALU_FAILPOINT="serve.ingest:3:5,serve.fit:2:3,serve.checkpoint:2:4"
+    exec "$TOOL" serve --window 20000 --checkpoint "$DIR/ck.txt" \
         --snapshot "$DIR/snap.json" --snapshot-interval-ms 500 \
         --record "$DIR/record.store" "$@" \
-        > "$DIR/out.txt" 2> "$DIR/err.txt" &
-PID=$!
+        > "$DIR/out.txt" 2> "$DIR/err.txt"
+}
+case "${SOAK_INPUT:-pipe}" in
+pipe)
+    # Endless writer: replay the trace until the pipe closes.  The
+    # subshell dies on SIGPIPE when serve exits.
+    (
+        while :; do cat "$DIR/trace.txt" || exit 0; done
+    ) | serve "$@" &
+    PID=$!
+    ;;
+file)
+    # Appending writer: one copy of the trace a second until the file
+    # reaches the bound; serve then waits at its end.
+    LIMIT=$(( ${SOAK_FILE_MB:-40} * 1048576 ))
+    : > "$DIR/grow.txt"
+    (
+        while [ "$(wc -c < "$DIR/grow.txt")" -lt "$LIMIT" ]; do
+            cat "$DIR/trace.txt" >> "$DIR/grow.txt"
+            sleep 1
+        done
+    ) &
+    WRITER=$!
+    serve --trace "$DIR/grow.txt" --follow "$@" &
+    PID=$!
+    ;;
+*)
+    echo "serve_soak.sh: SOAK_INPUT must be pipe or file" >&2
+    exit 2
+    ;;
+esac
 
 sleep "$DURATION"
 
@@ -96,5 +130,5 @@ if [ "$STORED" != "$WINDOWS" ]; then
     exit 1
 fi
 
-echo "serve soak: OK ($WINDOWS windows over ${DURATION}s, injected" \
-     "faults survived, $STORED windows recorded)"
+echo "serve soak (${SOAK_INPUT:-pipe}): OK ($WINDOWS windows over" \
+     "${DURATION}s, injected faults survived, $STORED windows recorded)"

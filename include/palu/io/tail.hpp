@@ -46,13 +46,13 @@ struct TailRecord {
 /// Receives a trace read's accepted records, one batch per input chunk.
 using RecordSink = std::function<void(std::span<const TailRecord>)>;
 
-/// Receives a full window and the end_offset of its last record; false
-/// stops the cut.
-using WindowSealed =
-    std::function<bool(traffic::WindowAccumulator&, std::uint64_t)>;
+/// Told that the window is full, with the end_offset of its last record;
+/// false stops the cut.
+using WindowSealed = std::function<bool(std::uint64_t end_offset)>;
 
 /// Adds each record's packet to `window`; at every `n_valid` boundary
-/// calls `sealed`, then begins the next window.  Returns the records
+/// calls `sealed` while `window` holds the full window, then begins the
+/// next window.  Returns the records
 /// added, all of them unless a seal stopped the cut.  The open window
 /// carries over to the next call.
 std::size_t cut_windows(std::span<const TailRecord> records, Count n_valid,

@@ -132,7 +132,7 @@ std::size_t cut_windows(std::span<const TailRecord> records, Count n_valid,
   for (std::size_t i = 0; i < records.size(); ++i) {
     window.add(records[i].packet.src, records[i].packet.dst);
     if (window.total() != n_valid) continue;
-    const bool go_on = sealed(window, records[i].end_offset);
+    const bool go_on = sealed(records[i].end_offset);
     window.begin_window();
     if (!go_on) return i + 1;
   }

@@ -21,15 +21,17 @@ IngestReport read_trace(std::istream& in, const IngestOptions& opts,
   TraceTailReader reader("read_trace", opts);
   std::vector<TailRecord> records;
   std::vector<char> chunk(std::size_t{1} << 16);
-  for (bool more = true; more;) {
+  while (in) {
     in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
     reader.feed({chunk.data(), static_cast<std::size_t>(in.gcount())},
                 records);
-    more = static_cast<bool>(in);
-    if (!more) reader.finish(records);  // end of stream ends the last line
     if (!records.empty()) sink(records);
     records.clear();
   }
+  // End of stream ends the last line.  It may throw, so every complete
+  // line before it has already reached the sink.
+  reader.finish(records);
+  if (!records.empty()) sink(records);
   return reader.report();
 }
 

@@ -232,9 +232,7 @@ void ServeDaemon::ingest_body() {
   const auto cut = [&] {
     const std::size_t added = io::cut_windows(
         records, opts_.window_packets, acc_,
-        [this](traffic::WindowAccumulator&, std::uint64_t end_offset) {
-          return seal_window(end_offset);
-        });
+        [this](std::uint64_t end_offset) { return seal_window(end_offset); });
     packets_counter_.inc(added);
     packets_read_.fetch_add(added);
     records.clear();

@@ -195,6 +195,33 @@ TEST(Trace, RepairPolicySalvagesGluedTokens) {
   EXPECT_EQ(result.report.lines_dropped, 1u);
 }
 
+// A malformed last line with no '\n' only fails at end of stream: every
+// complete line before it must already have reached the sink, so a
+// window that closed before it is still cut.
+TEST(Trace, SinkGetsEveryCompleteLineBeforeTheLastLineFails) {
+  IngestOptions strict;
+  IngestOptions budget;
+  budget.policy = ErrorPolicy::kSkip;
+  budget.max_bad_lines = 1;
+  const std::vector<std::pair<IngestOptions, std::string>> cases = {
+      {strict, "1 2\n3 4\n5"},               // truncated after one token
+      {budget, "1 2\nbad\n3 4\n5 6 junk"},  // the budget runs out last
+  };
+  for (const auto& [opts, text] : cases) {
+    std::stringstream buf(text);
+    std::vector<traffic::Packet> got;
+    EXPECT_THROW(read_trace(buf, opts,
+                            [&](std::span<const TailRecord> records) {
+                              for (const TailRecord& r : records) {
+                                got.push_back(r.packet);
+                              }
+                            }),
+                 DataError)
+        << text;
+    EXPECT_EQ(got, (std::vector<traffic::Packet>{{1, 2}, {3, 4}})) << text;
+  }
+}
+
 // ------------------------------------------------------------ window cut
 
 // 200 packet lines over a few dozen repeating pairs, with comments, blank
@@ -264,10 +291,9 @@ TEST(CutWindows, SealsTheOneShotSlicesAtEveryChunkSize) {
     TraceTailReader reader;
     traffic::WindowAccumulator acc;
     std::vector<SealedWindow> got;
-    const WindowSealed sealed = [&](traffic::WindowAccumulator& w,
-                                    std::uint64_t end_offset) {
-      EXPECT_EQ(w.total(), kWindow);
-      got.push_back(seal_of(w, end_offset));
+    const WindowSealed sealed = [&](std::uint64_t end_offset) {
+      EXPECT_EQ(acc.total(), kWindow);
+      got.push_back(seal_of(acc, end_offset));
       return true;
     };
     std::vector<TailRecord> records;
@@ -291,9 +317,8 @@ TEST(CutWindows, FalseSealLeavesTheRestUnadded) {
   traffic::WindowAccumulator acc;
   std::vector<SealedWindow> got;
   std::size_t stop_at = 2;  // the seal that returns false
-  const WindowSealed sealed = [&](traffic::WindowAccumulator& w,
-                                  std::uint64_t end_offset) {
-    got.push_back(seal_of(w, end_offset));
+  const WindowSealed sealed = [&](std::uint64_t end_offset) {
+    got.push_back(seal_of(acc, end_offset));
     return got.size() != stop_at;
   };
   const std::span<const TailRecord> records(all);
@@ -309,8 +334,8 @@ TEST(CutWindows, FalseSealLeavesTheRestUnadded) {
   // A stop at a chunk's last record still counts every record.
   got.clear();
   stop_at = 1;
-  traffic::WindowAccumulator exact;
-  EXPECT_EQ(cut_windows(records.first(4), 4, exact, sealed), 4u);
+  acc.begin_window();
+  EXPECT_EQ(cut_windows(records.first(4), 4, acc, sealed), 4u);
   EXPECT_EQ(got.size(), 1u);
 }
 
@@ -327,9 +352,8 @@ TEST(CutWindows, OpenWindowSurvivesResetAt) {
     TraceTailReader reader;
     traffic::WindowAccumulator acc;
     std::vector<SealedWindow> got;
-    const WindowSealed sealed = [&](traffic::WindowAccumulator& w,
-                                    std::uint64_t end_offset) {
-      got.push_back(seal_of(w, end_offset));
+    const WindowSealed sealed = [&](std::uint64_t end_offset) {
+      got.push_back(seal_of(acc, end_offset));
       return true;
     };
     std::vector<TailRecord> records;

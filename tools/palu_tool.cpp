@@ -135,11 +135,10 @@ std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
   std::size_t windows = 0;
   const IngestReport report = io::read_trace(
       in, opts, [&](std::span<const io::TailRecord> records) {
-        io::cut_windows(records, n_valid, acc,
-                        [&](traffic::WindowAccumulator& full, std::uint64_t) {
-                          window(windows++, full);
-                          return true;
-                        });
+        io::cut_windows(records, n_valid, acc, [&](std::uint64_t) {
+          window(windows++, acc);
+          return true;
+        });
       });
   if (on_read) on_read();
   report_ingest("trace", report);

@@ -5,9 +5,9 @@
 # environment variable arms all three runtime serve failpoints (ingest
 # restart, fit degradation, checkpoint failure).  By default the writer
 # is a generator loop on serve's stdin.  With SOAK_INPUT=file an
-# appending writer grows a file instead, up to SOAK_FILE_MB megabytes
-# (40 by default), and serve reads it with --trace FILE --follow, so
-# every ingest restart reopens the file and seeks to the consumed offset.
+# appending writer grows a file instead, up to 40 MB, and serve reads it
+# with --trace FILE --follow, so every ingest restart reopens the file
+# and seeks to the consumed offset.
 # Pass criteria: the daemon survives the whole soak and drains cleanly
 # on SIGTERM (exit 0), the published window indices are strictly
 # monotone with no gaps (the windows-fitted counter never goes
@@ -53,7 +53,7 @@ pipe)
 file)
     # Appending writer: one copy of the trace a second until the file
     # reaches the bound; serve then waits at its end.
-    LIMIT=$(( ${SOAK_FILE_MB:-40} * 1048576 ))
+    LIMIT=$((40 * 1048576))
     : > "$DIR/grow.txt"
     (
         while [ "$(wc -c < "$DIR/grow.txt")" -lt "$LIMIT" ]; do

@@ -3,7 +3,10 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <istream>
 #include <optional>
+#include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -223,6 +226,47 @@ void BM_TraceTailFeed(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_TraceTailFeed)->Arg(150000)->Arg(std::int64_t{1} << 32);
+
+// The batch trace commands' reading path: read_trace over an in-memory
+// 1e6-line trace of the bench law, cut by cut_windows at N_V = 100000,
+// with capture --trace's export of each sealed window.  read_trace
+// parses a chunk ahead on a thread of its own, so the time is real time.
+void BM_ReadTraceCut(benchmark::State& state) {
+  constexpr std::size_t kLines = 1000000;
+  constexpr Count kWindow = 100000;
+  traffic::SyntheticTrafficGenerator gen = bench_law_generator();
+  std::vector<traffic::Packet> packets(kLines);
+  gen.next_batch(packets);
+  std::ostringstream text;
+  io::write_trace(text, packets);
+  std::string trace = text.str();
+  // The trace as one get area: each pass reads it without a copy.
+  struct TraceBuf : std::streambuf {
+    explicit TraceBuf(std::string& s) {
+      setg(s.data(), s.data(), s.data() + s.size());
+    }
+  };
+  traffic::WindowAccumulator acc;
+  std::vector<traffic::EdgePacketCounts> records;
+  std::size_t windows = 0;
+  for (auto _ : state) {
+    TraceBuf buf(trace);
+    std::istream in(&buf);
+    acc.begin_window();
+    io::read_trace(in, {}, [&](std::span<const io::TailRecord> batch) {
+      io::cut_windows(batch, kWindow, acc, [&](std::uint64_t) {
+        records.clear();
+        acc.export_counts(records);
+        ++windows;
+        return true;
+      });
+    });
+  }
+  benchmark::DoNotOptimize(windows);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLines));
+}
+BENCHMARK(BM_ReadTraceCut)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_PaluFit(benchmark::State& state) {
   const auto params =

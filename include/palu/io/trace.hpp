@@ -8,9 +8,17 @@
 //
 // There is one trace line parser, io::TraceTailReader (io/tail.hpp).
 // read_trace feeds it the stream in 64 KiB chunks under its own reader
-// label ("read_trace"); its streaming form hands each chunk's records to
-// a sink as they are parsed, so a caller that cuts windows while reading
-// (io::cut_windows) holds one open window however long the trace is.
+// label ("read_trace").  Its streaming form reads and parses on a reader
+// thread of its own, at most one chunk ahead of the sink, and hands each
+// chunk's records to the sink on the calling thread in stream order.  A
+// caller that cuts windows while reading (io::cut_windows) therefore
+// holds one open window however long the trace is, and cuts one chunk
+// while the next is parsed.  A sink that throws stops the read:
+// read_trace waits for the chunk in flight and rethrows the sink's
+// exception.  Errors surface in stream order: a chunk's parse error
+// reaches the caller only after the sink has taken every chunk before
+// it, and a stream that fails mid-read is a DataError naming the byte
+// offset, not an early end of the trace.
 //
 // Real captures are noisy, so every reader takes a policy: under
 // ErrorPolicy::kStrict (the IngestOptions default) the first malformed
@@ -41,12 +49,14 @@ struct TraceReadResult {
 };
 
 /// Policy-aware trace reader.  kStrict throws on the first malformed line;
-/// kSkip and kRepair throw only when the error budget is exhausted.
+/// kSkip and kRepair throw only when the error budget is exhausted.  A
+/// failed read throws under every policy and is not charged to the budget.
 TraceReadResult read_trace(std::istream& in, const IngestOptions& opts);
 
 /// Streaming form of the policy-aware reader: same policy, errors and
-/// accounting, but the accepted records go to `sink` as they are parsed
-/// instead of into one vector.  Returns the ingest account.
+/// accounting, but the accepted records go to `sink` a chunk at a time,
+/// on the calling thread, while the next chunk is parsed, instead of into
+/// one vector.  Returns the ingest account.
 IngestReport read_trace(std::istream& in, const IngestOptions& opts,
                         const RecordSink& sink);
 

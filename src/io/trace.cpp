@@ -4,11 +4,13 @@
 #include <array>
 #include <charconv>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <string_view>
 
 #include "palu/common/error.hpp"
 #include "palu/io/parse.hpp"
+#include "palu/parallel/thread_pool.hpp"
 #include "ingest_gate.hpp"
 #include "trace_line.hpp"
 
@@ -16,22 +18,58 @@ namespace palu::io {
 
 using detail::trim;
 
+namespace {
+
+// One 64 KiB read of the stream and the records its feed produced.
+struct TraceChunk {
+  std::vector<char> bytes = std::vector<char>(std::size_t{1} << 16);
+  std::vector<TailRecord> records;
+};
+
+}  // namespace
+
 IngestReport read_trace(std::istream& in, const IngestOptions& opts,
                         const RecordSink& sink) {
   TraceTailReader reader("read_trace", opts);
-  std::vector<TailRecord> records;
-  std::vector<char> chunk(std::size_t{1} << 16);
-  while (in) {
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    reader.feed({chunk.data(), static_cast<std::size_t>(in.gcount())},
-                records);
+  std::array<TraceChunk, 2> chunks;
+  std::uint64_t offset = 0;
+  // Reads and parses the next chunk into `c`; false once the stream has
+  // ended.  A stream that goes bad has failed, not ended: its fragment is
+  // not a last line.
+  const auto read_chunk = [&](TraceChunk& c) {
+    c.records.clear();
+    in.read(c.bytes.data(), static_cast<std::streamsize>(c.bytes.size()));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (in.bad()) {
+      throw DataError("read_trace: read failed at byte offset " +
+                      std::to_string(offset + got));
+    }
+    offset += got;
+    reader.feed({c.bytes.data(), got}, c.records);
+    return static_cast<bool>(in);
+  };
+  // Chunk k + 1 is read on `ahead` while the sink takes chunk k here, so
+  // the two chunks alternate buffers.  Declared after everything its task
+  // touches, so unwinding joins it before any of that is destroyed: a
+  // sink that throws discards whatever the chunk read ahead met.
+  ThreadPool ahead(1);
+  std::future<bool> next =
+      ahead.submit([&] { return read_chunk(chunks[0]); });
+  for (std::size_t k = 0;; ++k) {
+    const bool more = next.get();  // rethrows chunk k's read or parse error
+    if (more) {
+      next = ahead.submit(
+          [&, &c = chunks[(k + 1) % 2]] { return read_chunk(c); });
+    }
+    const std::vector<TailRecord>& records = chunks[k % 2].records;
     if (!records.empty()) sink(records);
-    records.clear();
+    if (!more) break;
   }
   // End of stream ends the last line.  It may throw, so every complete
   // line before it has already reached the sink.
-  reader.finish(records);
-  if (!records.empty()) sink(records);
+  std::vector<TailRecord> last;
+  reader.finish(last);
+  if (!last.empty()) sink(last);
   return reader.report();
 }
 

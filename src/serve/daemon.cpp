@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -222,6 +223,12 @@ void ServeDaemon::ingest_body() {
       throw DataError("serve: cannot seek input " + name + " to offset " +
                       std::to_string(reader_->consumed_offset()));
     }
+  }
+  // A directory opens, but every read(2) of it fails with EISDIR, which
+  // no restart mends.
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISDIR(st.st_mode)) {
+    throw DataError("serve: input " + name + " is a directory");
   }
 
   std::vector<io::TailRecord> records;

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <ios>
 #include <numeric>
 #include <span>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "palu/common/error.hpp"
@@ -219,6 +224,237 @@ TEST(Trace, SinkGetsEveryCompleteLineBeforeTheLastLineFails) {
                  DataError)
         << text;
     EXPECT_EQ(got, (std::vector<traffic::Packet>{{1, 2}, {3, 4}})) << text;
+  }
+}
+
+// ------------------------------------------------------------ read ahead
+
+constexpr std::size_t kChunk = std::size_t{1} << 16;  // read_trace's read
+
+// `lines` packet lines, sources of 1 to 12 digits and destinations below
+// 997, with a comment every 1000 lines.  With lines of varying width, a
+// line straddles each 64 KiB chunk boundary (the tests check that one
+// does).
+std::string read_ahead_text(std::size_t lines) {
+  std::string text;
+  std::uint64_t x = 88172645463325252ull;  // xorshift64
+  for (std::size_t i = 0; i < lines; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    if (i % 1000 == 0) text += "# block " + std::to_string(i) + '\n';
+    const std::uint64_t width = 1 + x % 12;
+    std::uint64_t bound = 1;
+    for (std::uint64_t d = 0; d < width; ++d) bound *= 10;
+    text += std::to_string(x % bound) + ' ' + std::to_string((x >> 20) % 997);
+    text += '\n';
+  }
+  return text;
+}
+
+// True when a line straddles each of the first `chunks` chunk
+// boundaries: the byte before none of them is a '\n'.
+bool lines_straddle_chunks(const std::string& text, std::size_t chunks) {
+  for (std::size_t k = 1; k <= chunks; ++k) {
+    if (text.at(k * kChunk - 1) == '\n') return false;
+  }
+  return true;
+}
+
+// Serves `text` through underflow() in 4 KiB blocks.  From byte
+// `fail_at` on, underflow throws, as a filebuf does when read(2) fails,
+// and the istream turns that into badbit.  When it first serves byte
+// `slow_at` it sleeps 50 ms, so a read of that chunk is still in flight
+// when the sink of the chunk before it returns.  Counts the underflow
+// calls begun and ended.
+class TextSource : public std::streambuf {
+ public:
+  explicit TextSource(std::string text,
+                      std::size_t fail_at = std::string::npos,
+                      std::size_t slow_at = std::string::npos)
+      : text_(std::move(text)), fail_at_(fail_at), slow_at_(slow_at) {}
+
+  std::size_t begun() const { return begun_.load(); }
+  std::size_t ended() const { return ended_.load(); }
+  std::size_t served() const { return at_.load(); }
+
+ protected:
+  int_type underflow() override {
+    ++begun_;
+    struct Ended {
+      std::atomic<std::size_t>& n;
+      ~Ended() { ++n; }
+    } ended{ended_};
+    const std::size_t at = at_.load();
+    if (at >= fail_at_) throw std::ios_base::failure("read(2) failed");
+    if (at == text_.size()) return traits_type::eof();
+    if (at <= slow_at_ && slow_at_ < at + kBlock) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    const std::size_t n = std::min({kBlock, text_.size() - at, fail_at_ - at});
+    char* const p = text_.data() + at;
+    setg(p, p, p + n);
+    at_.store(at + n);
+    return traits_type::to_int_type(*p);
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 4096;
+  std::string text_;
+  std::size_t fail_at_;
+  std::size_t slow_at_;
+  std::atomic<std::size_t> at_{0};
+  std::atomic<std::size_t> begun_{0};
+  std::atomic<std::size_t> ended_{0};
+};
+
+std::vector<std::pair<traffic::Packet, std::uint64_t>> flat(
+    std::span<const TailRecord> records) {
+  std::vector<std::pair<traffic::Packet, std::uint64_t>> out;
+  for (const TailRecord& r : records) out.emplace_back(r.packet, r.end_offset);
+  return out;
+}
+
+// The records of the lines whose '\n' lies in the first `bytes` bytes.
+std::vector<std::pair<traffic::Packet, std::uint64_t>> records_before(
+    const std::string& text, const IngestOptions& opts, std::size_t bytes) {
+  TraceTailReader reader(opts);
+  std::vector<TailRecord> records;
+  reader.feed(std::string_view(text).substr(0, bytes), records);
+  return flat(records);
+}
+
+void expect_same_report(const IngestReport& got, const IngestReport& want) {
+  EXPECT_EQ(got.lines_read, want.lines_read);
+  EXPECT_EQ(got.records_kept, want.records_kept);
+  EXPECT_EQ(got.lines_repaired, want.lines_repaired);
+  EXPECT_EQ(got.lines_dropped, want.lines_dropped);
+  ASSERT_EQ(got.first_error.has_value(), want.first_error.has_value());
+  if (got.first_error) {
+    EXPECT_EQ(got.first_error->line_number, want.first_error->line_number);
+    EXPECT_EQ(got.first_error->message, want.first_error->message);
+    EXPECT_EQ(got.first_error->text, want.first_error->text);
+  }
+}
+
+// The sink runs on the calling thread, once per chunk in stream order,
+// and the batches joined are the records of one TraceTailReader fed the
+// whole text, with the same report: clean under strict, and with a bad
+// line every 3001 lines under skip and repair.
+TEST(ReadAhead, SinkRunsOnTheCallingThreadInStreamOrder) {
+  const std::string clean = read_ahead_text(30000);
+  ASSERT_GT(clean.size(), 5 * kChunk);
+  ASSERT_TRUE(lines_straddle_chunks(clean, 5));
+  std::string damaged;
+  std::size_t line = 0;
+  for (std::size_t at = 0; at < clean.size(); ++line) {
+    const std::size_t nl = clean.find('\n', at);
+    damaged += line % 3001 == 7 ? std::string("9 x7 junk")
+                                : clean.substr(at, nl - at);
+    damaged += '\n';
+    at = nl + 1;
+  }
+  IngestOptions skip;
+  skip.policy = ErrorPolicy::kSkip;
+  IngestOptions repair;
+  repair.policy = ErrorPolicy::kRepair;
+  const std::vector<std::pair<IngestOptions, const std::string*>> cases = {
+      {IngestOptions{}, &clean}, {skip, &damaged}, {repair, &damaged}};
+  for (const auto& [opts, text] : cases) {
+    TraceTailReader whole(opts);
+    std::vector<TailRecord> want;
+    whole.feed(*text, want);
+    whole.finish(want);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::pair<traffic::Packet, std::uint64_t>> got;
+    std::size_t batches = 0;
+    std::uint64_t last_offset = 0;
+    std::istringstream in(*text);
+    const IngestReport report =
+        read_trace(in, opts, [&](std::span<const TailRecord> records) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          ++batches;
+          // Each batch ends in the chunk it was parsed from.
+          EXPECT_LE(records.back().end_offset, batches * kChunk);
+          EXPECT_GT(records.front().end_offset, last_offset);
+          last_offset = records.back().end_offset;
+          const auto batch = flat(records);
+          got.insert(got.end(), batch.begin(), batch.end());
+        });
+    EXPECT_EQ(batches, (text->size() + kChunk - 1) / kChunk);
+    EXPECT_EQ(got, flat(want));
+    expect_same_report(report, whole.report());
+  }
+}
+
+// A strict malformed line in the third chunk: the sink takes the first
+// two chunks' records, none of the third's, and then the DataError.
+TEST(ReadAhead, StrictErrorInTheThirdChunkStopsAfterTwoChunks) {
+  std::string text = read_ahead_text(30000);
+  const std::size_t bad_at = text.find('\n', 2 * kChunk + 30000) + 1;
+  text.insert(bad_at, "-5 6\n");
+  ASSERT_LT(bad_at, 3 * kChunk);
+  const auto want = records_before(text, {}, 2 * kChunk);
+  ASSERT_LT(want.size(), records_before(text, {}, bad_at).size());
+  std::vector<std::pair<traffic::Packet, std::uint64_t>> got;
+  std::istringstream in(text);
+  EXPECT_THROW(read_trace(in, {},
+                          [&](std::span<const TailRecord> records) {
+                            const auto batch = flat(records);
+                            got.insert(got.end(), batch.begin(), batch.end());
+                          }),
+               DataError);
+  EXPECT_EQ(got, want);
+}
+
+// A sink that throws on its second batch, while the third chunk, which
+// holds a strict malformed line, is read ahead: read_trace rethrows the
+// sink's exception, not the parse error, and returns with no read in
+// flight.
+TEST(ReadAhead, SinkFailureWinsOverTheChunkReadAhead) {
+  struct SinkFailed {};
+  std::string text = read_ahead_text(30000);
+  text.insert(text.find('\n', 2 * kChunk + 100) + 1, "-5 6\n");
+  TextSource source(text, std::string::npos, 2 * kChunk);
+  std::istream in(&source);
+  std::size_t batches = 0;
+  EXPECT_THROW(read_trace(in, {},
+                          [&](std::span<const TailRecord>) {
+                            if (++batches == 2) throw SinkFailed{};
+                          }),
+               SinkFailed);
+  EXPECT_EQ(batches, 2u);
+  EXPECT_GT(source.served(), 2 * kChunk);  // the third chunk was read
+  EXPECT_EQ(source.begun(), source.ended());
+}
+
+// A stream that fails part way is not a stream that ended: the sink takes
+// the chunks read before the failed read, and then a DataError naming
+// its byte offset, under every policy and outside the error budget.
+TEST(ReadAhead, FailedReadIsADataErrorNotTheEndOfTheTrace) {
+  const std::string text = read_ahead_text(215000);
+  ASSERT_GT(text.size(), std::size_t{2400000});
+  constexpr std::size_t kFailAt = 200000;
+  constexpr std::size_t kGood = kFailAt / kChunk * kChunk;  // 196608
+  IngestOptions skip;
+  skip.policy = ErrorPolicy::kSkip;
+  skip.max_bad_lines = 0;
+  for (const IngestOptions& opts : {IngestOptions{}, skip}) {
+    TextSource source(text, kFailAt);
+    std::istream in(&source);
+    std::vector<std::pair<traffic::Packet, std::uint64_t>> got;
+    std::string message;
+    try {
+      read_trace(in, opts, [&](std::span<const TailRecord> records) {
+        const auto batch = flat(records);
+        got.insert(got.end(), batch.begin(), batch.end());
+      });
+    } catch (const DataError& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "read_trace: read failed at byte offset " +
+                           std::to_string(kGood));
+    EXPECT_EQ(got, records_before(text, opts, kGood));
   }
 }
 

@@ -12,15 +12,17 @@
 // a 4-thread pool too, and so do generator copies drawing from one set
 // of shared tables, and so does a serve daemon whose ingest thread hands
 // sealed windows to a fit thread that fits the two estimator lanes on
-// the global pool.  Assertions here are consistency invariants (every
-// window accounted for exactly once), not timing expectations: which
-// windows a stopped sweep skipped depends on the scheduler, and any
-// split must pass.
+// the global pool, and so do four read_trace calls whose reader threads
+// parse a chunk ahead of their window cuts.  Assertions here are
+// consistency invariants (every window accounted for exactly once), not
+// timing expectations: which windows a stopped sweep skipped depends on
+// the scheduler, and any split must pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +30,8 @@
 
 #include "palu/common/failpoint.hpp"
 #include "palu/graph/generators.hpp"
+#include "palu/io/tail.hpp"
+#include "palu/io/trace.hpp"
 #include "palu/obs/metrics.hpp"
 #include "palu/obs/names.hpp"
 #include "palu/parallel/scratch_pool.hpp"
@@ -35,6 +39,7 @@
 #include "palu/serve/daemon.hpp"
 #include "palu/traffic/expected_window.hpp"
 #include "palu/traffic/stream.hpp"
+#include "palu/traffic/window_accumulator.hpp"
 #include "palu/traffic/window_pipeline.hpp"
 
 namespace palu {
@@ -431,6 +436,71 @@ TEST(TsanStress, ServeDaemonFitsLanesConcurrently) {
   }
   EXPECT_EQ(n, kWindows);
   std::remove(trace.c_str());
+}
+
+TEST(TsanStress, ReadTraceReadsAheadWhileSinksCut) {
+  // Four read_trace calls at once, each reading its own copy of a
+  // nine-chunk trace one chunk ahead of a sink that cuts it into windows,
+  // all counting into one registry.  The fourth sink throws part way.
+  // Every read that ran to the end sealed the same windows, and the
+  // registry counts what the four readers parsed: the failed read stops
+  // after the chunk it had read ahead.
+  constexpr std::size_t kLines = 60000;
+  constexpr Count kWindow = 7000;
+  constexpr std::size_t kReads = 4;
+  Rng rng(37);
+  std::string text;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    text += std::to_string(rng.uniform_index(5000)) + ' ' +
+            std::to_string(rng.uniform_index(5000)) + '\n';
+  }
+  struct SinkFailed {};
+  obs::Registry registry;
+  IngestOptions opts;
+  opts.metrics = &registry;
+  std::vector<std::size_t> windows(kReads, 0);
+  std::vector<std::size_t> sunk(kReads, 0);
+  std::vector<int> failed(kReads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kReads; ++t) {
+    threads.emplace_back([&, t] {
+      std::istringstream in(text);
+      traffic::WindowAccumulator acc;
+      try {
+        io::read_trace(in, opts, [&](std::span<const io::TailRecord> batch) {
+          if (t == kReads - 1 && sunk[t] > kLines / 3) throw SinkFailed{};
+          sunk[t] += batch.size();
+          io::cut_windows(batch, kWindow, acc, [&](std::uint64_t) {
+            ++windows[t];
+            return true;
+          });
+        });
+      } catch (const SinkFailed&) {
+        failed[t] = 1;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "read " << t << ": " << e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t t = 0; t + 1 < kReads; ++t) {
+    EXPECT_EQ(failed[t], 0) << t;
+    EXPECT_EQ(sunk[t], kLines) << t;
+    EXPECT_EQ(windows[t], kLines / kWindow) << t;
+  }
+  EXPECT_EQ(failed[kReads - 1], 1);
+  EXPECT_LT(sunk[kReads - 1], kLines);
+  const std::uint64_t kept =
+      registry
+          .counter(obs::names::kIngestLines,
+                   {{"reader", "read_trace"}, {"outcome", "kept"}})
+          .value();
+  EXPECT_GT(kept, (kReads - 1) * kLines + sunk[kReads - 1]);
+  EXPECT_LT(kept, kReads * kLines);
+  EXPECT_EQ(registry.counter(obs::names::kIngestReads,
+                             {{"reader", "read_trace"}})
+                .value(),
+            kReads);
 }
 
 }  // namespace

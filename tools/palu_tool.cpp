@@ -120,9 +120,10 @@ using TraceWindowFn =
 // Reads --trace and hands each window of n_valid consecutive packets to
 // `window` as io::cut_windows seals it, with its index; a trailing
 // partial window is dropped.  Holds one open window however long the
-// trace is.  `on_read`, when set, runs once the whole trace is read,
-// before its ingest summary.  Returns the window count; a trace shorter
-// than one window is a usage error.
+// trace is; read_trace parses the next chunk on its own thread while
+// this one cuts.  `on_read`, when set, runs once the whole trace is
+// read, before its ingest summary.  Returns the window count; a trace
+// shorter than one window is a usage error.
 std::size_t for_each_trace_window(const cli::Args& args, Count n_valid,
                                   const TraceWindowFn& window,
                                   const std::function<void()>& on_read = {}) {
@@ -377,13 +378,13 @@ void print_store_stats(const char* what, const std::string& dir,
 // Trace mode: window a recorded trace as it is read and archive each
 // window's pair counts.  The writer opens at the first window with node
 // domain 1 and widens it at finish() to the archived windows' ids, as
-// `serve --record` does.  The reading thread accumulates each window and
-// exports its records; their append runs as a task on a one-thread pool
-// while the cutter parses the next window.  At most one window is in
-// flight: the cutter waits for its task before it exports another window
-// into the records the task reads, and whenever it stops, so a failed
-// append of window t is reported ahead of a parse error met while reading
-// window t + 1, as when the windows ran in turn.
+// `serve --record` does.  Three stages run at once: read_trace's reader
+// thread parses the next chunk, this thread cuts, accumulates and exports
+// each window, and a one-thread pool appends the window before it.  At
+// most one window is in flight: the cutter waits for its task before it
+// exports another window into the records the task reads, and whenever
+// it stops, so a failed append of window t is reported ahead of a parse
+// error met while reading window t + 1, as when the windows ran in turn.
 int capture_trace(const cli::Args& args, const std::string& dir,
                   std::unique_ptr<store::WindowStoreWriter>& writer) {
   const Count n_valid = get_count(args, "nvalid", 50000, 1);
